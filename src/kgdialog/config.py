@@ -64,13 +64,36 @@ class RunConfig:
     def as_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)
 
+    def validate(self) -> None:
+        """Reject settings that would crash a run halfway.
+
+        Each error names the offending field.
+        """
+        for name in ("min_questions", "max_questions", "display_limit", "sample_size"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.min_questions > self.max_questions:
+            raise ConfigError(
+                f"min_questions ({self.min_questions}) must not exceed "
+                f"max_questions ({self.max_questions})"
+            )
+        if self.sample_size > self.display_limit:
+            # an answer with more members than display_limit but fewer than
+            # sample_size could not be sampled for its negotiation turn
+            raise ConfigError(
+                f"sample_size ({self.sample_size}) must not exceed "
+                f"display_limit ({self.display_limit})"
+            )
+
 
 def load_config(
     path: str | Path | None = None,
     env: Mapping[str, str] | None = None,
     overrides: Mapping[str, Any] | None = None,
 ) -> RunConfig:
-    """Merge defaults <- config file <- env vars <- explicit overrides."""
+    """Merge defaults <- config file <- env vars <- explicit overrides, then
+    validate the result (see :meth:`RunConfig.validate`)."""
     values: dict[str, Any] = {}
     if path is not None:
         with open(path, encoding="utf-8") as fh:
@@ -87,7 +110,10 @@ def load_config(
     for name, f in fields.items():
         var = ENV_PREFIX + name.upper()
         if var in env:
-            values[name] = _parse_env(env[var], f)
+            try:
+                values[name] = _parse_env(env[var], f)
+            except ValueError as exc:
+                raise ConfigError(f"{var}={env[var]!r}: {exc}") from None
 
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
@@ -95,7 +121,9 @@ def load_config(
     unknown = set(values) - set(fields)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return RunConfig(**values)
+    config = RunConfig(**values)
+    config.validate()
+    return config
 
 
 def _parse_env(raw: str, f: dataclasses.Field) -> Any:

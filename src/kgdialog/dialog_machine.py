@@ -11,9 +11,10 @@ seeded RNG, so identical inputs give byte-identical dialogs.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from . import query_algebra as qa, templates as tpl
 from .config import RunConfig
@@ -319,23 +320,21 @@ def start_dialog(
     """Open a dialog with a fully specified direct question and its answer."""
     config = config or RunConfig()
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    candidates = []
+    segments = []
     for t in templates:
         if t.kind != "Retrieve" or t.anchor_slot() is None:
             continue
         ty = tpl.anchor_type(store, t)
-        if ty is None:
-            continue
-        for anchor in sorted(store.entities_of_type(ty)):
-            candidates.append((t, anchor))
-    rng.shuffle(candidates)
-    for t, anchor in candidates:
-        built = _try_instantiate(store, t, {t.anchor_slot(): anchor}, config, number="plural")
-        if built is None:
-            continue
-        question = _Question(TurnState.SIMPLE_Q, built, t, retrieve_base=t)
-        return _respond_turns(store, question, rng, config)
-    raise DialogError("no template is instantiable over this store")
+        if ty is not None:
+            segments.append((t, store.sorted_members(ty)))
+
+    def attempt(t: tpl.QuestionTemplate, anchor: int) -> _Question | None:
+        return _ask(store, TurnState.SIMPLE_Q, t, {t.anchor_slot(): anchor}, config, base=t)
+
+    question = _first(rng, segments, attempt)
+    if question is None:
+        raise DialogError("no template is instantiable over this store")
+    return _respond_turns(store, question, rng, config)
 
 
 def next_turn(
@@ -501,6 +500,54 @@ def _applicable(kind: str, context: DialogContext, templates) -> bool:
     return context.last_retrieve_template is not None
 
 
+# -- candidate sampling -------------------------------------------------------------------
+
+
+def random_candidates(
+    rng: random.Random, segments: Sequence[tuple[Any, Sequence]]
+) -> Iterator[tuple[Any, Any]]:
+    """Yield every ``(key, member)`` pair of ``segments`` once, in uniformly
+    random order.
+
+    ``segments`` is a sequence of ``(key, members)``; the candidates are the
+    segments' members in concatenation, each paired with its segment's key.
+    The order is drawn lazily by a sparse Fisher–Yates shuffle over the
+    concatenated positions: one ``rng.randrange`` per yielded candidate and
+    one remembered swap per draw.  A caller that stops after k candidates
+    pays one pass over the segments plus O(k log(#segments)), however many
+    members the segments hold.
+    """
+    keys: list = []
+    members: list[Sequence] = []
+    starts: list[int] = []
+    n = 0
+    for key, seg in segments:
+        if seg:
+            keys.append(key)
+            members.append(seg)
+            starts.append(n)
+            n += len(seg)
+    swapped: dict[int, int] = {}
+    for i in range(n):
+        j = rng.randrange(i, n)
+        pos = swapped.get(j, j)
+        swapped[j] = swapped.get(i, i)
+        s = bisect_right(starts, pos) - 1
+        yield keys[s], members[s][pos - starts[s]]
+
+
+def _first(
+    rng: random.Random, segments: Sequence[tuple[Any, Sequence]], attempt: Callable[[Any, Any], Any]
+) -> Any:
+    """The first non-None ``attempt(key, member)`` over the segments'
+    candidates in uniformly random order, or None when every one fails."""
+    for key, member in random_candidates(rng, segments):
+        question = attempt(key, member)
+        if question is not None:
+            return question
+    return None
+
+
 # -- per-kind builders --------------------------------------------------------------------
 
 
@@ -537,6 +584,13 @@ def _try_instantiate(
     return built
 
 
+def _ask(store, state, template, bindings, config, base):
+    """The question ``template`` asks under ``bindings``, or None when it
+    cannot be instantiated; ``base`` is the retrieve template it derives from."""
+    built = _try_instantiate(store, template, bindings, config)
+    return None if built is None else _Question(state, built, template, retrieve_base=base)
+
+
 def _simple_templates(store, templates):
     out = []
     for t in templates:
@@ -551,18 +605,21 @@ def _simple_templates(store, templates):
 
 
 def _build_direct(store, templates, context, rng, config):
-    candidates = []
+    # anchors of a template whose relation was just used may be any member
+    # of the anchor type; otherwise only the salient ones link
+    segments = []
     for t, ty in _simple_templates(store, templates):
         rel = _template_relation(store, t)
-        for anchor in sorted(store.entities_of_type(ty)):
-            if anchor in context.salience or (rel is not None and rel in context.last_relations):
-                candidates.append((t, anchor))
-    rng.shuffle(candidates)
-    for t, anchor in candidates:
-        built = _try_instantiate(store, t, {t.anchor_slot(): anchor}, config)
-        if built is not None:
-            return _Question(TurnState.SIMPLE_Q, built, t, retrieve_base=t)
-    return None
+        if rel is not None and rel in context.last_relations:
+            segments.append((t, store.sorted_members(ty)))
+        else:
+            salient = dict.fromkeys(e for e in context.salience if store.has_type(e, ty))
+            segments.append((t, list(salient)))
+
+    def attempt(t, anchor):
+        return _ask(store, TurnState.SIMPLE_Q, t, {t.anchor_slot(): anchor}, config, base=t)
+
+    return _first(rng, segments, attempt)
 
 
 def _build_coreference(store, templates, context, rng, config):
@@ -577,27 +634,21 @@ def _build_coreference(store, templates, context, rng, config):
         if built is not None:
             return built
 
-    candidates = []
+    segments = []
     for t, ty in _simple_templates(store, templates):
         holders = salience_types.get(ty, [])
         if len(holders) == 1:
-            candidates.append((t, ty, holders[0]))
-    rng.shuffle(candidates)
-    for t, ty, anchor in candidates:
+            segments.append(((t, ty), holders))
+
+    def attempt(key, anchor):
+        t, ty = key
         built = _try_instantiate(store, t, {t.anchor_slot(): anchor}, config)
         if built is None:
-            continue
-        mention = f"that {store.type_label(ty)}"
-        question = tpl.render_question(
-            store,
-            t,
-            built.bindings,
-            number=built.number,
-            mention_overrides={t.anchor_slot(): mention},
-        )
-        built = replace(built, question=question)
+            return None
+        built = _with_mention(store, t, built, f"that {store.type_label(ty)}")
         return _Question(TurnState.COREFERENCE_Q, built, t, retrieve_base=t)
-    return None
+
+    return _first(rng, segments, attempt)
 
 
 def _build_ambiguous(store, templates, context, rng, config):
@@ -605,27 +656,21 @@ def _build_ambiguous(store, templates, context, rng, config):
     for e in context.last_answer_entities:
         for ty in store.types_of(e):
             answer_types.setdefault(ty, []).append(e)
-    candidates = []
+    # one candidate per template: the answer entities its mention could mean
+    segments = []
     for t, ty in _simple_templates(store, templates):
         holders = answer_types.get(ty, [])
         if len(holders) >= 2:
-            candidates.append((t, ty, holders))
-    rng.shuffle(candidates)
-    for t, ty, holders in candidates:
+            segments.append(((t, ty), [holders]))
+
+    def attempt(key, holders):
+        t, ty = key
         intended = rng.choice(sorted(holders))
-        bindings = {t.anchor_slot(): intended}
-        built = _try_instantiate(store, t, bindings, config)
+        built = _try_instantiate(store, t, {t.anchor_slot(): intended}, config)
         if built is None:
-            continue
+            return None
         mention = f"that {store.type_label(ty)}"
-        question = tpl.render_question(
-            store,
-            t,
-            built.bindings,
-            number=built.number,
-            mention_overrides={t.anchor_slot(): mention},
-        )
-        built = replace(built, question=question)
+        built = _with_mention(store, t, built, mention)
         pending = PendingClarification(
             mention=mention,
             mention_type=ty,
@@ -636,7 +681,16 @@ def _build_ambiguous(store, templates, context, rng, config):
             state=TurnState.COREFERENCE_Q,
         )
         return _Question(TurnState.COREFERENCE_Q, built, t, ambiguous=pending, retrieve_base=t)
-    return None
+
+    return _first(rng, segments, attempt)
+
+
+def _with_mention(store, t, built, mention):
+    """``built`` with its anchor spoken as ``mention`` ("that ⟨type⟩")."""
+    question = tpl.render_question(
+        store, t, built.bindings, number=built.number, mention_overrides={t.anchor_slot(): mention}
+    )
+    return replace(built, question=question)
 
 
 def _build_ellipsis(store, templates, context, rng, config):
@@ -649,19 +703,19 @@ def _build_ellipsis(store, templates, context, rng, config):
     if ty is None:
         return None
     old_id = old if isinstance(old, int) else (store.entity_id(old) if old else None)
-    swaps = [e for e in sorted(store.entities_of_type(ty)) if e != old_id]
-    rng.shuffle(swaps)
     pattern = rng.choice(_ELLIPSIS_BANK)
-    for anchor in swaps:
+    base = context.last_retrieve_template
+
+    def attempt(_, anchor):
+        if anchor == old_id:
+            return None
         built = _try_instantiate(store, t, {**context.last_bindings, anchor_slot: anchor}, config)
         if built is None:
-            continue
-        built = replace(
-            built, question=pattern.format(entity=store.entity_label(anchor))
-        )
-        base = context.last_retrieve_template
+            return None
+        built = replace(built, question=pattern.format(entity=store.entity_label(anchor)))
         return _Question(TurnState.ELLIPSIS_Q, built, t, retrieve_base=base)
-    return None
+
+    return _first(rng, [(None, store.sorted_members(ty))], attempt)
 
 
 def _build_logical(store, templates, context, rng, config):
@@ -678,19 +732,18 @@ def _build_logical(store, templates, context, rng, config):
     ty = tpl.anchor_type(store, base)
     if ty is None:
         return None
-    others = [e for e in sorted(store.entities_of_type(ty)) if e != anchor_id]
-    ops = ["and", "or", "but_not"]
-    candidates = [(op, e) for op in ops for e in others]
-    rng.shuffle(candidates)
-    for op, extra in candidates:
-        try:
-            derived = tpl.transform_logical(base, op, extra)
-        except tpl.TemplateError:
+
+    def attempt(op, extra):
+        if extra == anchor_id:
             return None
-        built = _try_instantiate(store, derived, {anchor_slot: anchor_id}, config)
-        if built is not None:
-            return _Question(TurnState.LOGICAL_Q, built, derived, retrieve_base=base)
-    return None
+        derived = tpl.transform_logical(base, op, extra)
+        return _ask(store, TurnState.LOGICAL_Q, derived, {anchor_slot: anchor_id}, config, base)
+
+    members = store.sorted_members(ty)
+    try:
+        return _first(rng, [(op, members) for op in ("and", "or", "but_not")], attempt)
+    except tpl.TemplateError:
+        return None
 
 
 def _build_count(store, templates, context, rng, config):
@@ -702,22 +755,23 @@ def _build_count(store, templates, context, rng, config):
     except tpl.TemplateError:
         return None
     anchor_slot = base.anchor_slot()
-    anchors: list[int | str] = []
-    if anchor_slot is not None:
-        ty = tpl.anchor_type(store, base)
-        anchors = sorted(store.entities_of_type(ty)) if ty is not None else []
-        rng.shuffle(anchors)
-        old = context.last_bindings.get(anchor_slot)
-        if old is not None:
-            anchors.insert(0, old)
-    else:
-        anchors = [None]
-    for anchor in anchors:
+
+    def attempt(_, anchor):
         bindings = {} if anchor is None else {anchor_slot: anchor}
-        built = _try_instantiate(store, derived, {**context.last_bindings, **bindings}, config)
-        if built is not None:
-            return _Question(TurnState.QUANTITATIVE_COUNT_Q, built, derived, retrieve_base=base)
-    return None
+        merged = {**context.last_bindings, **bindings}
+        return _ask(store, TurnState.QUANTITATIVE_COUNT_Q, derived, merged, config, base)
+
+    if anchor_slot is None:
+        return attempt(None, None)
+    # the previous anchor first, then the other members of its type
+    old = context.last_bindings.get(anchor_slot)
+    if old is not None:
+        question = attempt(None, old)
+        if question is not None:
+            return question
+    ty = tpl.anchor_type(store, base)
+    members = store.sorted_members(ty) if ty is not None else ()
+    return _first(rng, [(None, members)], lambda _, e: None if e == old else attempt(None, e))
 
 
 def _build_argopt(store, templates, context, rng, config):
@@ -729,10 +783,11 @@ def _build_argopt(store, templates, context, rng, config):
         derived = tpl.transform_argopt(base, direction)
     except tpl.TemplateError:
         return None
-    built = _try_instantiate(store, derived, dict(context.last_bindings), config)
-    if built is None:
-        return None
-    return _Question(TurnState.QUANTITATIVE_ARGOPT_Q, built, derived, retrieve_base=base)
+    state = TurnState.QUANTITATIVE_ARGOPT_Q
+    return _ask(store, state, derived, context.last_bindings, config, base)
+
+
+_THRESHOLD_NS = (1, 2, 3, 4)
 
 
 def _build_threshold(store, templates, context, rng, config):
@@ -740,21 +795,18 @@ def _build_threshold(store, templates, context, rng, config):
     if base is None:
         return None
     counting = rng.random() < 0.5
-    candidates = [(cmp_, n) for cmp_ in qa.COMPARATORS for n in (1, 2, 3, 4)]
-    rng.shuffle(candidates)
-    for cmp_, n in candidates:
-        try:
-            derived = tpl.transform_threshold(base, cmp_, n)
-            if counting:
-                derived = tpl.transform_to_count(derived)
-        except tpl.TemplateError:
-            return None
-        built = _try_instantiate(store, derived, dict(context.last_bindings), config)
-        if built is not None:
-            return _Question(
-                TurnState.QUANTITATIVE_THRESHOLD_Q, built, derived, retrieve_base=base
-            )
-    return None
+    state = TurnState.QUANTITATIVE_THRESHOLD_Q
+
+    def attempt(cmp_, n):
+        derived = tpl.transform_threshold(base, cmp_, n)
+        if counting:
+            derived = tpl.transform_to_count(derived)
+        return _ask(store, state, derived, context.last_bindings, config, base)
+
+    try:
+        return _first(rng, [(cmp_, _THRESHOLD_NS) for cmp_ in qa.COMPARATORS], attempt)
+    except tpl.TemplateError:
+        return None
 
 
 def _build_comparative(store, templates, context, rng, config):
@@ -769,58 +821,50 @@ def _build_comparative(store, templates, context, rng, config):
     group_ty = tpl.slot_expected_type(store, probe, "entity:ref")
     if group_ty is None:
         return None
-    refs = sorted(store.entities_of_type(group_ty))
-    candidates = [(d, ref) for d in qa.CMP_DIRECTIONS for ref in refs]
-    rng.shuffle(candidates)
-    for direction, ref in candidates:
-        try:
-            derived = tpl.transform_comparative(base, direction, ref)
-            if counting:
-                derived = tpl.transform_to_count(derived)
-        except tpl.TemplateError:
-            return None
-        built = _try_instantiate(store, derived, dict(context.last_bindings), config)
-        if built is not None:
-            state = (
-                TurnState.COMPARATIVE_COUNT_Q if counting else TurnState.COMPARATIVE_Q
-            )
-            return _Question(state, built, derived, retrieve_base=base)
-    return None
+    state = TurnState.COMPARATIVE_COUNT_Q if counting else TurnState.COMPARATIVE_Q
+
+    def attempt(direction, ref):
+        derived = tpl.transform_comparative(base, direction, ref)
+        if counting:
+            derived = tpl.transform_to_count(derived)
+        return _ask(store, state, derived, context.last_bindings, config, base)
+
+    refs = store.sorted_members(group_ty)
+    try:
+        return _first(rng, [(d, refs) for d in qa.CMP_DIRECTIONS], attempt)
+    except tpl.TemplateError:
+        return None
 
 
 def _build_boolean(store, templates, context, rng, config):
-    verifies = [t for t in templates if t.kind == "Verify"]
-    rng.shuffle(verifies)
-    for t in verifies:
-        slots = t.free_slots()
+    def attempt(_, t):
         bindings: dict[str, int | str] = {}
-        ok = True
-        for slot in slots:
+        for slot in t.free_slots():
             ty = tpl.slot_expected_type(store, t, slot)
-            if ty is None:
-                ok = False
-                break
-            pool = sorted(store.entities_of_type(ty))
+            pool = store.sorted_members(ty) if ty is not None else ()
             if not pool:
-                ok = False
-                break
-            preferred = [e for e in context.salience if store.has_type(e, ty)]
-            taken = set(v for v in bindings.values() if isinstance(v, int))
-            preferred = [e for e in preferred if e not in taken]
-            pool = [e for e in pool if e not in taken] or pool
-            bindings[slot] = rng.choice(preferred) if preferred else rng.choice(pool)
-        if not ok:
-            continue
+                return None
+            taken = {v for v in bindings.values() if isinstance(v, int)}
+            preferred = [e for e in context.salience if store.has_type(e, ty) and e not in taken]
+            bindings[slot] = rng.choice(preferred) if preferred else _untaken(rng, pool, taken)
         rel = _template_relation(store, t)
         linked = (rel is not None and rel in context.last_relations) or any(
             v in context.salience for v in bindings.values() if isinstance(v, int)
         )
         if not linked:
-            continue
-        built = _try_instantiate(store, t, bindings, config)
-        if built is not None:
-            return _Question(TurnState.BOOLEAN_Q, built, t, retrieve_base=context.last_retrieve_template)
-    return None
+            return None
+        return _ask(store, TurnState.BOOLEAN_Q, t, bindings, config, context.last_retrieve_template)
+
+    return _first(rng, [(None, [t for t in templates if t.kind == "Verify"])], attempt)
+
+
+def _untaken(rng: random.Random, pool: Sequence[int], taken: set[int]) -> int:
+    """A uniform draw from ``pool`` minus ``taken``, or from all of ``pool``
+    when nothing is left."""
+    for _, e in random_candidates(rng, [(None, pool)]):
+        if e not in taken:
+            return e
+    return rng.choice(pool)
 
 
 def _template_relation(store: KgStore, t: tpl.QuestionTemplate) -> int | None:

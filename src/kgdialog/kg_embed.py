@@ -229,11 +229,18 @@ def link_prediction_eval(
 
     Raw ranks count every competing entity with strictly smaller score;
     filtered ranks (reported when ``all_tuples`` is given) additionally
-    ignore competitors that form other true tuples.
+    ignore competitors that form other true tuples.  A held-out tuple with
+    an id the table does not embed raises :class:`UnknownIdError` naming
+    the tuple, before any ranking.
     """
     held = sorted(held_out)
     if not held:
         raise EmbedError("link prediction needs at least one held-out tuple")
+    for t in held:
+        try:
+            table.entity(t.subject), table.relation(t.relation), table.entity(t.object)
+        except UnknownIdError as exc:
+            raise UnknownIdError(f"held-out tuple {tuple(t)}: {exc}") from None
     known = frozenset(all_tuples) if all_tuples is not None else None
 
     def ranks(side: str) -> tuple[list[int], list[int] | None]:

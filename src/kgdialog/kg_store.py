@@ -2,8 +2,10 @@
 
 The store is built once from three tab-separated files (tuples, labels,
 types) and never mutated afterwards, so concurrent readers need no locking.
-Entities, relations and types live in separate dense integer id spaces
-assigned in label-file order.
+Values derived from it (sorted type members, grouped counts, grouped
+provenance) are cached on the store instance; readers racing on a cold key
+compute the same value twice, which is harmless.  Entities, relations and types live in
+separate dense integer id spaces assigned in label-file order.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, TypeVar
 
 log = logging.getLogger(__name__)
 
@@ -19,6 +21,9 @@ ENTITY = "E"
 RELATION = "R"
 TYPE = "T"
 _KINDS = (ENTITY, RELATION, TYPE)
+
+
+T = TypeVar("T")
 
 
 class KgError(ValueError):
@@ -57,7 +62,9 @@ class KgStore:
     """Tuple set plus lookup indices, entity types, and labels.
 
     Instances are created by :func:`load` (or internally by the filter
-    operations) and treated as immutable afterwards.
+    operations) and treated as immutable afterwards.  Each instance owns a
+    cache of values derived from it (see :meth:`derived`); a filtered store
+    is a new instance and starts with an empty cache.
     """
 
     def __init__(
@@ -102,6 +109,21 @@ class KgStore:
             self._entity_ids_by_label.setdefault(lab, []).append(i)
         self._relation_id_by_label = _unique_index(self.relation_labels)
         self._type_id_by_label = _unique_index(self.type_labels)
+        self._derived: dict[Hashable, object] = {}
+
+    def derived(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """The value cached under ``key``, computed by ``compute()`` on first use.
+
+        Valid because the store never changes after construction.  Callers
+        share the cached object, so they must not mutate it: a function that
+        hands a mutable value to its own callers returns a copy.  A failing
+        ``compute`` caches nothing.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = compute()
+            return value
 
     # -- id/label resolution ------------------------------------------------
 
@@ -166,6 +188,12 @@ class KgStore:
     def entities_of_type(self, ty: int) -> frozenset[int]:
         self._check_type(ty)
         return self.type_members.get(ty, frozenset())
+
+    def sorted_members(self, ty: int) -> tuple[int, ...]:
+        """Members of ``ty`` in ascending id order, sorted once per store."""
+        return self.derived(
+            ("sorted_members", ty), lambda: tuple(sorted(self.entities_of_type(ty)))
+        )
 
     def tuples_containing(self, entity: int) -> frozenset[Tuple]:
         self._check_entity(entity)

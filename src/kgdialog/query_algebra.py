@@ -12,7 +12,7 @@ assignments, and serves as the oracle in equivalence tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union as TUnion
+from typing import Iterable, Union as TUnion
 
 from .kg_store import KgStore, Tuple
 
@@ -496,14 +496,19 @@ def group_counts(store: KgStore, group: GroupSpec, include_zero: bool = True) ->
     """Distinct counted entities reached from each member of the group type.
 
     Legs are unioned before counting, so an entity reachable over two legs
-    counts once.
+    counts once.  Computed once per store, group and ``include_zero``; each
+    call returns a fresh dict.
     """
-    counts: dict[int, int] = {}
-    for g in sorted(store.entities_of_type(group.group_type)):
-        n = entity_group_count(store, group, g)
-        if n or include_zero:
-            counts[g] = n
-    return counts
+
+    def compute() -> dict[int, int]:
+        counts: dict[int, int] = {}
+        for g in store.sorted_members(group.group_type):
+            n = entity_group_count(store, group, g)
+            if n or include_zero:
+                counts[g] = n
+        return counts
+
+    return dict(store.derived(("group_counts", group, bool(include_zero)), compute))
 
 
 # -- combination helper --------------------------------------------------------------
@@ -542,7 +547,8 @@ def plan_tuples(store: KgStore, plan: QueryPlan, include_zero_groups: bool = Tru
 
     Grouped plans depend on every counted tuple of every group member (the
     answer changes if any of them changes), so their provenance spans the
-    whole group.
+    whole group, plus a comparative reference's own counted tuples.  The
+    group's part is computed once per store and group.
     """
     _validate_plan(store, plan)
     if isinstance(plan, (Retrieve, Count)):
@@ -550,11 +556,21 @@ def plan_tuples(store: KgStore, plan: QueryPlan, include_zero_groups: bool = Tru
     if isinstance(plan, Verify):
         return frozenset(f for f in plan.facts if f in store.tuples)
 
-    out: set[Tuple] = set()
     group = plan.group
-    members = set(store.entities_of_type(group.group_type))
-    if isinstance(plan, (Comparative, CountOverComparative)):
-        members.add(plan.reference)
+    tuples = store.derived(
+        ("group_tuples", group),
+        lambda: _group_tuples(store, group, store.entities_of_type(group.group_type)),
+    )
+    if isinstance(plan, (Comparative, CountOverComparative)) and not store.has_type(
+        plan.reference, group.group_type
+    ):
+        return tuples | _group_tuples(store, group, (plan.reference,))
+    return tuples
+
+
+def _group_tuples(store: KgStore, group: GroupSpec, members: Iterable[int]) -> frozenset[Tuple]:
+    """Counted tuples of the given group members."""
+    out: set[Tuple] = set()
     for g in members:
         for c in group.counted:
             out |= _counted_tuples(store, g, c)

@@ -1,6 +1,8 @@
 """Dialog generation: linking, coreference, clarification, rendering."""
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -396,3 +398,108 @@ def test_generation_works_on_random_stores(templates):
     turns = dm.generate_dialog(synth, synth_templates, 0, RunConfig(min_questions=4, max_questions=6))
     assert len(question_turns(turns)) >= 1
     _assert_linked(synth, turns)
+
+
+# -- lazy candidate sampling ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "sizes", [(), (0,), (1,), (3,), (5, 0, 2), (0, 7, 1, 0, 4), (40,), (13, 29)]
+)
+def test_random_candidates_yield_every_candidate_once(sizes):
+    segments = [(k, tuple(range(100 * k, 100 * k + n))) for k, n in enumerate(sizes)]
+    expected = sorted((k, m) for k, members in segments for m in members)
+    for seed in range(5):
+        got = list(dm.random_candidates(random.Random(seed), segments))
+        assert sorted(got) == expected
+        assert len(got) == len(expected)
+
+
+def test_random_candidates_reach_every_order():
+    segments = [("a", (0, 1)), ("b", (2,))]
+    orders = {
+        tuple(m for _, m in dm.random_candidates(random.Random(seed), segments))
+        for seed in range(60)
+    }
+    assert orders == set(itertools.permutations(range(3)))
+
+
+def test_random_candidates_first_pick_is_uniform_over_all_members():
+    # segment sizes 1 and 3: the first pick comes from the larger one about
+    # three times in four, not once in two
+    segments = [("small", (0,)), ("large", (1, 2, 3))]
+    firsts = Counter(
+        next(dm.random_candidates(random.Random(seed), segments))[1] for seed in range(4000)
+    )
+    assert set(firsts) == {0, 1, 2, 3}
+    assert all(850 < n < 1150 for n in firsts.values()), firsts
+
+
+def test_random_candidates_draw_once_per_yield():
+    rng = CountingRandom(0)
+    candidates = dm.random_candidates(rng, [(None, range(10**6))])
+    for _ in range(5):
+        next(candidates)
+    assert rng.draws <= 5 * 3  # rejection sampling may redraw a few bits
+
+
+class CountingRandom(random.Random):
+    """A seeded Random that counts the draws made from it."""
+
+    def __init__(self, seed):
+        self.draws = 0
+        super().__init__(seed)
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+    def getrandbits(self, k):
+        self.draws += 1
+        return super().getrandbits(k)
+
+
+def _synthetic_dialog_setup(n_entities):
+    synth = make_random_store(
+        11, n_tuples=3 * n_entities, n_relations=2, n_types=2, n_entities=n_entities
+    )
+    record = {
+        "id": "rel0_objects",
+        "direction": "object_based",
+        "paraphrase_group": "pg0",
+        "surface": {
+            "singular": "Which ⟨object_type⟩ is linked by rel0 to ⟨entity:1⟩ ?",
+            "plural": "Which ⟨object_type+pl⟩ are linked by rel0 to ⟨entity:1⟩ ?",
+        },
+        "plan_schema": "Retrieve(Lookup(obj, ⟨relation⟩, ⟨entity:1⟩, ⟨object_type⟩))",
+        "fixed": {"relation": "rel0", "subject_type": "type0", "object_type": "type1"},
+    }
+    return synth, [tpl.template_from_record(record)]
+
+
+def _draws_per_turn(n_entities, seeds):
+    store, templates = _synthetic_dialog_setup(n_entities)
+    config = RunConfig(min_questions=6, max_questions=6)
+    draws = turns = 0
+    for seed in seeds:
+        rng = CountingRandom(seed)
+        _, context = dm.start_dialog(store, templates, rng, config)
+        turns += 1
+        for _ in range(5):
+            step = dm.next_turn(store, templates, context, rng, config)
+            if step is None:
+                break
+            _, context = step
+            turns += 1
+            if context.pending is not None:
+                _, context = dm.clarification_exchange(store, context, None, rng, config)
+        draws += rng.draws
+    return draws / turns
+
+
+def test_draws_per_turn_do_not_grow_with_type_size():
+    small = _draws_per_turn(150, range(12))
+    large = _draws_per_turn(1500, range(12))
+    # shuffling every candidate would cost hundreds of draws per turn on the
+    # small store and ten times that on the large one
+    assert large < 2 * small + 5, (small, large)

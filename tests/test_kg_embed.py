@@ -191,6 +191,17 @@ def test_empty_held_out_rejected():
         kg_embed.link_prediction_eval(table, [])
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [Tuple(0, 1, 9), Tuple(0, 9, 1), Tuple(4, 1, 2), Tuple(0, -1, 2)],
+)
+def test_held_out_ids_are_checked_before_ranking(bad):
+    table = EmbeddingTable(np.zeros((5, 2)), np.zeros((2, 2)))
+    good = Tuple(1, 0, 3)
+    with pytest.raises(UnknownIdError, match=rf"held-out tuple \({bad.relation}, {bad.subject}, {bad.object}\)"):
+        kg_embed.link_prediction_eval(table, [good, bad], all_tuples=[good])
+
+
 def test_train_requires_tuples():
     empty = KgStore([], ["A"], ["r"], ["t"], {0: frozenset({0})})
     with pytest.raises(kg_embed.EmbedError):

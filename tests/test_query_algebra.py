@@ -9,8 +9,8 @@ import random
 import pytest
 
 from conftest import make_random_store
-from kgdialog import query_algebra as qa
-from kgdialog.kg_store import Tuple
+from kgdialog import kg_store, query_algebra as qa
+from kgdialog.kg_store import KgStore, Tuple
 
 
 def lookup(ids, direction, rel, anchor, ty):
@@ -324,3 +324,106 @@ def test_argopt_ties_return_all_and_threshold_nesting(store):
         assert equal <= atleast
         over = qa.execute(store, qa.CountOverThreshold(group, "atleast", n))
         assert over == qa.Counts(((None, len(atleast)),))
+
+
+# -- per-store memos of grouped plans ---------------------------------------------------
+
+
+def _bf_plan_tuples(store, plan):
+    """Index-free provenance of a grouped plan, recomputed on every call."""
+    group = plan.group
+    members = {e for e, types in store.entity_types.items() if group.group_type in types}
+    if isinstance(plan, (qa.Comparative, qa.CountOverComparative)):
+        members.add(plan.reference)
+    out = set()
+    for t in store.tuples:
+        for c in group.counted:
+            g, other = (t.subject, t.object) if c.direction == qa.OBJ else (t.object, t.subject)
+            if t.relation == c.relation and g in members and c.counted_type in store.entity_types.get(other, ()):
+                out.add(t)
+    return frozenset(out)
+
+
+def _groups():
+    return [
+        qa.GroupSpec(0, (qa.Counted(0, qa.OBJ, 1),)),
+        qa.GroupSpec(1, (qa.Counted(1, qa.SUBJ, 0),)),
+        qa.GroupSpec(2, (qa.Counted(0, qa.OBJ, 1), qa.Counted(2, qa.SUBJ, 0))),
+    ]
+
+
+def _grouped_plans(store, group):
+    """One plan of every grouped kind; comparatives with a reference of the
+    group type and with one outside it that has counted tuples of its own."""
+    inside = min(store.entities_of_type(group.group_type))
+    outside = next(
+        e
+        for e in range(store.n_entities)
+        if not store.has_type(e, group.group_type) and qa.entity_group_count(store, group, e)
+    )
+    return [
+        qa.ArgOpt(group, "max"),
+        qa.ArgOpt(group, "min"),
+        qa.ThresholdFilter(group, "atleast", 2),
+        qa.CountOverThreshold(group, "approx", 3),
+        qa.Comparative(group, inside, "more"),
+        qa.CountOverComparative(group, inside, "less"),
+        qa.Comparative(group, outside, "less"),
+        qa.CountOverComparative(group, outside, "more"),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grouped_plans_match_uncached_results_cold_and_warm(seed):
+    s = make_random_store(seed, n_tuples=400, n_relations=3, n_types=3)
+    for group in _groups():
+        plans = _grouped_plans(s, group)
+        for run in ("cold", "warm"):
+            for plan in plans:
+                for include_zero in (True, False):
+                    assert qa.execute(s, plan, include_zero) == qa.brute_force_execute(
+                        s, plan, include_zero
+                    ), (run, plan, include_zero)
+                assert qa.plan_tuples(s, plan) == _bf_plan_tuples(s, plan), (run, plan)
+
+
+def test_comparative_provenance_adds_an_outside_reference():
+    s = make_random_store(1, n_tuples=400, n_relations=3, n_types=3)
+    group = _groups()[0]
+    whole_group = qa.plan_tuples(s, qa.ArgOpt(group, "max"))
+    outside = _grouped_plans(s, group)[-1]
+    with_reference = qa.plan_tuples(s, outside)
+    assert whole_group < with_reference
+    assert qa.plan_tuples(s, qa.ArgOpt(group, "max")) == whole_group  # the memo is not widened
+
+
+def test_mutating_returned_counts_leaves_the_memo_intact():
+    s = make_random_store(2, n_tuples=400, n_relations=3, n_types=3)
+    group = _groups()[2]
+    for include_zero in (True, False):
+        counts = qa.group_counts(s, group, include_zero)
+        expected = dict(counts)
+        counts.clear()
+        counts[-1] = 99
+        assert qa.group_counts(s, group, include_zero) == expected
+    plan = qa.ArgOpt(group, "max")
+    assert qa.execute(s, plan) == qa.brute_force_execute(s, plan)
+
+
+def test_filtered_store_does_not_see_parent_memos():
+    parent = make_random_store(3, n_tuples=400, n_relations=3, n_types=3)
+    group = _groups()[2]
+    plan = qa.ThresholdFilter(group, "atleast", 1)
+    parent_counts = qa.group_counts(parent, group)
+    parent_tuples = qa.plan_tuples(parent, plan)
+
+    child = kg_store.filter_relations(parent, {0, 1})  # drops the second leg's relation
+    fresh = KgStore(
+        child.tuples, child.entity_labels, child.relation_labels, child.type_labels, child.entity_types
+    )
+    assert qa.group_counts(child, group) == qa.group_counts(fresh, group) != parent_counts
+    assert qa.plan_tuples(child, plan) == _bf_plan_tuples(child, plan) != parent_tuples
+    assert qa.execute(child, plan) == qa.brute_force_execute(child, plan)
+    # and the child's values do not leak back into the parent
+    assert qa.group_counts(parent, group) == parent_counts
+    assert qa.plan_tuples(parent, plan) == parent_tuples
