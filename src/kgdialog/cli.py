@@ -316,20 +316,20 @@ def _repl(store: kg_store.KgStore, config: RunConfig) -> int:
 
 
 def _resolve_that(store: kg_store.KgStore, line: str, last_entities: tuple[int, ...]) -> str:
+    """Replace each "that ⟨type⟩" mention with the quoted label of the one
+    previous answer entity it can mean (longest type labels first)."""
     if "that " not in line:
         return line
+    context = dm.DialogContext(salience=last_entities, last_answer_entities=last_entities)
     for ty in sorted(range(store.n_types), key=lambda t: -len(store.type_label(t))):
-        label = store.type_label(ty)
-        mention = f"that {label}"
+        mention = f"that {store.type_label(ty)}"
         if mention not in line:
             continue
-        matches = [e for e in last_entities if store.has_type(e, ty)]
-        if not matches:
-            raise dm.DialogError(f"no previous answer entity of type {label!r}")
-        if len(matches) > 1:
-            names = ", ".join(store.entity_label(e) for e in matches)
+        resolved = dm.resolve_coreference(store, context, mention)
+        if isinstance(resolved, dm.Ambiguous):
+            names = ", ".join(store.entity_label(e) for e in resolved.candidates)
             raise dm.DialogError(f"ambiguous mention {mention!r}: did you mean one of {names}?")
-        quoted = '"' + store.entity_label(matches[0]).replace('"', '\\"') + '"'
+        quoted = '"' + store.entity_label(resolved).replace('"', '\\"') + '"'
         line = line.replace(mention, quoted)
     return line
 

@@ -10,12 +10,27 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
 ENV_PREFIX = "KGDIALOG_"
+
+# question kinds a dialog turn can take, in the order the dialog machine
+# offers them; ``transition_weights`` keys must be among these
+TRANSFORM_KINDS = (
+    "direct",
+    "coreference",
+    "ellipsis",
+    "logical",
+    "count",
+    "argopt",
+    "threshold",
+    "comparative",
+    "boolean",
+)
 
 
 class ConfigError(ValueError):
@@ -85,6 +100,38 @@ class RunConfig:
                 f"sample_size ({self.sample_size}) must not exceed "
                 f"display_limit ({self.display_limit})"
             )
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not _is_real(self.ambiguity_rate) or not 0 <= self.ambiguity_rate <= 1:
+            raise ConfigError(f"ambiguity_rate must be in [0, 1], got {self.ambiguity_rate!r}")
+        if not isinstance(self.transition_weights, Mapping):
+            raise ConfigError(f"transition_weights must be an object, got {self.transition_weights!r}")
+        for kind, weight in self.transition_weights.items():
+            if kind not in TRANSFORM_KINDS:
+                raise ConfigError(
+                    f"transition_weights: unknown kind {kind!r} (known: {', '.join(TRANSFORM_KINDS)})"
+                )
+            if not _is_real(weight) or not math.isfinite(weight) or weight < 0:
+                raise ConfigError(
+                    f"transition_weights[{kind!r}] must be a finite number >= 0, got {weight!r}"
+                )
+        problem = split_fractions_problem(self.split_fractions)
+        if problem:
+            raise ConfigError(f"split_fractions: {problem}")
+
+
+def split_fractions_problem(fractions) -> str | None:
+    """Why ``fractions`` cannot divide a corpus into train, valid and test
+    shares, or None when they can: three numbers >= 0 summing to 1."""
+    if len(fractions) != 3 or not all(_is_real(f) and f >= 0 for f in fractions):
+        return f"bad split fractions {fractions}"
+    if abs(sum(fractions) - 1.0) > 1e-9:
+        return f"split fractions must sum to 1, got {fractions}"
+    return None
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def load_config(

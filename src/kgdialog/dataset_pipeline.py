@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import dialog_machine as dm, plan_text, query_algebra as qa
-from .config import RunConfig
+from .config import RunConfig, split_fractions_problem
 from .kg_store import KgStore, Tuple
 from .templates import QuestionTemplate
 
@@ -47,10 +47,9 @@ class SplitSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        if len(self.fractions) != 3 or any(f < 0 for f in self.fractions):
-            raise PipelineError(f"bad split fractions {self.fractions}")
-        if abs(sum(self.fractions) - 1.0) > 1e-9:
-            raise PipelineError(f"split fractions must sum to 1, got {self.fractions}")
+        problem = split_fractions_problem(self.fractions)
+        if problem:
+            raise PipelineError(problem)
 
 
 @dataclass

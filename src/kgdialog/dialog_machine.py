@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from . import query_algebra as qa, templates as tpl
-from .config import RunConfig
+from .config import TRANSFORM_KINDS, RunConfig
 from .kg_store import KgStore
 from .text import number_words
 
@@ -56,18 +56,6 @@ QUESTION_STATES = frozenset(
         TurnState.COMPARATIVE_COUNT_Q,
         TurnState.BOOLEAN_Q,
     }
-)
-
-TRANSFORM_KINDS = (
-    "direct",
-    "coreference",
-    "ellipsis",
-    "logical",
-    "count",
-    "argopt",
-    "threshold",
-    "comparative",
-    "boolean",
 )
 
 _ELLIPSIS_BANK = (
@@ -278,10 +266,25 @@ def _respond_turns(
     config: RunConfig,
 ) -> tuple[list[DialogTurn], DialogContext]:
     inst = question.instantiation
-    user_entities = _question_entities(inst, store)
-    user_turn = DialogTurn(
-        "user", question.state, inst.question, user_entities, inst.plan, None
+    turns, context = _answer_turns(
+        store, inst, question.template, question.retrieve_base, rng, config
     )
+    user_turn = DialogTurn(
+        "user", question.state, inst.question, context.last_question_entities, inst.plan, None
+    )
+    return [user_turn, *turns], context
+
+
+def _answer_turns(
+    store: KgStore,
+    inst: tpl.Instantiation,
+    template: tpl.QuestionTemplate,
+    retrieve_base: tpl.QuestionTemplate | None,
+    rng: random.Random,
+    config: RunConfig,
+) -> tuple[list[DialogTurn], DialogContext]:
+    """The system response to an asked question (plus any negotiation
+    follow-ups) and the context it leaves for the next turn pair."""
     rendered = render_response(
         store,
         inst.answer,
@@ -290,22 +293,22 @@ def _respond_turns(
         rng=rng,
         words=config.number_words,
     )
-    system_turn = DialogTurn(
+    response = DialogTurn(
         "system", TurnState.RESPONSE, rendered.utterance, rendered.entities, inst.plan, inst.answer
     )
-    turns = [user_turn, system_turn, *rendered.followups]
+    user_entities = _question_entities(inst, store)
     context = DialogContext(
         salience=tuple(dict.fromkeys((*rendered.entities, *user_entities))),
         last_relations=qa.plan_relations(inst.plan),
         last_answer=inst.answer,
         last_question_entities=user_entities,
         last_answer_entities=rendered.entities,
-        last_template=question.template,
-        last_retrieve_template=question.retrieve_base,
+        last_template=template,
+        last_retrieve_template=retrieve_base,
         last_bindings=inst.bindings,
         last_plan=inst.plan,
     )
-    return turns, context
+    return [response, *rendered.followups], context
 
 
 # -- dialog entry points ------------------------------------------------------------------
@@ -364,9 +367,14 @@ def next_turn(
         "comparative": _build_comparative,
         "boolean": _build_boolean,
     }
-    kinds = [k for k in TRANSFORM_KINDS if _applicable(k, context, templates)]
+    weight_of = config.transition_weights.get
+    # a kind of weight 0 is never picked; keeping it would leave only zero
+    # weights once the positive kinds have failed
+    kinds = [
+        k for k in TRANSFORM_KINDS if weight_of(k, 1.0) > 0 and _applicable(k, context, templates)
+    ]
     while kinds:
-        weights = [config.transition_weights.get(k, 1.0) for k in kinds]
+        weights = [weight_of(k, 1.0) for k in kinds]
         kind = rng.choices(kinds, weights=weights, k=1)[0]
         question = builders[kind](store, templates, context, rng, config)
         if question is None:
@@ -435,31 +443,9 @@ def clarification_exchange(
     clarify_a = DialogTurn(
         "user", TurnState.CLARIFICATION_A, answer_text, (intended,), built.plan, None
     )
-    rendered = render_response(
-        store,
-        built.answer,
-        display_limit=config.display_limit,
-        sample_size=config.sample_size,
-        rng=rng,
-        words=config.number_words,
-    )
-    response = DialogTurn(
-        "system", TurnState.RESPONSE, rendered.utterance, rendered.entities, built.plan, built.answer
-    )
-    turns = [clarify_q, clarify_a, response, *rendered.followups]
-    user_entities = _question_entities(built, store)
-    new_context = DialogContext(
-        salience=tuple(dict.fromkeys((*rendered.entities, *user_entities))),
-        last_relations=qa.plan_relations(built.plan),
-        last_answer=built.answer,
-        last_question_entities=user_entities,
-        last_answer_entities=rendered.entities,
-        last_template=pending.template,
-        last_retrieve_template=pending.template if pending.template.kind == "Retrieve" else None,
-        last_bindings=built.bindings,
-        last_plan=built.plan,
-    )
-    return turns, new_context
+    retrieve_base = pending.template if pending.template.kind == "Retrieve" else None
+    turns, new_context = _answer_turns(store, built, pending.template, retrieve_base, rng, config)
+    return [clarify_q, clarify_a, *turns], new_context
 
 
 def generate_dialog(

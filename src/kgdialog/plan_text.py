@@ -16,8 +16,8 @@ as ``⟨entity:1⟩``; these are what question templates store and rewrite.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Mapping, Union as TUnion
+from dataclasses import dataclass, fields
+from typing import Mapping, Union as TUnion, get_args
 
 from . import query_algebra as qa
 from .kg_store import KgStore, Tuple
@@ -53,15 +53,21 @@ class SNode:
     args: tuple["SNode | Atom | tuple[Atom, ...]", ...]
 
 
-# argument kind signatures per node name; "*x" means repeated
+# Node table.  Each node name maps to its plan class and to the kinds of
+# its arguments, which follow the order of the class's dataclass fields.
+# An atom kind ("keyword", "number", "relation", "entity", "type") is
+# resolved in its namespace; "expr" is any subtree, "lookup" and "leg"
+# subtrees must bind to a Lookup and a Counted; "fact" is a
+# (relation, subject, object) triple.  A last kind "*x" takes the remaining
+# arguments into one tuple-valued field.
 _SIGNATURES: dict[str, tuple[str, ...]] = {
     "Lookup": ("keyword", "relation", "entity", "type"),
     "Union": ("expr", "expr"),
     "Intersection": ("expr", "expr"),
     "Difference": ("expr", "expr"),
-    "TypeUnion": ("*expr",),
+    "TypeUnion": ("*lookup",),
     "By": ("relation", "keyword", "type"),
-    "Group": ("type", "*expr"),
+    "Group": ("type", "*leg"),
     "Retrieve": ("expr",),
     "Count": ("expr",),
     "Verify": ("*fact",),
@@ -71,6 +77,17 @@ _SIGNATURES: dict[str, tuple[str, ...]] = {
     "Comparative": ("expr", "entity", "keyword"),
     "CountOverComparative": ("expr", "entity", "keyword"),
 }
+_CLASSES: dict[str, type] = {
+    name: getattr(qa, name) for name in _SIGNATURES if name not in ("By", "Group")
+}
+_CLASSES.update(By=qa.Counted, Group=qa.GroupSpec)
+# per class: its node name and its (field name, argument kind) pairs
+_LAYOUT: dict[type, tuple[str, tuple[tuple[str, str], ...]]] = {
+    cls: (name, tuple(zip((f.name for f in fields(cls)), _SIGNATURES[name])))
+    for name, cls in _CLASSES.items()
+}
+_SUBTREE_KINDS: dict[str, type] = {"expr": object, "lookup": qa.Lookup, "leg": qa.Counted}
+_PLAN_CLASSES = get_args(qa.QueryPlan)
 
 
 # -- tokenizing / parsing -------------------------------------------------------
@@ -201,19 +218,7 @@ def bind(
     Unresolved slots raise :class:`PlanTextError` naming the slot.
     """
     plan = _bind_node(node, store, bindings or {})
-    if not isinstance(
-        plan,
-        (
-            qa.Retrieve,
-            qa.Verify,
-            qa.Count,
-            qa.ArgOpt,
-            qa.ThresholdFilter,
-            qa.CountOverThreshold,
-            qa.Comparative,
-            qa.CountOverComparative,
-        ),
-    ):
+    if not isinstance(plan, _PLAN_CLASSES):
         raise PlanTextError(f"{node.name} is not a top-level plan")
     return plan
 
@@ -251,67 +256,41 @@ def _atom_value(atom, store: KgStore, kind: str, bindings: Mapping[str, int | st
 
 def _bind_node(node: SNode, store: KgStore, bindings: Mapping[str, int | str]):
     sig = _SIGNATURES[node.name]
-    fixed = [k for k in sig if not k.startswith("*")]
-    star = next((k[1:] for k in sig if k.startswith("*")), None)
-    if star is None and len(node.args) != len(fixed):
-        raise PlanTextError(
-            f"{node.name} takes {len(fixed)} arguments, got {len(node.args)}"
+    star = sig[-1].startswith("*")
+    n_fixed = len(sig) - star
+    if not star and len(node.args) != n_fixed:
+        raise PlanTextError(f"{node.name} takes {n_fixed} arguments, got {len(node.args)}")
+    if star and len(node.args) < n_fixed:
+        raise PlanTextError(f"{node.name} takes at least {n_fixed} arguments")
+    values = [_bind_arg(node, i, sig[i], store, bindings) for i in range(n_fixed)]
+    if star:
+        kind = sig[-1][1:]
+        values.append(
+            tuple(_bind_arg(node, i, kind, store, bindings) for i in range(n_fixed, len(node.args)))
         )
-    if star is not None and len(node.args) < len(fixed):
-        raise PlanTextError(f"{node.name} takes at least {len(fixed)} arguments")
+    return _CLASSES[node.name](*values)
 
-    def atom(i: int, kind: str):
-        return _atom_value(node.args[i], store, kind, bindings)
 
-    def child(i: int):
-        arg = node.args[i]
-        if not isinstance(arg, SNode):
-            raise PlanTextError(f"{node.name} argument {i + 1} must be a subtree")
-        return _bind_node(arg, store, bindings)
-
-    name = node.name
-    if name == "Lookup":
-        return qa.Lookup(atom(0, "keyword"), atom(1, "relation"), atom(2, "entity"), atom(3, "type"))
-    if name in ("Union", "Intersection", "Difference"):
-        cls = {"Union": qa.Union, "Intersection": qa.Intersection, "Difference": qa.Difference}[name]
-        return cls(child(0), child(1))
-    if name == "TypeUnion":
-        branches = tuple(child(i) for i in range(len(node.args)))
-        if not all(isinstance(b, qa.Lookup) for b in branches):
-            raise PlanTextError("TypeUnion branches must be Lookups")
-        return qa.TypeUnion(branches)
-    if name == "By":
-        return qa.Counted(atom(0, "relation"), atom(1, "keyword"), atom(2, "type"))
-    if name == "Group":
-        counted = tuple(child(i) for i in range(1, len(node.args)))
-        if not all(isinstance(c, qa.Counted) for c in counted):
-            raise PlanTextError("Group legs must be By(...) entries")
-        return qa.GroupSpec(atom(0, "type"), counted)
-    if name == "Retrieve":
-        return qa.Retrieve(child(0))
-    if name == "Count":
-        return qa.Count(child(0))
-    if name == "Verify":
-        facts = []
-        for i, arg in enumerate(node.args):
-            if not isinstance(arg, tuple):
-                raise PlanTextError("Verify arguments must be (rel, subj, obj) facts")
-            r = _atom_value(arg[0], store, "relation", bindings)
-            s = _atom_value(arg[1], store, "entity", bindings)
-            o = _atom_value(arg[2], store, "entity", bindings)
-            facts.append(Tuple(r, s, o))
-        return qa.Verify(tuple(facts))
-    if name == "ArgOpt":
-        return qa.ArgOpt(child(0), atom(1, "keyword"))
-    if name == "ThresholdFilter":
-        return qa.ThresholdFilter(child(0), atom(1, "keyword"), atom(2, "number"))
-    if name == "CountOverThreshold":
-        return qa.CountOverThreshold(child(0), atom(1, "keyword"), atom(2, "number"))
-    if name == "Comparative":
-        return qa.Comparative(child(0), atom(1, "entity"), atom(2, "keyword"))
-    if name == "CountOverComparative":
-        return qa.CountOverComparative(child(0), atom(1, "entity"), atom(2, "keyword"))
-    raise PlanTextError(f"unknown plan node {name!r}")
+def _bind_arg(node: SNode, i: int, kind: str, store: KgStore, bindings: Mapping[str, int | str]):
+    arg = node.args[i]
+    if kind == "fact":
+        if not isinstance(arg, tuple):
+            raise PlanTextError(f"{node.name} argument {i + 1} must be a (rel, subj, obj) fact")
+        r = _atom_value(arg[0], store, "relation", bindings)
+        s = _atom_value(arg[1], store, "entity", bindings)
+        o = _atom_value(arg[2], store, "entity", bindings)
+        return Tuple(r, s, o)
+    if kind not in _SUBTREE_KINDS:
+        return _atom_value(arg, store, kind, bindings)
+    if not isinstance(arg, SNode):
+        raise PlanTextError(f"{node.name} argument {i + 1} must be a subtree")
+    value = _bind_node(arg, store, bindings)
+    required = _SUBTREE_KINDS[kind]
+    if not isinstance(value, required):
+        raise PlanTextError(
+            f"{node.name} argument {i + 1} must be a {_LAYOUT[required][0]}(...) node"
+        )
+    return value
 
 
 # -- printing ------------------------------------------------------------------
@@ -325,48 +304,36 @@ def _quote(label: str) -> str:
 
 
 def print_plan(plan: qa.QueryPlan, store: KgStore) -> str:
-    """Canonical text of an executable plan, using store labels."""
-    return _print_concrete(plan, store)
+    """Canonical text of an executable plan (or of any node in one), using
+    store labels."""
+    try:
+        name, layout = _LAYOUT[type(plan)]
+    except KeyError:
+        raise PlanTextError(f"cannot print {type(plan).__name__}") from None
+    parts = []
+    for field_name, kind in layout:
+        value = getattr(plan, field_name)
+        if kind[0] == "*":
+            for v in value:
+                parts.append(_print_arg(v, kind[1:], store))
+        else:
+            parts.append(_print_arg(value, kind, store))
+    return f"{name}({', '.join(parts)})"
 
 
-def _print_concrete(node, store: KgStore) -> str:
-    ent = lambda e: _quote(store.entity_label(e))
-    rel = lambda r: _quote(store.relation_label(r))
-    typ = lambda t: _quote(store.type_label(t))
-
-    if isinstance(node, qa.Lookup):
-        return f"Lookup({node.direction}, {rel(node.relation)}, {ent(node.anchor)}, {typ(node.result_type)})"
-    if isinstance(node, (qa.Union, qa.Intersection, qa.Difference)):
-        name = type(node).__name__
-        return f"{name}({_print_concrete(node.a, store)}, {_print_concrete(node.b, store)})"
-    if isinstance(node, qa.TypeUnion):
-        inner = ", ".join(_print_concrete(b, store) for b in node.branches)
-        return f"TypeUnion({inner})"
-    if isinstance(node, qa.Counted):
-        return f"By({rel(node.relation)}, {node.direction}, {typ(node.counted_type)})"
-    if isinstance(node, qa.GroupSpec):
-        legs = ", ".join(_print_concrete(c, store) for c in node.counted)
-        return f"Group({typ(node.group_type)}, {legs})"
-    if isinstance(node, qa.Retrieve):
-        return f"Retrieve({_print_concrete(node.expr, store)})"
-    if isinstance(node, qa.Count):
-        return f"Count({_print_concrete(node.expr, store)})"
-    if isinstance(node, qa.Verify):
-        facts = ", ".join(
-            f"({rel(f.relation)}, {ent(f.subject)}, {ent(f.object)})" for f in node.facts
-        )
-        return f"Verify({facts})"
-    if isinstance(node, qa.ArgOpt):
-        return f"ArgOpt({_print_concrete(node.group, store)}, {node.direction})"
-    if isinstance(node, qa.ThresholdFilter):
-        return f"ThresholdFilter({_print_concrete(node.group, store)}, {node.comparator}, {node.n})"
-    if isinstance(node, qa.CountOverThreshold):
-        return f"CountOverThreshold({_print_concrete(node.group, store)}, {node.comparator}, {node.n})"
-    if isinstance(node, qa.Comparative):
-        return f"Comparative({_print_concrete(node.group, store)}, {ent(node.reference)}, {node.direction})"
-    if isinstance(node, qa.CountOverComparative):
-        return f"CountOverComparative({_print_concrete(node.group, store)}, {ent(node.reference)}, {node.direction})"
-    raise PlanTextError(f"cannot print {type(node).__name__}")
+def _print_arg(value, kind: str, store: KgStore) -> str:
+    if kind == "entity":
+        return _quote(store.entity_label(value))
+    if kind == "relation":
+        return _quote(store.relation_label(value))
+    if kind == "type":
+        return _quote(store.type_label(value))
+    if kind == "fact":
+        r, s, o = value
+        return f"({_quote(store.relation_label(r))}, {_quote(store.entity_label(s))}, {_quote(store.entity_label(o))})"
+    if kind in _SUBTREE_KINDS:
+        return print_plan(value, store)
+    return str(value)
 
 
 def print_symbolic(node: SNode) -> str:

@@ -3,10 +3,14 @@
 A plan is a small immutable tree: set expressions (typed lookups combined
 with union/intersection/difference) wrapped in one of the plan kinds
 (retrieve, verify, count, arg-min/max, threshold filters, comparatives and
-their counting variants).  Two evaluators are provided: ``execute`` runs
-against the store indices, while ``brute_force_execute`` re-derives the
-same semantics by exhaustively scanning the raw tuple list and raw type
-assignments, and serves as the oracle in equivalence tests.
+their counting variants).  There is one evaluator with two ways of
+reaching tuples: ``execute`` reaches them through the store indices and its
+per-store caches, while ``brute_force_execute`` scans the raw tuple set and
+raw type assignments, touching no index, and serves as the oracle in
+equivalence tests.  Both share validation, the set-expression recursion and
+the grouped post-processing.  One walker (``plan_lookups``, ``plan_legs``,
+``plan_peer_types``) exposes a plan's parts to everything else that reads
+plans.
 """
 
 from __future__ import annotations
@@ -205,7 +209,7 @@ def _comparator_ok(comparator: str, count: int, n: int) -> bool:
     raise PlanError(f"unknown comparator {comparator!r}")
 
 
-# -- validation shared by both evaluators ---------------------------------------
+# -- validation shared by both entry points ---------------------------------------
 
 
 def _validate_lookup(store: KgStore, lk: Lookup) -> None:
@@ -290,10 +294,28 @@ def result_types(store: KgStore, expr: SetExpr) -> frozenset[int]:
     return _validate_expr(store, expr)
 
 
-# -- brute-force oracle ----------------------------------------------------------
+# -- evaluation ------------------------------------------------------------------
 #
-# Implemented against the raw tuple list and raw entity->types mapping only;
-# it never touches the store's lookup indices.
+# One evaluator serves both entry points.  It reaches tuples only through
+# three functions, each taking the store first:
+#   reach(store, relation, direction, anchor, type) -> entities of ``type``
+#       reached from ``anchor`` over ``relation`` in ``direction``;
+#   holds(store, fact) -> whether the fact is a store tuple;
+#   counts_of(store, group, include_zero) -> {group member: count}.
+# ``execute`` passes index-backed ones; ``brute_force_execute`` passes
+# scans of the raw tuple set and the raw entity->types mapping, which
+# touch no index and no cached value.
+
+
+def execute(store: KgStore, plan: QueryPlan, include_zero_groups: bool = True) -> AnswerSet:
+    """Evaluate a plan against the store indices.
+
+    Deterministic; entity answers are sets with no order contract.  When
+    ``include_zero_groups`` is true (the default), entities of the group
+    type with no counted tuples participate in grouped plans with count 0.
+    """
+    _validate_plan(store, plan)
+    return _evaluate(store, plan, _indexed_reach, _indexed_holds, group_counts, include_zero_groups)
 
 
 def brute_force_execute(
@@ -305,24 +327,21 @@ def brute_force_execute(
             f"brute force guard: {len(store.tuples)} tuples > {BRUTE_FORCE_GUARD}"
         )
     _validate_plan(store, plan)
-    tuples = list(store.tuples)
-    etypes = store.entity_types
+    return _evaluate(store, plan, _scan_reach, _scan_holds, _scan_group_counts, include_zero_groups)
 
-    if isinstance(plan, Retrieve):
-        members, partition = _bf_expr(tuples, etypes, plan.expr)
-        return Entities(frozenset(members), partition)
-    if isinstance(plan, Count):
-        members, partition = _bf_expr(tuples, etypes, plan.expr)
+
+def _evaluate(store, plan, reach, holds, counts_of, include_zero_groups) -> AnswerSet:
+    if isinstance(plan, (Retrieve, Count)):
+        members, partition = _eval_expr(store, plan.expr, reach)
+        if isinstance(plan, Retrieve):
+            return Entities(frozenset(members), partition)
         if partition is not None:
             return Counts(tuple((ty, len(part)) for ty, part in partition))
         return Counts(((None, len(members)),))
     if isinstance(plan, Verify):
-        values = []
-        for f in plan.facts:
-            values.append(any(t == f for t in tuples))
-        return Booleans(tuple(values))
+        return Booleans(tuple(holds(store, f) for f in plan.facts))
 
-    counts = _bf_group_counts(tuples, etypes, plan.group, include_zero_groups)
+    counts = counts_of(store, plan.group, include_zero_groups)
     if isinstance(plan, ArgOpt):
         if not counts:
             return Entities(frozenset())
@@ -336,7 +355,7 @@ def brute_force_execute(
         return Counts(((None, n),))
     # comparatives: the reference count is computed over the same counted
     # legs even when the reference is not itself of the group type
-    ref_count = _bf_entity_count(tuples, etypes, plan.group, plan.reference)
+    ref_count = entity_group_count(store, plan.group, plan.reference, reach)
     if plan.direction == "more":
         keep = {g for g, c in counts.items() if c > ref_count and g != plan.reference}
     else:
@@ -346,150 +365,79 @@ def brute_force_execute(
     return Counts(((None, len(keep)),))
 
 
-def _bf_lookup(tuples: list[Tuple], etypes, lk: Lookup) -> set[int]:
+def _eval_expr(store: KgStore, expr: SetExpr, reach):
+    """Members of a set expression, plus the per-type partition of a TypeUnion."""
+    if isinstance(expr, Lookup):
+        return reach(store, expr.relation, expr.direction, expr.anchor, expr.result_type), None
+    if isinstance(expr, Union):
+        return _eval_expr(store, expr.a, reach)[0] | _eval_expr(store, expr.b, reach)[0], None
+    if isinstance(expr, Intersection):
+        return _eval_expr(store, expr.a, reach)[0] & _eval_expr(store, expr.b, reach)[0], None
+    if isinstance(expr, Difference):
+        return _eval_expr(store, expr.a, reach)[0] - _eval_expr(store, expr.b, reach)[0], None
+    if isinstance(expr, TypeUnion):
+        partition = []
+        members: set[int] = set()
+        for b in expr.branches:
+            part = reach(store, b.relation, b.direction, b.anchor, b.result_type)
+            partition.append((b.result_type, frozenset(part)))
+            members |= part
+        return members, tuple(partition)
+    raise PlanError(f"unknown set expression {type(expr).__name__}")
+
+
+def _indexed_reach(store: KgStore, relation: int, direction: str, anchor: int, ty: int) -> set[int]:
+    base = (
+        store.objects_of(relation, anchor)
+        if direction == OBJ
+        else store.subjects_of(relation, anchor)
+    )
+    return {e for e in base if store.has_type(e, ty)}
+
+
+def _indexed_holds(store: KgStore, fact: Tuple) -> bool:
+    return fact in store.tuples
+
+
+def _scan_reach(store: KgStore, relation: int, direction: str, anchor: int, ty: int) -> set[int]:
+    etypes = store.entity_types
     out: set[int] = set()
-    for t in tuples:
-        if t.relation != lk.relation:
+    for t in store.tuples:
+        if t.relation != relation:
             continue
-        if lk.direction == OBJ:
-            if t.subject == lk.anchor and lk.result_type in etypes.get(t.object, ()):
+        if direction == OBJ:
+            if t.subject == anchor and ty in etypes.get(t.object, ()):
                 out.add(t.object)
         else:
-            if t.object == lk.anchor and lk.result_type in etypes.get(t.subject, ()):
+            if t.object == anchor and ty in etypes.get(t.subject, ()):
                 out.add(t.subject)
     return out
 
 
-def _bf_expr(tuples, etypes, expr: SetExpr):
-    if isinstance(expr, Lookup):
-        return _bf_lookup(tuples, etypes, expr), None
-    if isinstance(expr, Union):
-        return _bf_expr(tuples, etypes, expr.a)[0] | _bf_expr(tuples, etypes, expr.b)[0], None
-    if isinstance(expr, Intersection):
-        return _bf_expr(tuples, etypes, expr.a)[0] & _bf_expr(tuples, etypes, expr.b)[0], None
-    if isinstance(expr, Difference):
-        return _bf_expr(tuples, etypes, expr.a)[0] - _bf_expr(tuples, etypes, expr.b)[0], None
-    if isinstance(expr, TypeUnion):
-        partition = []
-        members: set[int] = set()
-        for b in expr.branches:
-            part = _bf_lookup(tuples, etypes, b)
-            partition.append((b.result_type, frozenset(part)))
-            members |= part
-        return members, tuple(partition)
-    raise PlanError(f"unknown set expression {type(expr).__name__}")
+def _scan_holds(store: KgStore, fact: Tuple) -> bool:
+    return any(t == fact for t in store.tuples)
 
 
-def _bf_entity_count(tuples, etypes, group: GroupSpec, g: int) -> int:
-    reached: set[int] = set()
-    for c in group.counted:
-        for t in tuples:
-            if t.relation != c.relation:
-                continue
-            if c.direction == OBJ:
-                if t.subject == g and c.counted_type in etypes.get(t.object, ()):
-                    reached.add(t.object)
-            else:
-                if t.object == g and c.counted_type in etypes.get(t.subject, ()):
-                    reached.add(t.subject)
-    return len(reached)
+def _scan_group_counts(store: KgStore, group: GroupSpec, include_zero: bool) -> dict[int, int]:
+    members = sorted(e for e, ts in store.entity_types.items() if group.group_type in ts)
+    return _member_counts(store, group, members, _scan_reach, include_zero)
 
 
-def _bf_group_counts(tuples, etypes, group: GroupSpec, include_zero: bool) -> dict[int, int]:
-    members = sorted(e for e, ts in etypes.items() if group.group_type in ts)
-    counts: dict[int, int] = {}
-    for g in members:
-        n = _bf_entity_count(tuples, etypes, group, g)
-        if n or include_zero:
-            counts[g] = n
-    return counts
-
-
-# -- indexed evaluation ------------------------------------------------------------
-
-
-def execute(store: KgStore, plan: QueryPlan, include_zero_groups: bool = True) -> AnswerSet:
-    """Evaluate a plan against the store indices.
-
-    Deterministic; entity answers are sets with no order contract.  When
-    ``include_zero_groups`` is true (the default), entities of the group
-    type with no counted tuples participate in grouped plans with count 0.
-    """
-    _validate_plan(store, plan)
-
-    if isinstance(plan, Retrieve):
-        members, partition = _eval_expr(store, plan.expr)
-        return Entities(frozenset(members), partition)
-    if isinstance(plan, Count):
-        members, partition = _eval_expr(store, plan.expr)
-        if partition is not None:
-            return Counts(tuple((ty, len(part)) for ty, part in partition))
-        return Counts(((None, len(members)),))
-    if isinstance(plan, Verify):
-        return Booleans(tuple(f in store.tuples for f in plan.facts))
-
-    counts = group_counts(store, plan.group, include_zero_groups)
-    if isinstance(plan, ArgOpt):
-        if not counts:
-            return Entities(frozenset())
-        best = max(counts.values()) if plan.direction == "max" else min(counts.values())
-        return Entities(frozenset(g for g, c in counts.items() if c == best))
-    if isinstance(plan, ThresholdFilter):
-        keep = {g for g, c in counts.items() if _comparator_ok(plan.comparator, c, plan.n)}
-        return Entities(frozenset(keep))
-    if isinstance(plan, CountOverThreshold):
-        n = sum(1 for c in counts.values() if _comparator_ok(plan.comparator, c, plan.n))
-        return Counts(((None, n),))
-    ref_count = entity_group_count(store, plan.group, plan.reference)
-    if plan.direction == "more":
-        keep = {g for g, c in counts.items() if c > ref_count and g != plan.reference}
-    else:
-        keep = {g for g, c in counts.items() if c < ref_count and g != plan.reference}
-    if isinstance(plan, Comparative):
-        return Entities(frozenset(keep))
-    return Counts(((None, len(keep)),))
-
-
-def _eval_lookup(store: KgStore, lk: Lookup) -> set[int]:
-    base = (
-        store.objects_of(lk.relation, lk.anchor)
-        if lk.direction == OBJ
-        else store.subjects_of(lk.relation, lk.anchor)
-    )
-    return {e for e in base if store.has_type(e, lk.result_type)}
-
-
-def _eval_expr(store: KgStore, expr: SetExpr):
-    if isinstance(expr, Lookup):
-        return _eval_lookup(store, expr), None
-    if isinstance(expr, Union):
-        return _eval_expr(store, expr.a)[0] | _eval_expr(store, expr.b)[0], None
-    if isinstance(expr, Intersection):
-        return _eval_expr(store, expr.a)[0] & _eval_expr(store, expr.b)[0], None
-    if isinstance(expr, Difference):
-        return _eval_expr(store, expr.a)[0] - _eval_expr(store, expr.b)[0], None
-    if isinstance(expr, TypeUnion):
-        partition = []
-        members: set[int] = set()
-        for b in expr.branches:
-            part = _eval_lookup(store, b)
-            partition.append((b.result_type, frozenset(part)))
-            members |= part
-        return members, tuple(partition)
-    raise PlanError(f"unknown set expression {type(expr).__name__}")
-
-
-def entity_group_count(store: KgStore, group: GroupSpec, g: int) -> int:
+def entity_group_count(store: KgStore, group: GroupSpec, g: int, reach=_indexed_reach) -> int:
     """Distinct counted entities reached from one entity over the group's legs."""
     reached: set[int] = set()
     for c in group.counted:
-        base = (
-            store.objects_of(c.relation, g)
-            if c.direction == OBJ
-            else store.subjects_of(c.relation, g)
-        )
-        reached |= {e for e in base if store.has_type(e, c.counted_type)}
+        reached |= reach(store, c.relation, c.direction, g, c.counted_type)
     return len(reached)
+
+
+def _member_counts(store: KgStore, group: GroupSpec, members, reach, include_zero: bool) -> dict[int, int]:
+    counts: dict[int, int] = {}
+    for g in members:
+        n = entity_group_count(store, group, g, reach)
+        if n or include_zero:
+            counts[g] = n
+    return counts
 
 
 def group_counts(store: KgStore, group: GroupSpec, include_zero: bool = True) -> dict[int, int]:
@@ -499,16 +447,14 @@ def group_counts(store: KgStore, group: GroupSpec, include_zero: bool = True) ->
     counts once.  Computed once per store, group and ``include_zero``; each
     call returns a fresh dict.
     """
-
-    def compute() -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for g in store.sorted_members(group.group_type):
-            n = entity_group_count(store, group, g)
-            if n or include_zero:
-                counts[g] = n
-        return counts
-
-    return dict(store.derived(("group_counts", group, bool(include_zero)), compute))
+    return dict(
+        store.derived(
+            ("group_counts", group, bool(include_zero)),
+            lambda: _member_counts(
+                store, group, store.sorted_members(group.group_type), _indexed_reach, include_zero
+            ),
+        )
+    )
 
 
 # -- combination helper --------------------------------------------------------------
@@ -552,7 +498,10 @@ def plan_tuples(store: KgStore, plan: QueryPlan, include_zero_groups: bool = Tru
     """
     _validate_plan(store, plan)
     if isinstance(plan, (Retrieve, Count)):
-        return frozenset(_expr_tuples(store, plan.expr))
+        out: set[Tuple] = set()
+        for lk in plan_lookups(plan):
+            out |= _reach_tuples(store, lk.relation, lk.direction, lk.anchor, lk.result_type)
+        return frozenset(out)
     if isinstance(plan, Verify):
         return frozenset(f for f in plan.facts if f in store.tuples)
 
@@ -573,84 +522,75 @@ def _group_tuples(store: KgStore, group: GroupSpec, members: Iterable[int]) -> f
     out: set[Tuple] = set()
     for g in members:
         for c in group.counted:
-            out |= _counted_tuples(store, g, c)
+            out |= _reach_tuples(store, c.relation, c.direction, g, c.counted_type)
     return frozenset(out)
 
 
-def _expr_tuples(store: KgStore, expr: SetExpr) -> set[Tuple]:
+def _reach_tuples(store: KgStore, relation: int, direction: str, anchor: int, ty: int) -> set[Tuple]:
+    """The tuples behind ``_indexed_reach`` with the same arguments."""
+    reached = _indexed_reach(store, relation, direction, anchor, ty)
+    if direction == OBJ:
+        return {Tuple(relation, anchor, e) for e in reached}
+    return {Tuple(relation, e, anchor) for e in reached}
+
+
+# -- plan walker -------------------------------------------------------------------
+
+
+def _walk(expr: SetExpr, lookups: list[Lookup], peers: list[tuple[int, ...]]) -> None:
+    """Append every lookup of ``expr`` (TypeUnion branches included) to
+    ``lookups`` and every TypeUnion's branch result types to ``peers``."""
     if isinstance(expr, Lookup):
-        out = set()
-        for e in _eval_lookup(store, expr):
-            if expr.direction == OBJ:
-                out.add(Tuple(expr.relation, expr.anchor, e))
-            else:
-                out.add(Tuple(expr.relation, e, expr.anchor))
-        return out
-    if isinstance(expr, (Union, Intersection, Difference)):
-        return _expr_tuples(store, expr.a) | _expr_tuples(store, expr.b)
-    if isinstance(expr, TypeUnion):
-        out = set()
-        for b in expr.branches:
-            out |= _expr_tuples(store, b)
-        return out
-    raise PlanError(f"unknown set expression {type(expr).__name__}")
-
-
-def _counted_tuples(store: KgStore, g: int, c: Counted) -> set[Tuple]:
-    out: set[Tuple] = set()
-    if c.direction == OBJ:
-        for o in store.objects_of(c.relation, g):
-            if store.has_type(o, c.counted_type):
-                out.add(Tuple(c.relation, g, o))
+        lookups.append(expr)
+    elif isinstance(expr, TypeUnion):
+        lookups.extend(expr.branches)
+        peers.append(tuple(b.result_type for b in expr.branches))
+    elif isinstance(expr, (Union, Intersection, Difference)):
+        _walk(expr.a, lookups, peers)
+        _walk(expr.b, lookups, peers)
     else:
-        for s in store.subjects_of(c.relation, g):
-            if store.has_type(s, c.counted_type):
-                out.add(Tuple(c.relation, s, g))
-    return out
+        raise PlanError(f"unknown set expression {type(expr).__name__}")
+
+
+def plan_lookups(plan: QueryPlan) -> list[Lookup]:
+    """Every lookup of a retrieve or count plan, in tree order; none for
+    verify and grouped plans."""
+    lookups: list[Lookup] = []
+    if isinstance(plan, (Retrieve, Count)):
+        _walk(plan.expr, lookups, [])
+    return lookups
+
+
+def plan_legs(plan: QueryPlan) -> tuple[Counted, ...]:
+    """The counted legs of a grouped plan; none for the other kinds."""
+    if isinstance(plan, (Retrieve, Count, Verify)):
+        return ()
+    return plan.group.counted
+
+
+def plan_peer_types(plan: QueryPlan) -> list[tuple[int, ...]]:
+    """Type ids combined as peers: the branch result types of every
+    TypeUnion, and the counted types of a group's legs."""
+    peers: list[tuple[int, ...]] = []
+    if isinstance(plan, (Retrieve, Count)):
+        _walk(plan.expr, [], peers)
+    elif not isinstance(plan, Verify):
+        peers.append(tuple(c.counted_type for c in plan.group.counted))
+    return peers
 
 
 def plan_relations(plan: QueryPlan) -> frozenset[int]:
     """All relation ids a plan mentions."""
-    out: set[int] = set()
-
-    def walk_expr(expr: SetExpr) -> None:
-        if isinstance(expr, Lookup):
-            out.add(expr.relation)
-        elif isinstance(expr, (Union, Intersection, Difference)):
-            walk_expr(expr.a)
-            walk_expr(expr.b)
-        elif isinstance(expr, TypeUnion):
-            for b in expr.branches:
-                out.add(b.relation)
-
-    if isinstance(plan, (Retrieve, Count)):
-        walk_expr(plan.expr)
-    elif isinstance(plan, Verify):
-        out |= {f.relation for f in plan.facts}
-    else:
-        out |= {c.relation for c in plan.group.counted}
-    return frozenset(out)
+    if isinstance(plan, Verify):
+        return frozenset(f.relation for f in plan.facts)
+    return frozenset([lk.relation for lk in plan_lookups(plan)] + [c.relation for c in plan_legs(plan)])
 
 
 def plan_entities(plan: QueryPlan) -> frozenset[int]:
     """All anchor/reference/fact entity ids a plan mentions."""
-    out: set[int] = set()
-
-    def walk_expr(expr: SetExpr) -> None:
-        if isinstance(expr, Lookup):
-            out.add(expr.anchor)
-        elif isinstance(expr, (Union, Intersection, Difference)):
-            walk_expr(expr.a)
-            walk_expr(expr.b)
-        elif isinstance(expr, TypeUnion):
-            for b in expr.branches:
-                out.add(b.anchor)
-
-    if isinstance(plan, (Retrieve, Count)):
-        walk_expr(plan.expr)
-    elif isinstance(plan, Verify):
-        for f in plan.facts:
-            out |= {f.subject, f.object}
-    elif isinstance(plan, (Comparative, CountOverComparative)):
+    if isinstance(plan, Verify):
+        return frozenset(e for f in plan.facts for e in (f.subject, f.object))
+    out = {lk.anchor for lk in plan_lookups(plan)}
+    if isinstance(plan, (Comparative, CountOverComparative)):
         out.add(plan.reference)
     return frozenset(out)

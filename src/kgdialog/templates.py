@@ -693,45 +693,19 @@ def _all_surface_and_plan_slots(template: QuestionTemplate) -> set[str]:
 
 def plan_type_labels(store: KgStore, plan: qa.QueryPlan) -> set[str]:
     """Labels of every type a plan mentions."""
-    out: set[str] = set()
-
-    def walk_expr(expr) -> None:
-        if isinstance(expr, qa.Lookup):
-            out.add(store.type_label(expr.result_type))
-        elif isinstance(expr, (qa.Union, qa.Intersection, qa.Difference)):
-            walk_expr(expr.a)
-            walk_expr(expr.b)
-        elif isinstance(expr, qa.TypeUnion):
-            for b in expr.branches:
-                out.add(store.type_label(b.result_type))
-
-    if isinstance(plan, (qa.Retrieve, qa.Count)):
-        walk_expr(plan.expr)
-    elif not isinstance(plan, qa.Verify):
-        out.add(store.type_label(plan.group.group_type))
-        for c in plan.group.counted:
-            out.add(store.type_label(c.counted_type))
-    return out
+    types = {lk.result_type for lk in qa.plan_lookups(plan)}
+    legs = qa.plan_legs(plan)
+    if legs:
+        types.add(plan.group.group_type)
+        types.update(c.counted_type for c in legs)
+    return {store.type_label(ty) for ty in types}
 
 
 def _peer_type_pairs(store: KgStore, plan: qa.QueryPlan) -> set[frozenset[str]]:
     """Unordered label pairs of types combined as peers in the plan."""
-    groups: list[list[str]] = []
-
-    def walk_expr(expr) -> None:
-        if isinstance(expr, qa.TypeUnion):
-            groups.append([store.type_label(b.result_type) for b in expr.branches])
-        elif isinstance(expr, (qa.Union, qa.Intersection, qa.Difference)):
-            walk_expr(expr.a)
-            walk_expr(expr.b)
-
-    if isinstance(plan, (qa.Retrieve, qa.Count)):
-        walk_expr(plan.expr)
-    elif not isinstance(plan, qa.Verify):
-        if len(plan.group.counted) >= 2:
-            groups.append([store.type_label(c.counted_type) for c in plan.group.counted])
     pairs: set[frozenset[str]] = set()
-    for labels in groups:
+    for types in qa.plan_peer_types(plan):
+        labels = [store.type_label(ty) for ty in types]
         for i, a in enumerate(labels):
             for b in labels[i + 1 :]:
                 pairs.add(frozenset((a, b)))

@@ -345,3 +345,23 @@ def test_repl_answers_and_resolves_that(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.splitlines() == ["India", "3"]
+
+
+def test_repl_reports_ambiguous_and_missing_antecedents(monkeypatch, capsys):
+    lines = iter(
+        [
+            "Retrieve(Lookup(obj, flows_through, China, river))",
+            "Count(Lookup(subj, flows_through, that river, country))",
+            "Count(Lookup(obj, capital, that country, city))",
+            "",
+        ]
+    )
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
+    code = dispatch(["answer", "--kg", str(KG_T_DIR)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.splitlines() == ["Brahmaputra, Mekong"]
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert errors[0] == "error: ambiguous mention 'that river': did you mean one of Brahmaputra, Mekong?"
+    assert "that country" in errors[1]
+    assert len(errors) == 2

@@ -2,10 +2,12 @@
 validation at load time."""
 
 import json
+import re
 
 import pytest
 
-from kgdialog.config import ConfigError, RunConfig, load_config
+from kgdialog.config import TRANSFORM_KINDS, ConfigError, RunConfig, load_config, split_fractions_problem
+from kgdialog.dataset_pipeline import PipelineError, SplitSpec
 
 
 def test_defaults_validate():
@@ -55,3 +57,55 @@ def test_env_parse_error_names_the_variable(var, raw):
 def test_env_values_are_validated_too():
     with pytest.raises(ConfigError, match="min_questions"):
         load_config(env={"KGDIALOG_MIN_QUESTIONS": "10"})
+
+
+@pytest.mark.parametrize("weight", [-0.5, float("inf"), float("nan"), "heavy", True])
+def test_bad_transition_weight_names_the_kind(weight):
+    with pytest.raises(ConfigError, match=r"transition_weights\['count'\]"):
+        RunConfig(transition_weights={"count": weight}).validate()
+
+
+def test_negative_transition_weight_is_rejected_at_load(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"transition_weights": {"direct": 1, "boolean": -1}}))
+    with pytest.raises(ConfigError, match=r"transition_weights\['boolean'\]"):
+        load_config(path, env={})
+
+
+def test_unknown_transition_kind_is_rejected():
+    with pytest.raises(ConfigError, match="transition_weights.*'comparitive'"):
+        load_config(env={}, overrides={"transition_weights": {"comparitive": 1.0}})
+
+
+def test_zero_transition_weights_are_accepted():
+    config = load_config(env={}, overrides={"transition_weights": {k: 0 for k in TRANSFORM_KINDS}})
+    assert set(config.transition_weights) == set(TRANSFORM_KINDS)
+
+
+@pytest.mark.parametrize("rate", [-0.1, 1.5, float("nan"), "often"])
+def test_ambiguity_rate_outside_unit_interval_is_rejected(rate):
+    with pytest.raises(ConfigError, match="ambiguity_rate"):
+        load_config(env={}, overrides={"ambiguity_rate": rate})
+
+
+@pytest.mark.parametrize("rate", [0, 1, 0.5])
+def test_ambiguity_rate_bounds_are_accepted(rate):
+    assert load_config(env={}, overrides={"ambiguity_rate": rate}).ambiguity_rate == rate
+
+
+def test_non_integer_seed_in_config_file_is_rejected(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": "abc"}))
+    with pytest.raises(ConfigError, match="seed"):
+        load_config(path, env={})
+
+
+@pytest.mark.parametrize("fractions", [[1.0], [0.5, 0.5, 0.5], [0.9, 0.2, -0.1], [0.8, "0.1", 0.1]])
+def test_bad_split_fractions_are_rejected_with_the_split_rule(fractions):
+    problem = split_fractions_problem(fractions)
+    assert problem
+    with pytest.raises(ConfigError, match="split_fractions") as raised:
+        load_config(env={}, overrides={"split_fractions": fractions})
+    assert problem in str(raised.value)
+    with pytest.raises(PipelineError, match=re.escape(split_fractions_problem(tuple(fractions)))):
+        SplitSpec(tuple(fractions)).validate()

@@ -310,6 +310,27 @@ def test_transition_weights_steer_question_mix(store, templates):
     assert boolean_share > 0.9
 
 
+_KIND_STATES = {
+    "count": {dm.TurnState.QUANTITATIVE_COUNT_Q},
+    "threshold": {dm.TurnState.QUANTITATIVE_THRESHOLD_Q},
+    "comparative": {dm.TurnState.COMPARATIVE_Q, dm.TurnState.COMPARATIVE_COUNT_Q},
+    None: set(),
+}
+
+
+@pytest.mark.parametrize("only", list(_KIND_STATES))
+def test_zero_weight_kinds_are_never_tried_and_never_crash(store, templates, only):
+    # with every other weight 0, generation used to fail with "Total of
+    # weights must be greater than zero" once the one positive kind failed
+    weights = {k: (1.0 if k == only else 0.0) for k in dm.TRANSFORM_KINDS}
+    config = RunConfig(transition_weights=weights)
+    allowed = _KIND_STATES[only]
+    for seed in range(100):
+        turns = dm.generate_dialog(store, templates, seed, config)
+        later = [t.state for t in question_turns(turns)][1:]
+        assert set(later) <= allowed, (seed, later)
+
+
 def _wide_linked_store(n_hubs=3, n_leaves=40, per_hub=25, seed=0):
     labels = [f"Hub{h}" for h in range(n_hubs)] + [f"Leaf{i}" for i in range(n_leaves)]
     types = {h: frozenset({0}) for h in range(n_hubs)}

@@ -1,0 +1,50 @@
+"""Golden corpus: `generate` on the fixture is pinned byte for byte.
+
+A refactor of the plan algebra, the templates or the dialog builders must
+leave this corpus unchanged.  A deliberate change of the RNG stream or of
+the output format updates the digests below and says so in CHANGES.md.
+"""
+
+import hashlib
+import json
+import os
+
+from conftest import KG_T_DIR
+from kgdialog.cli import dispatch
+from kgdialog.dialog_machine import QUESTION_STATES, TurnState
+
+GOLDEN_SEED = 7
+GOLDEN_N = 60
+GOLDEN_SHA256 = {
+    "dialogs.jsonl": "dcecaf6c0bde244ab7fb2efe8cfa54129bfbc5d1a35454a1a151e6a3e50c720b",
+    "stats.json": "f5783ee6141ff813db7ddcc822fc44196331cf2d5ff6858843e9edb0f78cda37",
+}
+
+
+def _generate(tmp_path, monkeypatch, capsys):
+    for var in list(os.environ):
+        if var.startswith("KGDIALOG_"):
+            monkeypatch.delenv(var)
+    out = tmp_path / "corpus"
+    argv = ["generate", "--kg", str(KG_T_DIR), "--n", str(GOLDEN_N), "--seed", str(GOLDEN_SEED)]
+    code = dispatch([*argv, "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    return out
+
+
+def test_generate_matches_golden_digests(tmp_path, monkeypatch, capsys):
+    out = _generate(tmp_path, monkeypatch, capsys)
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256
+    }
+    assert digests == GOLDEN_SHA256
+
+
+def test_golden_corpus_covers_every_question_state(tmp_path, monkeypatch, capsys):
+    out = _generate(tmp_path, monkeypatch, capsys)
+    states = set()
+    for line in (out / "dialogs.jsonl").read_text(encoding="utf-8").splitlines():
+        states |= {turn["state"] for turn in json.loads(line)["turns"]}
+    assert {s.value for s in QUESTION_STATES} <= states
+    assert {TurnState.CLARIFICATION_Q.value, TurnState.CLARIFICATION_A.value} <= states

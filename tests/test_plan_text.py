@@ -32,6 +32,36 @@ def test_parse_print_round_trip(store, text):
     assert plan_text.parse_plan(printed, store) == plan
 
 
+@pytest.mark.parametrize("text", CASES)
+def test_print_reproduces_canonical_text(store, text):
+    assert plan_text.print_plan(plan_text.parse_plan(text, store), store) == text
+
+
+def test_node_table_follows_class_field_order():
+    from dataclasses import fields
+
+    for name, kinds in plan_text._SIGNATURES.items():
+        cls = plan_text._CLASSES[name]
+        assert len(fields(cls)) == len(kinds), name
+        assert plan_text._LAYOUT[cls][0] == name
+    assert len(plan_text._LAYOUT) == len(plan_text._SIGNATURES)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "Retrieve(TypeUnion(Lookup(obj, flows_through, India, river), By(capital, obj, city)))",
+        "ArgOpt(Group(country, Lookup(obj, flows_through, India, river)), max)",
+        "Verify(India)",
+        "Retrieve(India)",
+        "Lookup(obj, flows_through, India, river)",
+    ],
+)
+def test_misplaced_nodes_are_rejected(store, bad):
+    with pytest.raises(PlanTextError):
+        plan_text.parse_plan(bad, store)
+
+
 def test_printed_form_is_canonical(store, ids):
     plan = qa.Count(qa.Lookup("obj", ids["flows_through"], ids["India"], ids["river"]))
     assert plan_text.print_plan(plan, store) == "Count(Lookup(obj, flows_through, India, river))"

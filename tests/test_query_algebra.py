@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from conftest import make_random_store
+from conftest import KG_T_DIR, make_random_store
 from kgdialog import kg_store, query_algebra as qa
 from kgdialog.kg_store import KgStore, Tuple
 
@@ -427,3 +427,187 @@ def test_filtered_store_does_not_see_parent_memos():
     # and the child's values do not leak back into the parent
     assert qa.group_counts(parent, group) == parent_counts
     assert qa.plan_tuples(parent, plan) == parent_tuples
+
+
+# -- grouped answers worked out by hand ---------------------------------------------
+#
+# Fixture counts: rivers per country India 3, China 2, Egypt 1; countries per
+# river Brahmaputra 2, Ganga/Yamuna/Mekong/Nile 1; capitals per country
+# India 1, China 1, Egypt 0.  Each expected answer below is read off these
+# counts, and both evaluators must give it.
+
+
+def both(store, plan, include_zero_groups=True):
+    got = qa.execute(store, plan, include_zero_groups)
+    assert qa.brute_force_execute(store, plan, include_zero_groups) == got
+    return got
+
+
+def rivers_per_country(ids):
+    return qa.GroupSpec(ids["country"], (qa.Counted(ids["flows_through"], "obj", ids["river"]),))
+
+
+def test_threshold_equal_by_hand(store, ids):
+    group = rivers_per_country(ids)
+    assert names(store, both(store, qa.ThresholdFilter(group, "equal", 2))) == {"China"}
+    assert names(store, both(store, qa.ThresholdFilter(group, "equal", 4))) == set()
+    rivers = qa.GroupSpec(ids["river"], (qa.Counted(ids["flows_through"], "subj", ids["country"]),))
+    one_country = both(store, qa.ThresholdFilter(rivers, "equal", 1))
+    assert names(store, one_country) == {"Ganga", "Yamuna", "Mekong", "Nile"}
+    assert both(store, qa.CountOverThreshold(rivers, "equal", 1)) == qa.Counts(((None, 4),))
+
+
+def test_threshold_approx_by_hand(store, ids):
+    group = rivers_per_country(ids)
+    # approx 1 is the window [0, 2], approx 4 the window [3, 5]
+    assert names(store, both(store, qa.ThresholdFilter(group, "approx", 1))) == {"China", "Egypt"}
+    assert names(store, both(store, qa.ThresholdFilter(group, "approx", 4))) == {"India"}
+    assert both(store, qa.CountOverThreshold(group, "approx", 1)) == qa.Counts(((None, 2),))
+
+
+def test_comparative_less_by_hand(store, ids):
+    group = rivers_per_country(ids)
+    assert names(store, both(store, qa.Comparative(group, ids["China"], "less"))) == {"Egypt"}
+    assert names(store, both(store, qa.Comparative(group, ids["India"], "less"))) == {"China", "Egypt"}
+    assert names(store, both(store, qa.Comparative(group, ids["Egypt"], "less"))) == set()
+    # a tie with the reference is not "less": Ganga's peers are in one country too
+    rivers = qa.GroupSpec(ids["river"], (qa.Counted(ids["flows_through"], "subj", ids["country"]),))
+    assert names(store, both(store, qa.Comparative(rivers, ids["Ganga"], "less"))) == set()
+    # rivers and capitals together: India 4, China 3, Egypt 1
+    legs = (
+        qa.Counted(ids["flows_through"], "obj", ids["river"]),
+        qa.Counted(ids["capital"], "obj", ids["city"]),
+    )
+    both_legs = qa.GroupSpec(ids["country"], legs)
+    assert names(store, both(store, qa.Comparative(both_legs, ids["China"], "less"))) == {"Egypt"}
+
+
+def test_count_over_comparative_less_by_hand(store, ids):
+    group = rivers_per_country(ids)
+    assert both(store, qa.CountOverComparative(group, ids["India"], "less")) == qa.Counts(((None, 2),))
+    assert both(store, qa.CountOverComparative(group, ids["China"], "less")) == qa.Counts(((None, 1),))
+    assert both(store, qa.CountOverComparative(group, ids["Egypt"], "less")) == qa.Counts(((None, 0),))
+    rivers = qa.GroupSpec(ids["river"], (qa.Counted(ids["flows_through"], "subj", ids["country"]),))
+    assert both(store, qa.CountOverComparative(rivers, ids["Brahmaputra"], "less")) == qa.Counts(((None, 4),))
+    assert both(store, qa.CountOverComparative(rivers, ids["Mekong"], "less")) == qa.Counts(((None, 0),))
+
+
+def test_argopt_min_tie_by_hand(store, ids):
+    rivers = qa.GroupSpec(ids["river"], (qa.Counted(ids["flows_through"], "subj", ids["country"]),))
+    assert names(store, both(store, qa.ArgOpt(rivers, "min"))) == {"Ganga", "Yamuna", "Mekong", "Nile"}
+    capitals = qa.GroupSpec(ids["country"], (qa.Counted(ids["capital"], "obj", ids["city"]),))
+    assert names(store, both(store, qa.ArgOpt(capitals, "min"))) == {"Egypt"}
+    assert names(store, both(store, qa.ArgOpt(capitals, "min"), False)) == {"India", "China"}
+
+
+# -- the oracle reaches tuples without indices or caches ---------------------------
+
+
+def _every_plan_kind(ids):
+    india_rivers = lookup(ids, "obj", "flows_through", "India", "river")
+    china_rivers = lookup(ids, "obj", "flows_through", "China", "river")
+    typed = qa.TypeUnion((india_rivers, lookup(ids, "obj", "capital", "India", "city")))
+    group = rivers_per_country(ids)
+    fact = Tuple(ids["flows_through"], ids["India"], ids["Ganga"])
+    return [
+        qa.Retrieve(india_rivers),
+        qa.Retrieve(lookup(ids, "subj", "flows_through", "Brahmaputra", "country")),
+        qa.Retrieve(qa.Union(india_rivers, china_rivers)),
+        qa.Retrieve(qa.Intersection(india_rivers, china_rivers)),
+        qa.Retrieve(qa.Difference(india_rivers, china_rivers)),
+        qa.Retrieve(typed),
+        qa.Count(india_rivers),
+        qa.Count(typed),
+        qa.Verify((fact, Tuple(ids["flows_through"], ids["Egypt"], ids["Ganga"]))),
+        qa.ArgOpt(group, "max"),
+        qa.ThresholdFilter(group, "atleast", 2),
+        qa.CountOverThreshold(group, "approx", 1),
+        qa.Comparative(group, ids["China"], "more"),
+        qa.CountOverComparative(group, ids["Ganga"], "less"),
+    ]
+
+
+def test_oracle_touches_no_index_or_cache(ids):
+    indexed = kg_store.load_dir(KG_T_DIR)
+    blind = kg_store.load_dir(KG_T_DIR)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle used an index or a cached value")
+
+    for name in ("objects_of", "subjects_of", "has_type", "sorted_members", "entities_of_type", "derived"):
+        setattr(blind, name, refuse)
+    for name in ("by_rel_subj", "by_rel_obj", "by_entity", "type_members"):
+        setattr(blind, name, None)
+    for plan in _every_plan_kind(ids):
+        for include_zero in (True, False):
+            assert qa.brute_force_execute(blind, plan, include_zero) == qa.execute(
+                indexed, plan, include_zero
+            ), plan
+
+
+# -- plan walker ---------------------------------------------------------------------
+
+
+def test_plan_entities_include_reference_and_fact_ends(ids):
+    group = rivers_per_country(ids)
+    for kind in (qa.Comparative, qa.CountOverComparative):
+        assert qa.plan_entities(kind(group, ids["Ganga"], "more")) == {ids["Ganga"]}
+    facts = (
+        Tuple(ids["flows_through"], ids["India"], ids["Ganga"]),
+        Tuple(ids["capital"], ids["China"], ids["Beijing"]),
+    )
+    assert qa.plan_entities(qa.Verify(facts)) == {ids[e] for e in ("India", "Ganga", "China", "Beijing")}
+    nested = qa.Retrieve(
+        qa.Difference(
+            lookup(ids, "obj", "flows_through", "India", "river"),
+            qa.Union(
+                lookup(ids, "obj", "flows_through", "China", "river"),
+                lookup(ids, "obj", "flows_through", "Egypt", "river"),
+            ),
+        )
+    )
+    assert qa.plan_entities(nested) == {ids["India"], ids["China"], ids["Egypt"]}
+    assert qa.plan_entities(qa.ArgOpt(group, "max")) == frozenset()
+
+
+def test_plan_relations_cover_every_leg(ids):
+    legs = (
+        qa.Counted(ids["flows_through"], "obj", ids["river"]),
+        qa.Counted(ids["capital"], "obj", ids["city"]),
+    )
+    group = qa.GroupSpec(ids["country"], legs)
+    expected = {ids["flows_through"], ids["capital"]}
+    for plan in (
+        qa.ArgOpt(group, "min"),
+        qa.ThresholdFilter(group, "atleast", 1),
+        qa.CountOverThreshold(group, "atmost", 1),
+        qa.Comparative(group, ids["India"], "less"),
+        qa.CountOverComparative(group, ids["India"], "more"),
+    ):
+        assert qa.plan_relations(plan) == expected
+        assert qa.plan_legs(plan) == legs
+        assert qa.plan_lookups(plan) == []
+    typed = qa.TypeUnion(
+        (
+            lookup(ids, "obj", "flows_through", "India", "river"),
+            lookup(ids, "obj", "capital", "India", "city"),
+        )
+    )
+    assert qa.plan_relations(qa.Count(typed)) == expected
+    assert qa.plan_lookups(qa.Count(typed)) == list(typed.branches)
+    assert qa.plan_legs(qa.Count(typed)) == ()
+
+
+def test_plan_peer_types_find_nested_type_unions(ids):
+    def typed(country):
+        return qa.TypeUnion(
+            (
+                lookup(ids, "obj", "flows_through", country, "river"),
+                lookup(ids, "obj", "capital", country, "city"),
+            )
+        )
+
+    pair = (ids["river"], ids["city"])
+    plan = qa.Retrieve(qa.Intersection(qa.Union(typed("India"), typed("China")), typed("Egypt")))
+    assert qa.plan_peer_types(plan) == [pair, pair, pair]
+    assert qa.plan_peer_types(qa.Retrieve(lookup(ids, "obj", "capital", "India", "city"))) == []

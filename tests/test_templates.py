@@ -340,3 +340,38 @@ def test_peer_type_blocklist_rejects_unions(store, river):
         pathology_filter(store, grouped, peer_type_blocklist=[("river", "city")])
         == "peer_block"
     )
+
+
+def test_peer_type_blocklist_sees_type_unions_nested_in_set_operations(store):
+    def typed(country):
+        e = store.entity_id(country)
+        return qa.TypeUnion(
+            (
+                qa.Lookup("obj", store.relation_id("flows_through"), e, store.type_id("river")),
+                qa.Lookup("obj", store.relation_id("capital"), e, store.type_id("city")),
+            )
+        )
+
+    blocked = [("city", "river")]
+    for expr in (
+        qa.Union(typed("India"), typed("China")),
+        qa.Difference(typed("India"), typed("China")),
+        qa.Intersection(qa.Union(typed("India"), typed("China")), typed("Egypt")),
+    ):
+        plan = qa.Retrieve(expr)
+        inst = tpl.Instantiation("nested", {}, "q", plan, qa.execute(store, plan))
+        assert pathology_filter(store, inst) is None
+        assert pathology_filter(store, inst, peer_type_blocklist=blocked) == "peer_block"
+        assert pathology_filter(store, inst, peer_type_blocklist=[("river", "country")]) is None
+
+
+def test_plan_type_labels_cover_lookups_and_groups(store):
+    group = qa.GroupSpec(
+        store.type_id("country"),
+        (qa.Counted(store.relation_id("capital"), "obj", store.type_id("city")),),
+    )
+    assert tpl.plan_type_labels(store, qa.ArgOpt(group, "max")) == {"country", "city"}
+    lookup = qa.Lookup("subj", store.relation_id("flows_through"), store.entity_id("Nile"), store.type_id("country"))
+    assert tpl.plan_type_labels(store, qa.Count(lookup)) == {"country"}
+    fact = Tuple(store.relation_id("capital"), store.entity_id("India"), store.entity_id("New Delhi"))
+    assert tpl.plan_type_labels(store, qa.Verify((fact,))) == set()
