@@ -56,10 +56,10 @@ class SNode:
 # Node table.  Each node name maps to its plan class and to the kinds of
 # its arguments, which follow the order of the class's dataclass fields.
 # An atom kind ("keyword", "number", "relation", "entity", "type") is
-# resolved in its namespace; "expr" is any subtree, "lookup" and "leg"
-# subtrees must bind to a Lookup and a Counted; "fact" is a
-# (relation, subject, object) triple.  A last kind "*x" takes the remaining
-# arguments into one tuple-valued field.
+# resolved in its namespace; a subtree kind ("expr", "lookup", "leg",
+# "group") names what the subtree must bind to (see _SUBTREE_KINDS); "fact"
+# is a (relation, subject, object) triple.  A last kind "*x" takes the
+# remaining arguments into one tuple-valued field.
 _SIGNATURES: dict[str, tuple[str, ...]] = {
     "Lookup": ("keyword", "relation", "entity", "type"),
     "Union": ("expr", "expr"),
@@ -71,11 +71,11 @@ _SIGNATURES: dict[str, tuple[str, ...]] = {
     "Retrieve": ("expr",),
     "Count": ("expr",),
     "Verify": ("*fact",),
-    "ArgOpt": ("expr", "keyword"),
-    "ThresholdFilter": ("expr", "keyword", "number"),
-    "CountOverThreshold": ("expr", "keyword", "number"),
-    "Comparative": ("expr", "entity", "keyword"),
-    "CountOverComparative": ("expr", "entity", "keyword"),
+    "ArgOpt": ("group", "keyword"),
+    "ThresholdFilter": ("group", "keyword", "number"),
+    "CountOverThreshold": ("group", "keyword", "number"),
+    "Comparative": ("group", "entity", "keyword"),
+    "CountOverComparative": ("group", "entity", "keyword"),
 }
 _CLASSES: dict[str, type] = {
     name: getattr(qa, name) for name in _SIGNATURES if name not in ("By", "Group")
@@ -86,7 +86,12 @@ _LAYOUT: dict[type, tuple[str, tuple[tuple[str, str], ...]]] = {
     cls: (name, tuple(zip((f.name for f in fields(cls)), _SIGNATURES[name])))
     for name, cls in _CLASSES.items()
 }
-_SUBTREE_KINDS: dict[str, type] = {"expr": object, "lookup": qa.Lookup, "leg": qa.Counted}
+_SUBTREE_KINDS: dict[str, tuple[tuple[type, ...], str]] = {
+    "expr": (get_args(qa.SetExpr), "set expression"),
+    "lookup": ((qa.Lookup,), "Lookup(...)"),
+    "leg": ((qa.Counted,), "By(...)"),
+    "group": ((qa.GroupSpec,), "Group(...)"),
+}
 _PLAN_CLASSES = get_args(qa.QueryPlan)
 
 
@@ -285,11 +290,9 @@ def _bind_arg(node: SNode, i: int, kind: str, store: KgStore, bindings: Mapping[
     if not isinstance(arg, SNode):
         raise PlanTextError(f"{node.name} argument {i + 1} must be a subtree")
     value = _bind_node(arg, store, bindings)
-    required = _SUBTREE_KINDS[kind]
-    if not isinstance(value, required):
-        raise PlanTextError(
-            f"{node.name} argument {i + 1} must be a {_LAYOUT[required][0]}(...) node"
-        )
+    classes, what = _SUBTREE_KINDS[kind]
+    if not isinstance(value, classes):
+        raise PlanTextError(f"{node.name} argument {i + 1} must be a {what}")
     return value
 
 

@@ -54,6 +54,13 @@ def test_answer_bad_plan_is_runtime_error(capsys):
     assert "error:" in err
 
 
+def test_answer_plan_with_a_misplaced_node_is_runtime_error(capsys):
+    plan = "ArgOpt(Lookup(obj, flows_through, India, river), max)"
+    code, _, err = run(capsys, "answer", "--kg", str(KG_T_DIR), "--plan", plan)
+    assert code == 1
+    assert err.strip() == "error: ArgOpt argument 1 must be a Group(...)"
+
+
 def test_generate_writes_corpus_and_stats(tmp_path, capsys):
     out = tmp_path / "corpus"
     code, _, _ = run(

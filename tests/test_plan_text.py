@@ -55,6 +55,11 @@ def test_node_table_follows_class_field_order():
         "Verify(India)",
         "Retrieve(India)",
         "Lookup(obj, flows_through, India, river)",
+        "ArgOpt(Lookup(obj, flows_through, India, river), max)",
+        "Comparative(By(flows_through, obj, river), China, more)",
+        "Retrieve(Group(river, By(flows_through, subj, country)))",
+        "Count(By(flows_through, subj, country))",
+        "Retrieve(Union(Lookup(obj, flows_through, India, river), Retrieve(Lookup(obj, flows_through, China, river))))",
     ],
 )
 def test_misplaced_nodes_are_rejected(store, bad):
