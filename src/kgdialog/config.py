@@ -123,7 +123,11 @@ class RunConfig:
 def split_fractions_problem(fractions) -> str | None:
     """Why ``fractions`` cannot divide a corpus into train, valid and test
     shares, or None when they can: three numbers >= 0 summing to 1."""
-    if len(fractions) != 3 or not all(_is_real(f) and f >= 0 for f in fractions):
+    if (
+        not isinstance(fractions, (list, tuple))
+        or len(fractions) != 3
+        or not all(_is_real(f) and f >= 0 for f in fractions)
+    ):
         return f"bad split fractions {fractions}"
     if abs(sum(fractions) - 1.0) > 1e-9:
         return f"split fractions must sum to 1, got {fractions}"

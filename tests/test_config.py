@@ -100,6 +100,11 @@ def test_non_integer_seed_in_config_file_is_rejected(tmp_path):
         load_config(path, env={})
 
 
+def test_split_fractions_that_are_not_a_list_are_rejected():
+    with pytest.raises(ConfigError, match="split_fractions"):
+        load_config(env={"KGDIALOG_SPLIT_FRACTIONS": "0.8"})
+
+
 @pytest.mark.parametrize("fractions", [[1.0], [0.5, 0.5, 0.5], [0.9, 0.2, -0.1], [0.8, "0.1", 0.1]])
 def test_bad_split_fractions_are_rejected_with_the_split_rule(fractions):
     problem = split_fractions_problem(fractions)
