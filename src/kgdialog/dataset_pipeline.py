@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from . import dialog_machine as dm, plan_text, query_algebra as qa
 from .config import RunConfig, split_fractions_problem
-from .kg_store import KgStore, Tuple
+from .kg_store import KgStore, Tuple, read_json_lines
 from .templates import QuestionTemplate
 
 
@@ -227,17 +227,10 @@ def write_corpus(corpus: Corpus, store: KgStore, path: str | Path) -> None:
 
 
 def read_corpus(path: str | Path, store: KgStore) -> Corpus:
-    dialogs: list[Dialog] = []
-    provenance: dict[str, frozenset[Tuple]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            dialog, prov = dialog_from_obj(json.loads(line), store)
-            dialogs.append(dialog)
-            provenance[dialog.dialog_id] = prov
-    return Corpus(dialogs, provenance)
+    pairs = read_json_lines(path, lambda obj, _: dialog_from_obj(obj, store), PipelineError)
+    return Corpus(
+        [dialog for dialog, _ in pairs], {dialog.dialog_id: prov for dialog, prov in pairs}
+    )
 
 
 # -- splitting -------------------------------------------------------------------

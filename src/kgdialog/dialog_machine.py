@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 from . import query_algebra as qa, templates as tpl
 from .config import TRANSFORM_KINDS, RunConfig
 from .kg_store import KgStore
-from .text import number_words
+from .text import number_words, pluralize
 
 
 class DialogError(ValueError):
@@ -102,13 +102,11 @@ class DialogContext:
 
     salience: tuple[int, ...] = ()
     last_relations: frozenset[int] = frozenset()
-    last_answer: qa.AnswerSet | None = None
     last_question_entities: tuple[int, ...] = ()
     last_answer_entities: tuple[int, ...] = ()
     last_template: tpl.QuestionTemplate | None = None
     last_retrieve_template: tpl.QuestionTemplate | None = None
     last_bindings: Mapping[str, int | str] = field(default_factory=dict)
-    last_plan: qa.QueryPlan | None = None
     pending: PendingClarification | None = None
 
 
@@ -188,17 +186,11 @@ def _render_counts(store: KgStore, answer: qa.Counts, words: bool) -> str:
     for ty, n in answer.counts:
         label = store.type_label(ty) if ty is not None else ""
         if label:
-            label = label if n == 1 else _plural(label)
+            label = label if n == 1 else pluralize(label)
             parts.append(f"{num(n)} {label}")
         else:
             parts.append(num(n))
     return " and ".join(parts)
-
-
-def _plural(label: str) -> str:
-    from .text import pluralize
-
-    return pluralize(label)
 
 
 # -- coreference ---------------------------------------------------------------------
@@ -300,13 +292,11 @@ def _answer_turns(
     context = DialogContext(
         salience=tuple(dict.fromkeys((*rendered.entities, *user_entities))),
         last_relations=qa.plan_relations(inst.plan),
-        last_answer=inst.answer,
         last_question_entities=user_entities,
         last_answer_entities=rendered.entities,
         last_template=template,
         last_retrieve_template=retrieve_base,
         last_bindings=inst.bindings,
-        last_plan=inst.plan,
     )
     return [response, *rendered.followups], context
 

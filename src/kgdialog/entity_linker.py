@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .kg_store import KgStore, Tuple
+from .kg_store import KgStore, LoadError, Tuple, read_tsv
 from .text import normalize
 
 
@@ -71,17 +71,13 @@ def build_gazetteer(store: KgStore, aliases: Iterable[tuple[int, str]] = ()) -> 
 
 def load_aliases(path: str | Path, store: KgStore) -> list[tuple[int, str]]:
     """Read an aliases.tsv of ``entity_id<TAB>alias`` lines (label-file ids
-    are not used here; the id column is the store's dense entity id)."""
+    are not used here; the id column is the store's dense entity id).
+    A line whose id is not an entity of ``store`` is an error naming it."""
     out: list[tuple[int, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 fields")
-            out.append((int(parts[0]), parts[1]))
+    for lineno, (entity, alias) in read_tsv(path, 2):
+        if not entity.isdecimal() or int(entity) >= store.n_entities:
+            raise LoadError(f"{path}:{lineno}: unknown entity id {entity!r}")
+        out.append((int(entity), alias))
     return out
 
 
@@ -203,7 +199,7 @@ def recall_report(
     per_state_hits: dict[str, list[float]] = {}
     for dialog in dialogs:
         pair_entities: tuple[int, ...] = ()  # previous turn pair, question + answer
-        turns = dialog.turns if hasattr(dialog, "turns") else dialog
+        turns = dialog.turns
         for idx, turn in enumerate(turns):
             if turn.speaker != "user" or turn.state not in QUESTION_STATES:
                 continue

@@ -9,7 +9,6 @@ context only, never as expectations.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -17,6 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence, Union as TUnion
 
 from . import query_algebra as qa
+from .kg_store import read_json_lines
 
 Gold = TUnion[qa.AnswerSet, str]
 
@@ -318,14 +318,7 @@ def read_records(path: str | Path) -> list[EvalRecord]:
             raise EvalError("record field may not be null")
         return answer
 
-    out: list[EvalRecord] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            out.append(
-                EvalRecord(obj["question_type"], decode(obj["gold"]), decode(obj["predicted"]))
-            )
-    return out
+    def record(obj: dict, _lineno: int) -> EvalRecord:
+        return EvalRecord(obj["question_type"], decode(obj["gold"]), decode(obj["predicted"]))
+
+    return read_json_lines(path, record, EvalError)

@@ -123,6 +123,38 @@ def margin_loss_grads(
     return loss, grads
 
 
+def gradient_check(rng: np.random.Generator, tolerance: float = 1e-4) -> str | None:
+    """Compare :func:`margin_loss_grads` with central differences of
+    :func:`margin_loss` on three random tables with an active hinge.
+
+    Returns None when every gradient matches within ``tolerance``
+    (relative L2 error), otherwise what went wrong.
+    """
+    for trial in range(3):
+        table = EmbeddingTable(rng.standard_normal((6, 5)), rng.standard_normal((2, 5)))
+        pos = Tuple(0, 0, 1)
+        neg = Tuple(0, 2, 1) if trial % 2 == 0 else Tuple(0, 0, 3)
+        loss, grads = margin_loss_grads(table, pos, neg, 10.0)
+        if loss <= 0.0 or not grads:
+            return "hinge unexpectedly inactive"
+        h = 1e-6
+        for (kind, idx), grad in grads.items():
+            array = table.entity_vecs if kind == "entity" else table.relation_vecs
+            numeric = np.zeros_like(grad)
+            for d in range(array.shape[1]):
+                orig = array[idx, d]
+                array[idx, d] = orig + h
+                up = margin_loss(table, pos, neg, 10.0)
+                array[idx, d] = orig - h
+                down = margin_loss(table, pos, neg, 10.0)
+                array[idx, d] = orig
+                numeric[d] = (up - down) / (2 * h)
+            rel_err = np.linalg.norm(grad - numeric) / max(np.linalg.norm(numeric), 1e-12)
+            if rel_err >= tolerance:
+                return f"relative error {rel_err:.2e} at {kind} {idx}"
+    return None
+
+
 def train(store: KgStore, config: TrainConfig | None = None) -> EmbeddingTable:
     """SGD over margin-ranking loss with uniform subject/object corruption.
 

@@ -10,6 +10,7 @@ separate dense integer id spaces assigned in label-file order.
 
 from __future__ import annotations
 
+import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -243,7 +244,7 @@ def load(tuple_file: str | Path, label_file: str | Path, type_file: str | Path) 
     file_ids: dict[str, dict[str, int]] = {ENTITY: {}, RELATION: {}, TYPE: {}}
     labels: dict[str, list[str]] = {ENTITY: [], RELATION: [], TYPE: []}
 
-    for lineno, parts in _records(label_file, 3):
+    for lineno, parts in read_tsv(label_file, 3):
         fid, kind, label = parts
         if kind not in _KINDS:
             raise LoadError(f"{label_file}:{lineno}: bad kind {kind!r} (expected E, R or T)")
@@ -253,7 +254,7 @@ def load(tuple_file: str | Path, label_file: str | Path, type_file: str | Path) 
         labels[kind].append(label)
 
     entity_types: dict[int, set[int]] = {}
-    for lineno, parts in _records(type_file, 2):
+    for lineno, parts in read_tsv(type_file, 2):
         efid, tfid = parts
         e = _resolve(file_ids[ENTITY], efid, "entity", type_file, lineno)
         ty = _resolve(file_ids[TYPE], tfid, "type", type_file, lineno)
@@ -262,7 +263,7 @@ def load(tuple_file: str | Path, label_file: str | Path, type_file: str | Path) 
     tuples: list[Tuple] = []
     seen: set[Tuple] = set()
     duplicates = 0
-    for lineno, parts in _records(tuple_file, 3):
+    for lineno, parts in read_tsv(tuple_file, 3):
         rfid, sfid, ofid = parts
         r = _resolve(file_ids[RELATION], rfid, "relation", tuple_file, lineno)
         s = _resolve(file_ids[ENTITY], sfid, "entity", tuple_file, lineno)
@@ -317,7 +318,9 @@ def save_dir(store: KgStore, directory: str | Path) -> None:
             fh.write(f"r{t.relation}\te{t.subject}\te{t.object}\n")
 
 
-def _records(path: str | Path, width: int):
+def read_tsv(path: str | Path, width: int):
+    """``(line number, fields)`` of each non-blank line of a tab-separated
+    file; a line without exactly ``width`` fields is a :class:`LoadError`."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -329,6 +332,32 @@ def _records(path: str | Path, width: int):
                     f"{path}:{lineno}: expected {width} tab-separated fields, got {len(parts)}"
                 )
             yield lineno, parts
+
+
+def read_json_lines(
+    path: str | Path, build: Callable[[dict, int], T], error: type[ValueError]
+) -> list[T]:
+    """``build(record, line number)`` of each non-blank line of a json-lines
+    file, in file order.  A line that is not a json object, or whose record
+    lacks a field ``build`` reads, raises ``error`` naming ``path:line``."""
+    out: list[T] = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise error(f"{where}: bad json ({exc})") from None
+            if not isinstance(record, dict):
+                raise error(f"{where}: expected a json object")
+            try:
+                out.append(build(record, lineno))
+            except KeyError as exc:
+                raise error(f"{where}: missing field {exc}") from None
+    return out
 
 
 def _resolve(index: dict[str, int], fid: str, kind: str, path, lineno: int) -> int:
@@ -388,10 +417,6 @@ def filter_types(store: KgStore, coverage_fraction: float) -> tuple[KgStore, fro
                 break
             retained.add(ty)
             covered = sum(1 for t in store.tuples if _survives(store, t, retained))
-        if covered / total < coverage_fraction:
-            # only reachable when even all types cannot reach the target,
-            # which cannot happen since full retention keeps every tuple
-            retained = set(ranked)
 
     new_types = {
         e: frozenset(ts & retained)

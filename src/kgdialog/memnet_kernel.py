@@ -15,7 +15,6 @@ Callers preferring a separate value projection can pass one explicitly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -23,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .entity_linker import CandidateSet
-from .kg_embed import EmbeddingTable
-from .kg_store import Tuple
+from .kg_embed import EmbeddingTable, gradient_check
+from .kg_store import Tuple, read_json_lines
 
 DEFAULT_HOPS = 2
 DEFAULT_MEMORY_CAP = 10000
@@ -212,15 +211,73 @@ class VectorOutcome:
 
 def run_vector_file(path: str | Path, tolerance: float = 1e-9) -> list[VectorOutcome]:
     """Execute every golden record and compare within tolerance."""
-    outcomes: list[VectorOutcome] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            outcomes.append(_run_vector(record, record.get("name", f"line{lineno}"), tolerance))
-    return outcomes
+    return read_json_lines(
+        path,
+        lambda record, lineno: _run_vector(record, record.get("name", f"line{lineno}"), tolerance),
+        KernelError,
+    )
+
+
+def builtin_checks() -> list[VectorOutcome]:
+    """Properties of the read path on seeded random inputs, plus the
+    embedding gradient check; independent of any vector file."""
+    checks: list[VectorOutcome] = []
+    rng = np.random.default_rng(0)
+
+    def slab(n: int, d_emb: int) -> MemorySlab:
+        return MemorySlab(
+            rng.standard_normal((n, 2 * d_emb)),
+            rng.standard_normal((n, d_emb)),
+            tuple(Tuple(0, 0, i) for i in range(n)),
+        )
+
+    def params(d: int, d_emb: int, hops: int = DEFAULT_HOPS) -> HopParams:
+        return HopParams(
+            A=rng.standard_normal((d, 2 * d_emb)),
+            R=tuple(rng.standard_normal((d, d)) for _ in range(hops)),
+            B=rng.standard_normal((d, d_emb)),
+        )
+
+    try:
+        s1 = slab(1, 3)
+        out = multi_hop(rng.standard_normal(4), s1, params(4, 3))
+        ok = all(abs(w[0] - 1.0) < 1e-12 for w in out.attentions)
+        checks.append(VectorOutcome("singleton memory attends with weight 1.0", ok))
+    except KernelError as exc:
+        checks.append(VectorOutcome("singleton memory attends with weight 1.0", False, str(exc)))
+
+    s = slab(5, 3)
+    zero = HopParams(A=np.zeros((4, 6)), R=(np.eye(4),), B=np.zeros((4, 3)))
+    out = multi_hop(rng.standard_normal(4), s, zero)
+    ok = bool(np.allclose(out.attentions[0], 0.2, atol=1e-12))
+    checks.append(VectorOutcome("zero projection gives uniform attention", ok))
+
+    p = params(4, 3)
+    q1 = rng.standard_normal(4)
+    base = multi_hop(q1, s, p)
+    doubled = MemorySlab(
+        np.concatenate([s.keys, s.keys]),
+        np.concatenate([s.values, s.values]),
+        s.provenance + s.provenance,
+    )
+    ok = bool(np.allclose(base.q_final, multi_hop(q1, doubled, p).q_final, atol=1e-7))
+    checks.append(VectorOutcome("duplicating memory rows leaves the final query unchanged", ok))
+
+    out = multi_hop(q1, MemorySlab(s.keys * 1e4, s.values, s.provenance), p)
+    ok = bool(np.all(np.isfinite(out.q_final)))
+    checks.append(VectorOutcome("large logits stay finite", ok))
+
+    dist = entity_distribution(base.q_final, s, p.B)
+    ok = abs(float(np.sum(dist)) - 1.0) < 1e-9 and bool(np.all(dist >= 0))
+    checks.append(VectorOutcome("copy distribution is a probability vector", ok))
+
+    problem = gradient_check(rng)
+    checks.append(
+        VectorOutcome(
+            "margin-loss gradients match central differences", problem is None, problem or ""
+        )
+    )
+    return checks
 
 
 def _run_vector(record: dict, name: str, tolerance: float) -> VectorOutcome:

@@ -339,27 +339,6 @@ def _print_arg(value, kind: str, store: KgStore) -> str:
     return str(value)
 
 
-def print_symbolic(node: SNode) -> str:
-    """Text of a symbolic tree, slot markers preserved."""
-    parts = []
-    for arg in node.args:
-        if isinstance(arg, SNode):
-            parts.append(print_symbolic(arg))
-        elif isinstance(arg, tuple):
-            parts.append("(" + ", ".join(_print_atom(a) for a in arg) + ")")
-        else:
-            parts.append(_print_atom(arg))
-    return f"{node.name}({', '.join(parts)})"
-
-
-def _print_atom(atom: Atom) -> str:
-    if isinstance(atom, Slot):
-        return str(atom)
-    if isinstance(atom, int):
-        return str(atom)
-    return _quote(atom)
-
-
 def slots_of(node: SNode) -> frozenset[str]:
     """Names of all slot markers in a symbolic tree."""
     out: set[str] = set()

@@ -289,11 +289,6 @@ def _validate_expr(store: KgStore, expr: SetExpr) -> frozenset[int]:
     raise PlanError(f"unknown set expression {type(expr).__name__}")
 
 
-def result_types(store: KgStore, expr: SetExpr) -> frozenset[int]:
-    """Result types of a set expression (validating it along the way)."""
-    return _validate_expr(store, expr)
-
-
 # -- evaluation ------------------------------------------------------------------
 #
 # One evaluator serves both entry points.  It reaches tuples only through

@@ -14,14 +14,13 @@ Authored surfaces instead ship explicit singular/plural variants.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from . import plan_text, query_algebra as qa
-from .kg_store import KgStore
+from .kg_store import KgStore, read_json_lines
 from .plan_text import SLOT_CLOSE, SLOT_OPEN, SNode, Slot
 from .text import pluralize
 
@@ -116,17 +115,9 @@ class Rejection:
 
 def load_templates(path: str | Path) -> list[QuestionTemplate]:
     """Read a json-lines template file; validates every record."""
-    out: list[QuestionTemplate] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TemplateError(f"{path}:{lineno}: bad json ({exc})") from None
-            out.append(template_from_record(record, where=f"{path}:{lineno}"))
+    out = read_json_lines(
+        path, lambda record, lineno: template_from_record(record, f"{path}:{lineno}"), TemplateError
+    )
     out.sort(key=lambda t: t.id)
     return out
 
@@ -245,16 +236,11 @@ def instantiate(
 
 
 def _type_check(store: KgStore, template: QuestionTemplate, merged: Mapping[str, int | str]) -> None:
-    declared = dict(template.slot_types)
-    anchor = template.anchor_slot()
-    if anchor is not None and anchor not in declared:
-        declared[anchor] = (
-            "subject_type" if template.direction == OBJECT_BASED else "object_type"
-        )
-    for slot, type_ref in declared.items():
+    # declared slots first, then an undeclared anchor; None is never bound
+    for slot in dict.fromkeys([*template.slot_types, template.anchor_slot()]):
         if slot not in merged:
             continue
-        expected = _resolve_type(store, type_ref, merged)
+        expected = _resolve_type(store, _slot_type_ref(template, slot), merged)
         if expected is None:
             continue
         entity = _resolve_entity(store, merged[slot])
@@ -279,25 +265,34 @@ def _resolve_entity(store: KgStore, value: int | str) -> int:
     return value if isinstance(value, int) else store.entity_id(value)
 
 
+def _slot_type_ref(template: QuestionTemplate, slot: str) -> str | None:
+    """Type reference (a type slot or label) a slot's entity must have: the
+    declared one, or for an undeclared anchor the lookup's anchor-side type
+    slot."""
+    ref = template.slot_types.get(slot)
+    if ref is None and slot == template.anchor_slot():
+        return _anchor_type_slot(template)
+    return ref
+
+
+def _anchor_type_slot(template: QuestionTemplate) -> str:
+    return "subject_type" if template.direction == OBJECT_BASED else "object_type"
+
+
+def _result_type_slot(template: QuestionTemplate) -> str:
+    return "object_type" if template.direction == OBJECT_BASED else "subject_type"
+
+
 def anchor_type(store: KgStore, template: QuestionTemplate) -> int | None:
     """Type id the anchor slot binding must have, if determinable."""
     anchor = template.anchor_slot()
-    if anchor is None:
-        return None
-    ref = template.slot_types.get(anchor) or (
-        "subject_type" if template.direction == OBJECT_BASED else "object_type"
-    )
-    return _resolve_type(store, ref, template.fixed)
+    return None if anchor is None else slot_expected_type(store, template, anchor)
 
 
 def slot_expected_type(store: KgStore, template: QuestionTemplate, slot: str) -> int | None:
     """Type id declared for any entity slot, if determinable."""
-    ref = template.slot_types.get(slot)
-    if ref is None:
-        if slot == template.anchor_slot():
-            return anchor_type(store, template)
-        return None
-    return _resolve_type(store, ref, template.fixed)
+    ref = _slot_type_ref(template, slot)
+    return None if ref is None else _resolve_type(store, ref, template.fixed)
 
 
 def render_question(
@@ -356,15 +351,12 @@ def transform_to_count(template: QuestionTemplate) -> QuestionTemplate:
     wrap = {"Retrieve": "Count", "ThresholdFilter": "CountOverThreshold", "Comparative": "CountOverComparative"}
     if schema.name not in wrap:
         raise TemplateError(f"template {template.id}: cannot count a {schema.name} plan")
-    new_schema = (
-        SNode("Count", schema.args) if schema.name == "Retrieve" else SNode(wrap[schema.name], schema.args)
-    )
     return replace(
         template,
         id=template.id + "#count",
         paraphrase_group=template.paraphrase_group + "#count",
         surface={"singular": "How many " + base[len("Which ") :]},
-        plan_schema=new_schema,
+        plan_schema=SNode(wrap[schema.name], schema.args),
     )
 
 
@@ -412,7 +404,7 @@ def transform_add_type(
     """Extend a single-lookup template with a second result type leg
     ("Which rivers and cities ...")."""
     lookup = _require_lookup(template)
-    type_slot = "object_type" if template.direction == OBJECT_BASED else "subject_type"
+    type_slot = _result_type_slot(template)
     rel2, type2 = "relation2", type_slot + "2"
     second = SNode("Lookup", (lookup.args[0], Slot(rel2), lookup.args[2], Slot(type2)))
     new_expr = SNode("TypeUnion", (lookup, second))
@@ -548,7 +540,7 @@ def transform_multi_relation(
     new_expr = SNode(_LOGICAL_NODES[op], (lookup_a, lookup_b))
 
     b_text = template_b.surface_variant("plural")
-    type_slot_b = "object_type" if template_b.direction == OBJECT_BASED else "subject_type"
+    type_slot_b = _result_type_slot(template_b)
     prefix = re.compile(
         r"^Which\s+"
         + re.escape(SLOT_OPEN)
@@ -667,7 +659,7 @@ def _derive_group(template: QuestionTemplate) -> tuple[SNode, dict]:
 
 
 def _anchor_type_atom(template: QuestionTemplate):
-    name = "subject_type" if template.direction == OBJECT_BASED else "object_type"
+    name = _anchor_type_slot(template)
     if name in template.fixed or name in _all_surface_and_plan_slots(template):
         return Slot(name)
     anchor = template.anchor_slot()
@@ -701,17 +693,6 @@ def plan_type_labels(store: KgStore, plan: qa.QueryPlan) -> set[str]:
     return {store.type_label(ty) for ty in types}
 
 
-def _peer_type_pairs(store: KgStore, plan: qa.QueryPlan) -> set[frozenset[str]]:
-    """Unordered label pairs of types combined as peers in the plan."""
-    pairs: set[frozenset[str]] = set()
-    for types in qa.plan_peer_types(plan):
-        labels = [store.type_label(ty) for ty in types]
-        for i, a in enumerate(labels):
-            for b in labels[i + 1 :]:
-                pairs.add(frozenset((a, b)))
-    return pairs
-
-
 def pathology_filter(
     store: KgStore,
     inst: Instantiation,
@@ -725,17 +706,14 @@ def pathology_filter(
     configured as too generic) or "peer_block" (a configured unnatural
     type pairing).
     """
-    relations = {store.relation_label(r) for r in qa.plan_relations(inst.plan)}
-    types = plan_type_labels(store, inst.plan)
-    if any(r.lower() == t.lower() for r in relations for t in types):
+    relations = {store.relation_label(r).lower() for r in qa.plan_relations(inst.plan)}
+    if relations & {t.lower() for t in plan_type_labels(store, inst.plan)}:
         return "label_overlap"
-    generic = {g.lower() for g in generic_relations}
-    if any(r.lower() in generic for r in relations):
+    if relations & {g.lower() for g in generic_relations}:
         return "generic_predicate"
-    blocked = {frozenset((a.lower(), b.lower())) for a, b in peer_type_blocklist}
-    pairs = {
-        frozenset(x.lower() for x in pair) for pair in _peer_type_pairs(store, inst.plan)
-    }
-    if pairs & blocked:
-        return "peer_block"
+    blocked = [{a.lower(), b.lower()} for a, b in peer_type_blocklist]
+    for types in qa.plan_peer_types(inst.plan):
+        peers = {store.type_label(ty).lower() for ty in types}
+        if any(pair <= peers for pair in blocked):
+            return "peer_block"
     return None

@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from conftest import KERNEL_VECTORS, KG_T_DIR
+from kgdialog import kg_embed
 from kgdialog.cli import dispatch
 
 
@@ -372,3 +375,97 @@ def test_repl_reports_ambiguous_and_missing_antecedents(monkeypatch, capsys):
     assert errors[0] == "error: ambiguous mention 'that river': did you mean one of Brahmaputra, Mekong?"
     assert "that country" in errors[1]
     assert len(errors) == 2
+
+
+def test_kernel_check_reports_a_failing_builtin_check(monkeypatch, capsys):
+    real = kg_embed.margin_loss_grads
+
+    def doubled(*args):
+        loss, grads = real(*args)
+        return loss, {key: 2.0 * grad for key, grad in grads.items()}
+
+    monkeypatch.setattr(kg_embed, "margin_loss_grads", doubled)
+    code, out, _ = run(capsys, "kernel-check")
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1
+    assert failed[0].startswith("FAIL margin-loss gradients match central differences: relative error")
+
+
+# -- malformed input files: exit 1 with one "error:" line naming path:line ----------
+
+
+def assert_one_error_line(code, err, where, detail):
+    assert code == 1
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: ")
+    assert where in err
+    assert detail in err
+    assert "Traceback" not in err
+
+
+def corpus_with_bad_third_line(tmp_path, capsys, bad_line):
+    corpus_dir = tmp_path / "corpus"
+    run(capsys, "generate", "--kg", str(KG_T_DIR), "--n", "2", "--seed", "3", "--out", str(corpus_dir))
+    corpus = corpus_dir / "dialogs.jsonl"
+    assert len(corpus.read_text().splitlines()) == 2
+    with open(corpus, "a", encoding="utf-8") as fh:
+        fh.write(bad_line + "\n")
+    return corpus
+
+
+CORPUS_READERS = {
+    "stats": lambda corpus, tmp_path: ["stats", "--kg", str(KG_T_DIR), "--corpus", str(corpus)],
+    "split": lambda corpus, tmp_path: [
+        "split", "--kg", str(KG_T_DIR), "--corpus", str(corpus), "--out", str(tmp_path / "s")
+    ],
+    "link": lambda corpus, tmp_path: ["link", "--kg", str(KG_T_DIR), "--corpus", str(corpus)],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CORPUS_READERS))
+def test_corpus_line_without_turns_names_the_line_and_field(command, tmp_path, capsys):
+    corpus = corpus_with_bad_third_line(tmp_path, capsys, json.dumps({"dialog_id": "x", "seed": 1}))
+    code, _, err = run(capsys, *CORPUS_READERS[command](corpus, tmp_path))
+    assert_one_error_line(code, err, f"{corpus}:3", "missing field 'turns'")
+
+
+def test_corpus_line_that_is_not_json_names_the_line(tmp_path, capsys):
+    corpus = corpus_with_bad_third_line(tmp_path, capsys, "{not json")
+    code, _, err = run(capsys, *CORPUS_READERS["stats"](corpus, tmp_path))
+    assert_one_error_line(code, err, f"{corpus}:3", "bad json")
+
+
+def test_eval_record_without_predicted_names_the_line_and_field(tmp_path, capsys):
+    records = tmp_path / "records.jsonl"
+    gold = {"kind": "counts", "counts": [[None, 3]]}
+    records.write_text(json.dumps({"question_type": "Quantitative (Count)", "gold": gold}) + "\n")
+    code, _, err = run(capsys, "eval", "--records", str(records))
+    assert_one_error_line(code, err, f"{records}:1", "missing field 'predicted'")
+
+
+def test_eval_record_that_is_not_json_names_the_line(tmp_path, capsys):
+    records = tmp_path / "records.jsonl"
+    records.write_text("\nnot json\n")
+    code, _, err = run(capsys, "eval", "--records", str(records))
+    assert_one_error_line(code, err, f"{records}:2", "bad json")
+
+
+def test_kernel_vector_that_is_not_json_names_the_line(tmp_path, capsys):
+    vectors = tmp_path / "vectors.jsonl"
+    vectors.write_text(KERNEL_VECTORS.read_text().rstrip("\n") + "\n[1, 2\n")
+    code, _, err = run(capsys, "kernel-check", "--vectors", str(vectors))
+    line = len(KERNEL_VECTORS.read_text().rstrip("\n").splitlines()) + 1
+    assert_one_error_line(code, err, f"{vectors}:{line}", "bad json")
+
+
+@pytest.mark.parametrize(
+    "entity_id, shown", [("99999", "unknown entity id '99999'"), ("x", "unknown entity id 'x'")]
+)
+def test_alias_with_a_bad_entity_id_fails_at_load(entity_id, shown, tmp_path, capsys):
+    aliases = tmp_path / "aliases.tsv"
+    aliases.write_text(f"0\tbharat\n{entity_id}\tfoo\n")
+    code, _, err = run(
+        capsys, "link", "--kg", str(KG_T_DIR), "--aliases", str(aliases), "--utterance", "foo"
+    )
+    assert_one_error_line(code, err, f"{aliases}:2", shown)
