@@ -225,8 +225,7 @@ def _cmd_split(args: argparse.Namespace) -> int:
         ("test", result.test),
         ("discarded", result.discarded),
     ):
-        part = pipeline.Corpus(dialogs, corpus.provenance)
-        pipeline.write_corpus(part, store, out / f"{name}.jsonl")
+        pipeline.write_corpus(pipeline.Corpus(dialogs), store, out / f"{name}.jsonl")
     report = pipeline.split_report(corpus, result)
     report["config"] = config.as_dict()
     _write_json(out / "split_report.json", report)

@@ -1,11 +1,13 @@
 """Corpus-scale dialog generation, tuple-separated splits and statistics.
 
-A corpus records, per dialog, the set of store tuples any of its plans
-depended on (its provenance).  Splitting first partitions the tuple set by
-seeded hash and then assigns each dialog to the split owning all of its
-tuples; dialogs straddling partitions are discarded and the discard count
-is reported, since silently dropping them would bias the corpus toward
-short dialogs.
+A dialog's provenance is the set of store tuples any of its plans depends
+on.  It is derived from the plans (``qa.plan_tuples``) against the store,
+never stored: a corpus line holds the dialog id, its seed and its turns,
+and reading a corpus derives the provenance again.  Splitting first
+partitions the tuple set by seeded hash and then assigns each dialog to
+the split owning all of its tuples; dialogs straddling partitions are
+discarded and the discard count is reported, since silently dropping them
+would bias the corpus toward short dialogs.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import NoneType
 from typing import Iterable, Sequence
 
 from . import dialog_machine as dm, plan_text, query_algebra as qa
 from .config import RunConfig, split_fractions_problem
-from .kg_store import KgStore, Tuple, read_json_lines
+from .kg_store import KgStore, Tuple, json_field, read_json_lines
 from .templates import QuestionTemplate
 
 
@@ -37,7 +40,8 @@ class Dialog:
 @dataclass
 class Corpus:
     dialogs: list[Dialog]
-    provenance: dict[str, frozenset[Tuple]]
+    # per dialog id, derived from the plans; writing a corpus does not read it
+    provenance: dict[str, frozenset[Tuple]] = field(default_factory=dict)
     shortfall: int = 0  # dialogs requested but not generatable
 
 
@@ -58,7 +62,6 @@ class SplitResult:
     valid: list[Dialog]
     test: list[Dialog]
     discarded: list[Dialog]
-    tuple_partition: dict[str, frozenset[Tuple]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -110,11 +113,11 @@ FULL_SCALE_REFERENCE = {
 
 
 def dialog_provenance(store: KgStore, turns: Iterable[dm.DialogTurn]) -> frozenset[Tuple]:
-    out: set[Tuple] = set()
-    for turn in turns:
-        if turn.plan is not None:
-            out |= qa.plan_tuples(store, turn.plan)
-    return frozenset(out)
+    """The store tuples the dialog's plans depend on.  A question's plan sits
+    on its user turn and again on its answer turn, so each distinct plan is
+    resolved once."""
+    plans = {turn.plan for turn in turns if turn.plan is not None}
+    return frozenset().union(*(qa.plan_tuples(store, plan) for plan in plans))
 
 
 def generate_corpus(
@@ -169,19 +172,19 @@ def answer_from_obj(obj: dict | None) -> qa.AnswerSet | None:
         return None
     kind = obj["kind"]
     if kind == "entities":
-        partition = obj.get("partition")
+        partition = json_field(obj, "partition", list, NoneType) if "partition" in obj else None
         return qa.Entities(
-            frozenset(obj["members"]),
+            frozenset(json_field(obj, "members", list)),
             tuple((ty, frozenset(part)) for ty, part in partition) if partition else None,
         )
     if kind == "counts":
-        return qa.Counts(tuple((ty, n) for ty, n in obj["counts"]))
+        return qa.Counts(tuple((ty, n) for ty, n in json_field(obj, "counts", list)))
     if kind == "booleans":
-        return qa.Booleans(tuple(bool(v) for v in obj["values"]))
+        return qa.Booleans(tuple(bool(v) for v in json_field(obj, "values", list)))
     raise PipelineError(f"unknown answer kind {kind!r}")
 
 
-def dialog_to_obj(dialog: Dialog, store: KgStore, provenance: frozenset[Tuple]) -> dict:
+def dialog_to_obj(dialog: Dialog, store: KgStore) -> dict:
     return {
         "dialog_id": dialog.dialog_id,
         "seed": dialog.seed,
@@ -196,24 +199,34 @@ def dialog_to_obj(dialog: Dialog, store: KgStore, provenance: frozenset[Tuple]) 
             }
             for t in dialog.turns
         ],
-        "provenance": sorted([t.relation, t.subject, t.object] for t in provenance),
     }
 
 
-def dialog_from_obj(obj: dict, store: KgStore) -> tuple[Dialog, frozenset[Tuple]]:
-    turns = tuple(
-        dm.DialogTurn(
-            speaker=t["speaker"],
-            state=dm.TurnState(t["state"]),
-            utterance=t["utterance"],
-            entities=tuple(t["entities"]),
-            plan=plan_text.parse_plan(t["plan"], store) if t["plan"] else None,
-            answer=answer_from_obj(t["answer"]),
-        )
-        for t in obj["turns"]
+def dialog_from_obj(obj: dict, store: KgStore) -> Dialog:
+    """The dialog of a corpus line; a ``provenance`` key, written by older
+    versions, is ignored."""
+    plans: dict[str, qa.QueryPlan] = {}  # a question's plan sits on two of its turns
+    turns = tuple(_turn_from_obj(t, store, plans) for t in json_field(obj, "turns", list))
+    return Dialog(json_field(obj, "dialog_id", str), json_field(obj, "seed", int), turns)
+
+
+def _turn_from_obj(t: dict, store: KgStore, plans: dict[str, qa.QueryPlan]) -> dm.DialogTurn:
+    if not isinstance(t, dict):
+        raise PipelineError("field 'turns' must hold objects")
+    text = json_field(t, "plan", str, NoneType)
+    if text and text not in plans:
+        try:
+            plans[text] = plan_text.parse_plan(text, store)
+        except ValueError as exc:
+            raise PipelineError(f"field 'plan': {exc}") from None
+    return dm.DialogTurn(
+        speaker=json_field(t, "speaker", str),
+        state=dm.TurnState(json_field(t, "state", str)),
+        utterance=json_field(t, "utterance", str),
+        entities=tuple(json_field(t, "entities", list)),
+        plan=plans[text] if text else None,
+        answer=answer_from_obj(json_field(t, "answer", dict, NoneType)),
     )
-    provenance = frozenset(Tuple(r, s, o) for r, s, o in obj.get("provenance", []))
-    return Dialog(obj["dialog_id"], obj["seed"], turns), provenance
 
 
 def write_corpus(corpus: Corpus, store: KgStore, path: str | Path) -> None:
@@ -221,16 +234,21 @@ def write_corpus(corpus: Corpus, store: KgStore, path: str | Path) -> None:
     corpora serialize byte-identically."""
     with open(path, "w", encoding="utf-8") as fh:
         for d in corpus.dialogs:
-            obj = dialog_to_obj(d, store, corpus.provenance[d.dialog_id])
+            obj = dialog_to_obj(d, store)
             fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":")))
             fh.write("\n")
 
 
 def read_corpus(path: str | Path, store: KgStore) -> Corpus:
-    pairs = read_json_lines(path, lambda obj, _: dialog_from_obj(obj, store), PipelineError)
-    return Corpus(
-        [dialog for dialog, _ in pairs], {dialog.dialog_id: prov for dialog, prov in pairs}
-    )
+    """The corpus in ``path``, with each dialog's provenance derived from
+    its plans against ``store``."""
+
+    def read(obj: dict, _lineno: int) -> tuple[Dialog, frozenset[Tuple]]:
+        dialog = dialog_from_obj(obj, store)
+        return dialog, dialog_provenance(store, dialog.turns)
+
+    pairs = read_json_lines(path, read, PipelineError)
+    return Corpus([d for d, _ in pairs], {d.dialog_id: prov for d, prov in pairs})
 
 
 # -- splitting -------------------------------------------------------------------
@@ -268,36 +286,20 @@ def split_corpus(corpus: Corpus, spec: SplitSpec) -> SplitResult:
     discarded; dialogs with empty provenance default to train.
     """
     spec.validate()
-    universe: set[Tuple] = set()
-    for prov in corpus.provenance.values():
-        universe |= prov
-    parts = partition_tuples(universe, spec)
-
-    result = SplitResult([], [], [], [], tuple_partition=parts)
+    parts = partition_tuples(set().union(*corpus.provenance.values()), spec)
+    result = SplitResult([], [], [], [])
     buckets = {"train": result.train, "valid": result.valid, "test": result.test}
     for d in corpus.dialogs:
         prov = corpus.provenance.get(d.dialog_id, frozenset())
-        if not prov:
-            result.train.append(d)
-            continue
-        owner = None
-        for name, part in parts.items():
-            if prov <= part:
-                owner = name
-                break
-        if owner is None:
-            result.discarded.append(d)
-        else:
-            buckets[owner].append(d)
+        # an empty provenance lies in every part, so the first, train, owns it
+        owner = next((name for name, part in parts.items() if prov <= part), None)
+        buckets.get(owner, result.discarded).append(d)
     return result
 
 
 def split_report(corpus: Corpus, result: SplitResult) -> dict:
     def prov_union(dialogs: list[Dialog]) -> set[Tuple]:
-        out: set[Tuple] = set()
-        for d in dialogs:
-            out |= corpus.provenance.get(d.dialog_id, frozenset())
-        return out
+        return set().union(*(corpus.provenance.get(d.dialog_id, ()) for d in dialogs))
 
     train_prov = prov_union(result.train)
     eval_prov = prov_union(result.valid) | prov_union(result.test)

@@ -83,13 +83,10 @@ class DialogTurn:
 
 @dataclass(frozen=True)
 class PendingClarification:
-    mention: str
-    mention_type: int
     candidates: tuple[int, ...]
     intended: int
     template: tpl.QuestionTemplate
     bindings: Mapping[str, int | str]
-    state: TurnState
 
 
 @dataclass(frozen=True)
@@ -346,17 +343,6 @@ def next_turn(
     config = config or RunConfig()
     if context.pending is not None:
         raise DialogError("clarification pending; call clarification_exchange first")
-    builders = {
-        "direct": _build_direct,
-        "coreference": _build_coreference,
-        "ellipsis": _build_ellipsis,
-        "logical": _build_logical,
-        "count": _build_count,
-        "argopt": _build_argopt,
-        "threshold": _build_threshold,
-        "comparative": _build_comparative,
-        "boolean": _build_boolean,
-    }
     weight_of = config.transition_weights.get
     # a kind of weight 0 is never picked; keeping it would leave only zero
     # weights once the positive kinds have failed
@@ -366,7 +352,7 @@ def next_turn(
     while kinds:
         weights = [weight_of(k, 1.0) for k in kinds]
         kind = rng.choices(kinds, weights=weights, k=1)[0]
-        question = builders[kind](store, templates, context, rng, config)
+        question = _BUILDERS[kind](store, templates, context, rng, config)
         if question is None:
             kinds.remove(kind)
             continue
@@ -473,6 +459,7 @@ def _applicable(kind: str, context: DialogContext, templates) -> bool:
         return any(t.kind == "Verify" for t in templates)
     if kind == "ellipsis":
         return context.last_template is not None
+    # the remaining builders read last_retrieve_template without a check
     return context.last_retrieve_template is not None
 
 
@@ -648,13 +635,10 @@ def _build_ambiguous(store, templates, context, rng, config):
         mention = f"that {store.type_label(ty)}"
         built = _with_mention(store, t, built, mention)
         pending = PendingClarification(
-            mention=mention,
-            mention_type=ty,
             candidates=tuple(dict.fromkeys(holders)),
             intended=intended,
             template=t,
             bindings=dict(built.bindings),
-            state=TurnState.COREFERENCE_Q,
         )
         return _Question(TurnState.COREFERENCE_Q, built, t, ambiguous=pending, retrieve_base=t)
 
@@ -696,8 +680,6 @@ def _build_ellipsis(store, templates, context, rng, config):
 
 def _build_logical(store, templates, context, rng, config):
     base = context.last_retrieve_template
-    if base is None:
-        return None
     anchor_slot = base.anchor_slot()
     if anchor_slot is None:
         return None
@@ -724,8 +706,6 @@ def _build_logical(store, templates, context, rng, config):
 
 def _build_count(store, templates, context, rng, config):
     base = context.last_retrieve_template
-    if base is None:
-        return None
     try:
         derived = tpl.transform_to_count(base)
     except tpl.TemplateError:
@@ -752,8 +732,6 @@ def _build_count(store, templates, context, rng, config):
 
 def _build_argopt(store, templates, context, rng, config):
     base = context.last_retrieve_template
-    if base is None:
-        return None
     direction = rng.choice(["max", "min"])
     try:
         derived = tpl.transform_argopt(base, direction)
@@ -768,8 +746,6 @@ _THRESHOLD_NS = (1, 2, 3, 4)
 
 def _build_threshold(store, templates, context, rng, config):
     base = context.last_retrieve_template
-    if base is None:
-        return None
     counting = rng.random() < 0.5
     state = TurnState.QUANTITATIVE_THRESHOLD_Q
 
@@ -787,8 +763,6 @@ def _build_threshold(store, templates, context, rng, config):
 
 def _build_comparative(store, templates, context, rng, config):
     base = context.last_retrieve_template
-    if base is None:
-        return None
     counting = rng.random() < 0.5
     try:
         probe = tpl.transform_comparative(base, "more", 0)
@@ -832,6 +806,19 @@ def _build_boolean(store, templates, context, rng, config):
         return _ask(store, TurnState.BOOLEAN_Q, t, bindings, config, context.last_retrieve_template)
 
     return _first(rng, [(None, [t for t in templates if t.kind == "Verify"])], attempt)
+
+
+_BUILDERS = {
+    "direct": _build_direct,
+    "coreference": _build_coreference,
+    "ellipsis": _build_ellipsis,
+    "logical": _build_logical,
+    "count": _build_count,
+    "argopt": _build_argopt,
+    "threshold": _build_threshold,
+    "comparative": _build_comparative,
+    "boolean": _build_boolean,
+}
 
 
 def _untaken(rng: random.Random, pool: Sequence[int], taken: set[int]) -> int:

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence, Union as TUnion
 
 from . import query_algebra as qa
-from .kg_store import read_json_lines
+from .kg_store import json_field, read_json_lines
 
 Gold = TUnion[qa.AnswerSet, str]
 
@@ -310,15 +310,12 @@ def read_records(path: str | Path) -> list[EvalRecord]:
     "predicted": same kind} using the corpus answer encoding."""
     from .dataset_pipeline import answer_from_obj
 
-    def decode(value) -> Gold:
-        if isinstance(value, str):
-            return value
-        answer = answer_from_obj(value)
-        if answer is None:
-            raise EvalError("record field may not be null")
-        return answer
+    def decode(obj: dict, name: str) -> Gold:
+        value = json_field(obj, name, str, dict)
+        return value if isinstance(value, str) else answer_from_obj(value)
 
     def record(obj: dict, _lineno: int) -> EvalRecord:
-        return EvalRecord(obj["question_type"], decode(obj["gold"]), decode(obj["predicted"]))
+        question_type = json_field(obj, "question_type", str)
+        return EvalRecord(question_type, decode(obj, "gold"), decode(obj, "predicted"))
 
     return read_json_lines(path, record, EvalError)

@@ -14,6 +14,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import NoneType
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, TypeVar
 
 log = logging.getLogger(__name__)
@@ -338,8 +339,9 @@ def read_json_lines(
     path: str | Path, build: Callable[[dict, int], T], error: type[ValueError]
 ) -> list[T]:
     """``build(record, line number)`` of each non-blank line of a json-lines
-    file, in file order.  A line that is not a json object, or whose record
-    lacks a field ``build`` reads, raises ``error`` naming ``path:line``."""
+    file, in file order.  A line that is not a json object, whose record
+    lacks a field ``build`` reads, or that ``build`` rejects with a
+    ``TypeError`` or ``ValueError`` raises ``error`` naming ``path:line``."""
     out: list[T] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -357,7 +359,19 @@ def read_json_lines(
                 out.append(build(record, lineno))
             except KeyError as exc:
                 raise error(f"{where}: missing field {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise error(f"{where}: {exc}") from None
     return out
+
+
+def json_field(record: dict, name: str, *kinds: type):
+    """``record[name]``, which must be an instance of one of ``kinds``
+    (``NoneType`` allows null); otherwise a ``TypeError`` naming the field."""
+    value = record[name]
+    if not isinstance(value, kinds):
+        expected = " or ".join("null" if k is NoneType else k.__name__ for k in kinds)
+        raise TypeError(f"field {name!r} must be {expected}, got {type(value).__name__}")
+    return value
 
 
 def _resolve(index: dict[str, int], fid: str, kind: str, path, lineno: int) -> int:

@@ -115,14 +115,12 @@ class Rejection:
 
 def load_templates(path: str | Path) -> list[QuestionTemplate]:
     """Read a json-lines template file; validates every record."""
-    out = read_json_lines(
-        path, lambda record, lineno: template_from_record(record, f"{path}:{lineno}"), TemplateError
-    )
+    out = read_json_lines(path, lambda record, _: template_from_record(record), TemplateError)
     out.sort(key=lambda t: t.id)
     return out
 
 
-def template_from_record(record: Mapping, where: str = "<record>") -> QuestionTemplate:
+def template_from_record(record: Mapping) -> QuestionTemplate:
     try:
         schema = plan_text.parse_symbolic(record["plan_schema"])
         template = QuestionTemplate(
@@ -135,8 +133,8 @@ def template_from_record(record: Mapping, where: str = "<record>") -> QuestionTe
             slot_types=dict(record.get("slot_types", {})),
         )
     except KeyError as exc:
-        raise TemplateError(f"{where}: missing field {exc}") from None
-    validate_template(template, where)
+        raise TemplateError(f"missing field {exc}") from None
+    validate_template(template)
     return template
 
 
@@ -156,8 +154,8 @@ def _surface_variants(surface) -> dict[str, str]:
     return out
 
 
-def validate_template(t: QuestionTemplate, where: str = "") -> None:
-    ctx = f"{where}: template {t.id}" if where else f"template {t.id}"
+def validate_template(t: QuestionTemplate) -> None:
+    ctx = f"template {t.id}"
     if t.direction not in (OBJECT_BASED, SUBJECT_BASED):
         raise TemplateError(f"{ctx}: unknown direction {t.direction!r}")
     if "singular" not in t.surface:

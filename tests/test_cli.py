@@ -315,10 +315,15 @@ def test_generation_identical_across_processes_and_hash_seeds(tmp_path):
     import subprocess
     import sys
 
+    import kgdialog
+
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(kgdialog.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []
     for hash_seed in ("0", "424242"):
         out = tmp_path / f"run_{hash_seed}"
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=pythonpath)
         subprocess.run(
             [
                 sys.executable,
@@ -469,3 +474,56 @@ def test_alias_with_a_bad_entity_id_fails_at_load(entity_id, shown, tmp_path, ca
         capsys, "link", "--kg", str(KG_T_DIR), "--aliases", str(aliases), "--utterance", "foo"
     )
     assert_one_error_line(code, err, f"{aliases}:2", shown)
+
+
+@pytest.mark.parametrize("command", sorted(CORPUS_READERS))
+def test_corpus_line_whose_turns_is_not_a_list_names_the_line_and_field(command, tmp_path, capsys):
+    bad_line = json.dumps({"dialog_id": "x", "seed": 1, "turns": 5})
+    corpus = corpus_with_bad_third_line(tmp_path, capsys, bad_line)
+    code, _, err = run(capsys, *CORPUS_READERS[command](corpus, tmp_path))
+    assert_one_error_line(code, err, f"{corpus}:3", "field 'turns' must be list, got int")
+
+
+@pytest.mark.parametrize("command", sorted(CORPUS_READERS))
+def test_corpus_plan_with_an_unknown_relation_names_the_line_and_field(command, tmp_path, capsys):
+    turn = {
+        "speaker": "user",
+        "state": "SimpleQ",
+        "utterance": "Which city is the nope of India ?",
+        "entities": [],
+        "plan": "Retrieve(Lookup(obj, nope, India, city))",
+        "answer": None,
+    }
+    bad_line = json.dumps({"dialog_id": "x", "seed": 1, "turns": [turn]})
+    corpus = corpus_with_bad_third_line(tmp_path, capsys, bad_line)
+    code, _, err = run(capsys, *CORPUS_READERS[command](corpus, tmp_path))
+    assert_one_error_line(code, err, f"{corpus}:3", "field 'plan': unknown relation label 'nope'")
+
+
+def test_eval_record_with_non_list_members_names_the_line_and_field(tmp_path, capsys):
+    records = tmp_path / "records.jsonl"
+    answer = {"kind": "entities", "members": [1]}
+    records.write_text(
+        json.dumps({"question_type": "Simple Question (Direct)", "gold": answer, "predicted": answer})
+        + "\n"
+        + json.dumps(
+            {
+                "question_type": "Simple Question (Direct)",
+                "gold": answer,
+                "predicted": {"kind": "entities", "members": 5},
+            }
+        )
+        + "\n"
+    )
+    code, _, err = run(capsys, "eval", "--records", str(records))
+    assert_one_error_line(code, err, f"{records}:2", "field 'members' must be list, got int")
+
+
+def test_template_error_names_the_line_once(tmp_path, capsys):
+    record = json.loads((KG_T_DIR / "templates.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    templates = tmp_path / "templates.jsonl"
+    templates.write_text(json.dumps({**record, "direction": "sideways"}) + "\n")
+    argv = ["generate", "--kg", str(KG_T_DIR), "--templates", str(templates), "--n", "1"]
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "g"))
+    assert_one_error_line(code, err, f"{templates}:1", "unknown direction 'sideways'")
+    assert err.count(str(templates)) == 1

@@ -51,6 +51,62 @@ def test_serialization_round_trip_and_byte_identity(store, templates, corpus, tm
     assert p1.read_bytes() == p3.read_bytes()
 
 
+def _rewrite_lines(src, dst, edit):
+    with open(src, encoding="utf-8") as fh, open(dst, "w", encoding="utf-8") as out:
+        for line in fh:
+            obj = json.loads(line)
+            edit(obj)
+            out.write(json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def _bucket_ids(result):
+    return {
+        name: [d.dialog_id for d in getattr(result, name)]
+        for name in ("train", "valid", "test", "discarded")
+    }
+
+
+def test_written_line_holds_only_id_seed_and_turns(store, corpus, tmp_path):
+    path = tmp_path / "c.jsonl"
+    pipe.write_corpus(corpus, store, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == len(corpus.dialogs)
+    for line in lines:
+        assert sorted(json.loads(line)) == ["dialog_id", "seed", "turns"]
+
+
+def test_old_format_with_stored_provenance_reads_the_same(store, corpus, tmp_path):
+    new, old = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
+    pipe.write_corpus(corpus, store, new)
+
+    def add_provenance(obj):
+        prov = corpus.provenance[obj["dialog_id"]]
+        obj["provenance"] = sorted([t.relation, t.subject, t.object] for t in prov)
+
+    _rewrite_lines(new, old, add_provenance)
+    from_new, from_old = pipe.read_corpus(new, store), pipe.read_corpus(old, store)
+    assert from_old.dialogs == from_new.dialogs == corpus.dialogs
+    assert from_old.provenance == from_new.provenance == corpus.provenance
+    spec = pipe.SplitSpec((0.6, 0.2, 0.2), seed=11)
+    assert _bucket_ids(pipe.split_corpus(from_old, spec)) == _bucket_ids(
+        pipe.split_corpus(from_new, spec)
+    )
+
+
+@pytest.mark.parametrize("stored", ["empty", "one tuple"])
+def test_stored_provenance_that_disagrees_with_the_plans_is_ignored(stored, store, corpus, tmp_path):
+    new, tampered = tmp_path / "new.jsonl", tmp_path / "tampered.jsonl"
+    pipe.write_corpus(corpus, store, new)
+    # either stored provenance would put every dialog in one split, none discarded
+    t = min(store.tuples)
+    wrong = [] if stored == "empty" else [[t.relation, t.subject, t.object]]
+    _rewrite_lines(new, tampered, lambda obj: obj.update(provenance=wrong))
+    spec = pipe.SplitSpec((0.6, 0.2, 0.2), seed=11)
+    expected = _bucket_ids(pipe.split_corpus(corpus, spec))
+    assert expected["discarded"]
+    assert _bucket_ids(pipe.split_corpus(pipe.read_corpus(tampered, store), spec)) == expected
+
+
 def test_read_back_plans_replay_to_recorded_answers(store, corpus, tmp_path):
     """Serialization preserves plan/answer fidelity for every answer kind:
     replaying a loaded corpus reproduces each recorded answer."""

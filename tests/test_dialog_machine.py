@@ -181,13 +181,10 @@ def _pending_context(store, templates, ids, intended):
     river = next(t for t in templates if t.id == "country_of_river")
     candidates = (ids["Ganga"], ids["Yamuna"], ids["Brahmaputra"])
     pending = dm.PendingClarification(
-        mention="that river",
-        mention_type=ids["river"],
         candidates=candidates,
         intended=intended,
         template=river,
         bindings={**river.fixed, "entity:1": intended},
-        state=dm.TurnState.COREFERENCE_Q,
     )
     return dm.DialogContext(
         salience=candidates,

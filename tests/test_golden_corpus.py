@@ -16,7 +16,7 @@ from kgdialog.dialog_machine import QUESTION_STATES, TurnState
 GOLDEN_SEED = 7
 GOLDEN_N = 60
 GOLDEN_SHA256 = {
-    "dialogs.jsonl": "dcecaf6c0bde244ab7fb2efe8cfa54129bfbc5d1a35454a1a151e6a3e50c720b",
+    "dialogs.jsonl": "6da9f47f29fb1079bfdce53181d5ca3a215d6b0299f50328018cd799d2d9a582",
     "stats.json": "f5783ee6141ff813db7ddcc822fc44196331cf2d5ff6858843e9edb0f78cda37",
 }
 
