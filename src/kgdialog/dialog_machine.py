@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -86,7 +86,6 @@ class PendingClarification:
     candidates: tuple[int, ...]
     intended: int
     template: tpl.QuestionTemplate
-    bindings: Mapping[str, int | str]
 
 
 @dataclass(frozen=True)
@@ -95,6 +94,10 @@ class DialogContext:
 
     ``salience`` lists entities from the previous turn pair, most recent
     first (answer entities as rendered, then question entities).
+    ``last_anchor`` is the anchor of the first lookup of the last question
+    whose plan has one; a grouped or verify question carries it on, as it
+    carries ``last_retrieve_template``.  Derived questions bind it to the
+    anchor slot of ``last_retrieve_template`` and nothing else.
     """
 
     salience: tuple[int, ...] = ()
@@ -103,7 +106,7 @@ class DialogContext:
     last_answer_entities: tuple[int, ...] = ()
     last_template: tpl.QuestionTemplate | None = None
     last_retrieve_template: tpl.QuestionTemplate | None = None
-    last_bindings: Mapping[str, int | str] = field(default_factory=dict)
+    last_anchor: int | None = None
     pending: PendingClarification | None = None
 
 
@@ -220,21 +223,8 @@ def resolve_coreference(
 # -- question construction helpers ------------------------------------------------------
 
 
-def _question_entities(inst: tpl.Instantiation, store: KgStore) -> tuple[int, ...]:
-    out: list[int] = []
-    for slot in sorted(inst.bindings):
-        if tpl.slot_kind(slot) != "entity":
-            continue
-        value = inst.bindings[slot]
-        out.append(value if isinstance(value, int) else store.entity_id(value))
-    return tuple(dict.fromkeys(out))
-
-
-def _linked(
-    store: KgStore, context: DialogContext, plan: qa.QueryPlan, entities: Sequence[int]
-) -> bool:
-    prev_entities = set(context.salience)
-    if prev_entities & (set(entities) | set(qa.plan_entities(plan))):
+def _linked(context: DialogContext, plan: qa.QueryPlan) -> bool:
+    if qa.plan_entities(plan).intersection(context.salience):
         return True
     return bool(context.last_relations & qa.plan_relations(plan))
 
@@ -253,10 +243,11 @@ def _respond_turns(
     question: _Question,
     rng: random.Random,
     config: RunConfig,
+    previous: DialogContext,
 ) -> tuple[list[DialogTurn], DialogContext]:
     inst = question.instantiation
     turns, context = _answer_turns(
-        store, inst, question.template, question.retrieve_base, rng, config
+        store, inst, question.template, question.retrieve_base, rng, config, previous
     )
     user_turn = DialogTurn(
         "user", question.state, inst.question, context.last_question_entities, inst.plan, None
@@ -271,9 +262,11 @@ def _answer_turns(
     retrieve_base: tpl.QuestionTemplate | None,
     rng: random.Random,
     config: RunConfig,
+    previous: DialogContext,
 ) -> tuple[list[DialogTurn], DialogContext]:
     """The system response to an asked question (plus any negotiation
-    follow-ups) and the context it leaves for the next turn pair."""
+    follow-ups) and the context it leaves for the next turn pair, given
+    the context ``previous`` the question was asked in."""
     rendered = render_response(
         store,
         inst.answer,
@@ -285,7 +278,8 @@ def _answer_turns(
     response = DialogTurn(
         "system", TurnState.RESPONSE, rendered.utterance, rendered.entities, inst.plan, inst.answer
     )
-    user_entities = _question_entities(inst, store)
+    user_entities = tuple(sorted(qa.plan_entities(inst.plan)))
+    lookups = qa.plan_lookups(inst.plan)
     context = DialogContext(
         salience=tuple(dict.fromkeys((*rendered.entities, *user_entities))),
         last_relations=qa.plan_relations(inst.plan),
@@ -293,7 +287,7 @@ def _answer_turns(
         last_answer_entities=rendered.entities,
         last_template=template,
         last_retrieve_template=retrieve_base,
-        last_bindings=inst.bindings,
+        last_anchor=lookups[0].anchor if lookups else previous.last_anchor,
     )
     return [response, *rendered.followups], context
 
@@ -324,7 +318,7 @@ def start_dialog(
     question = _first(rng, segments, attempt)
     if question is None:
         raise DialogError("no template is instantiable over this store")
-    return _respond_turns(store, question, rng, config)
+    return _respond_turns(store, question, rng, config, DialogContext())
 
 
 def next_turn(
@@ -360,11 +354,10 @@ def next_turn(
             inst = question.instantiation
             user_turn = DialogTurn("user", question.state, inst.question, (), None, None)
             return [user_turn], replace(context, pending=question.ambiguous)
-        entities = _question_entities(question.instantiation, store)
-        if not _linked(store, context, question.instantiation.plan, entities):
+        if not _linked(context, question.instantiation.plan):
             kinds.remove(kind)
             continue
-        return _respond_turns(store, question, rng, config)
+        return _respond_turns(store, question, rng, config, context)
     return None
 
 
@@ -399,14 +392,10 @@ def clarification_exchange(
     else:
         answer_text = CLARIFICATION_NO.format(entity=store.entity_label(intended))
 
-    bindings = dict(pending.bindings)
-    anchor_slot = pending.template.anchor_slot()
-    if anchor_slot is not None:
-        bindings[anchor_slot] = intended
     built = tpl.instantiate(
         store,
         pending.template,
-        bindings,
+        {pending.template.anchor_slot(): intended},
         answer_cap=config.answer_cap,
         number="plural",
         include_zero_groups=config.include_zero_groups,
@@ -420,7 +409,9 @@ def clarification_exchange(
         "user", TurnState.CLARIFICATION_A, answer_text, (intended,), built.plan, None
     )
     retrieve_base = pending.template if pending.template.kind == "Retrieve" else None
-    turns, new_context = _answer_turns(store, built, pending.template, retrieve_base, rng, config)
+    turns, new_context = _answer_turns(
+        store, built, pending.template, retrieve_base, rng, config, context
+    )
     return [clarify_q, clarify_a, *turns], new_context
 
 
@@ -638,7 +629,6 @@ def _build_ambiguous(store, templates, context, rng, config):
             candidates=tuple(dict.fromkeys(holders)),
             intended=intended,
             template=t,
-            bindings=dict(built.bindings),
         )
         return _Question(TurnState.COREFERENCE_Q, built, t, ambiguous=pending, retrieve_base=t)
 
@@ -655,21 +645,19 @@ def _with_mention(store, t, built, mention):
 
 def _build_ellipsis(store, templates, context, rng, config):
     t = context.last_template
-    if t is None or t.anchor_slot() is None:
-        return None
     anchor_slot = t.anchor_slot()
-    old = context.last_bindings.get(anchor_slot)
+    if anchor_slot is None:
+        return None
     ty = tpl.anchor_type(store, t)
     if ty is None:
         return None
-    old_id = old if isinstance(old, int) else (store.entity_id(old) if old else None)
     pattern = rng.choice(_ELLIPSIS_BANK)
     base = context.last_retrieve_template
 
     def attempt(_, anchor):
-        if anchor == old_id:
+        if anchor == context.last_anchor:
             return None
-        built = _try_instantiate(store, t, {**context.last_bindings, anchor_slot: anchor}, config)
+        built = _try_instantiate(store, t, {anchor_slot: anchor}, config)
         if built is None:
             return None
         built = replace(built, question=pattern.format(entity=store.entity_label(anchor)))
@@ -680,22 +668,16 @@ def _build_ellipsis(store, templates, context, rng, config):
 
 def _build_logical(store, templates, context, rng, config):
     base = context.last_retrieve_template
-    anchor_slot = base.anchor_slot()
-    if anchor_slot is None:
-        return None
-    anchor = context.last_bindings.get(anchor_slot)
-    if anchor is None:
-        return None
-    anchor_id = anchor if isinstance(anchor, int) else store.entity_id(anchor)
+    anchor = context.last_anchor
     ty = tpl.anchor_type(store, base)
-    if ty is None:
+    if anchor is None or ty is None:
         return None
 
     def attempt(op, extra):
-        if extra == anchor_id:
+        if extra == anchor:
             return None
         derived = tpl.transform_logical(base, op, extra)
-        return _ask(store, TurnState.LOGICAL_Q, derived, {anchor_slot: anchor_id}, config, base)
+        return _ask(store, TurnState.LOGICAL_Q, derived, {base.anchor_slot(): anchor}, config, base)
 
     members = store.sorted_members(ty)
     try:
@@ -710,17 +692,13 @@ def _build_count(store, templates, context, rng, config):
         derived = tpl.transform_to_count(base)
     except tpl.TemplateError:
         return None
-    anchor_slot = base.anchor_slot()
 
     def attempt(_, anchor):
-        bindings = {} if anchor is None else {anchor_slot: anchor}
-        merged = {**context.last_bindings, **bindings}
-        return _ask(store, TurnState.QUANTITATIVE_COUNT_Q, derived, merged, config, base)
+        bindings = {base.anchor_slot(): anchor}
+        return _ask(store, TurnState.QUANTITATIVE_COUNT_Q, derived, bindings, config, base)
 
-    if anchor_slot is None:
-        return attempt(None, None)
     # the previous anchor first, then the other members of its type
-    old = context.last_bindings.get(anchor_slot)
+    old = context.last_anchor
     if old is not None:
         question = attempt(None, old)
         if question is not None:
@@ -738,7 +716,7 @@ def _build_argopt(store, templates, context, rng, config):
     except tpl.TemplateError:
         return None
     state = TurnState.QUANTITATIVE_ARGOPT_Q
-    return _ask(store, state, derived, context.last_bindings, config, base)
+    return _ask(store, state, derived, {}, config, base)
 
 
 _THRESHOLD_NS = (1, 2, 3, 4)
@@ -753,7 +731,7 @@ def _build_threshold(store, templates, context, rng, config):
         derived = tpl.transform_threshold(base, cmp_, n)
         if counting:
             derived = tpl.transform_to_count(derived)
-        return _ask(store, state, derived, context.last_bindings, config, base)
+        return _ask(store, state, derived, {}, config, base)
 
     try:
         return _first(rng, [(cmp_, _THRESHOLD_NS) for cmp_ in qa.COMPARATORS], attempt)
@@ -777,7 +755,7 @@ def _build_comparative(store, templates, context, rng, config):
         derived = tpl.transform_comparative(base, direction, ref)
         if counting:
             derived = tpl.transform_to_count(derived)
-        return _ask(store, state, derived, context.last_bindings, config, base)
+        return _ask(store, state, derived, {}, config, base)
 
     refs = store.sorted_members(group_ty)
     try:

@@ -273,33 +273,31 @@ def link_prediction_eval(
             table.entity(t.subject), table.relation(t.relation), table.entity(t.object)
         except UnknownIdError as exc:
             raise UnknownIdError(f"held-out tuple {tuple(t)}: {exc}") from None
-    known = frozenset(all_tuples) if all_tuples is not None else None
+    # per side: the true tuples' other entities, keyed by (relation, anchor)
+    rivals: dict[str, dict[tuple[int, int], set[int]]] | None = None
+    if all_tuples is not None:
+        rivals = {"object": {}, "subject": {}}
+        for t in all_tuples:
+            rivals["object"].setdefault((t.relation, t.subject), set()).add(t.object)
+            rivals["subject"].setdefault((t.relation, t.object), set()).add(t.subject)
 
     def ranks(side: str) -> tuple[list[int], list[int] | None]:
         raw: list[int] = []
-        filtered: list[int] | None = [] if known is not None else None
+        filtered: list[int] | None = [] if rivals is not None else None
         for t in held:
             if side == "object":
                 target = table.entity(t.subject) + table.relation(t.relation)
-                scores = np.linalg.norm(table.entity_vecs - target, axis=1)
-                true_id = t.object
-                competes_known = (
-                    lambda e: Tuple(t.relation, t.subject, e) in known  # type: ignore[operator]
-                )
+                true_id, anchor = t.object, t.subject
             else:
                 target = table.entity(t.object) - table.relation(t.relation)
-                scores = np.linalg.norm(table.entity_vecs - target, axis=1)
-                true_id = t.subject
-                competes_known = (
-                    lambda e: Tuple(t.relation, e, t.object) in known  # type: ignore[operator]
-                )
+                true_id, anchor = t.subject, t.object
+            scores = np.linalg.norm(table.entity_vecs - target, axis=1)
             true_score = scores[true_id]
-            better = np.flatnonzero(scores < true_score)
-            raw.append(1 + sum(1 for e in better if e != true_id))
+            rank = 1 + int(np.count_nonzero(scores < true_score))
+            raw.append(rank)
             if filtered is not None:
-                filtered.append(
-                    1 + sum(1 for e in better if e != true_id and not competes_known(int(e)))
-                )
+                rival_scores = scores[list(rivals[side].get((t.relation, anchor), ()))]
+                filtered.append(rank - int(np.count_nonzero(rival_scores < true_score)))
         return raw, filtered
 
     def report(raw: list[int], filtered: list[int] | None) -> DirectionReport:

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from . import plan_text, query_algebra as qa
-from .kg_store import KgStore, read_json_lines
+from .kg_store import KgStore, json_field, read_json_lines
 from .plan_text import SLOT_CLOSE, SLOT_OPEN, SNode, Slot
 from .text import pluralize
 
@@ -121,19 +121,24 @@ def load_templates(path: str | Path) -> list[QuestionTemplate]:
 
 
 def template_from_record(record: Mapping) -> QuestionTemplate:
+    def optional(name: str, kind: type, default):
+        return json_field(record, name, kind) if name in record else default
+
     try:
-        schema = plan_text.parse_symbolic(record["plan_schema"])
+        template_id = json_field(record, "id", str)
         template = QuestionTemplate(
-            id=record["id"],
-            direction=record["direction"],
-            paraphrase_group=record.get("paraphrase_group", record["id"]),
-            surface=_surface_variants(record["surface"]),
-            plan_schema=schema,
-            fixed=dict(record.get("fixed", {})),
-            slot_types=dict(record.get("slot_types", {})),
+            id=template_id,
+            direction=json_field(record, "direction", str),
+            paraphrase_group=optional("paraphrase_group", str, template_id),
+            surface=_surface_variants(json_field(record, "surface", str, dict, list)),
+            plan_schema=plan_text.parse_symbolic(json_field(record, "plan_schema", str)),
+            fixed=dict(optional("fixed", dict, {})),
+            slot_types=dict(optional("slot_types", dict, {})),
         )
     except KeyError as exc:
         raise TemplateError(f"missing field {exc}") from None
+    except TypeError as exc:
+        raise TemplateError(str(exc)) from None
     validate_template(template)
     return template
 

@@ -527,3 +527,23 @@ def test_template_error_names_the_line_once(tmp_path, capsys):
     code, _, err = run(capsys, *argv, "--out", str(tmp_path / "g"))
     assert_one_error_line(code, err, f"{templates}:1", "unknown direction 'sideways'")
     assert err.count(str(templates)) == 1
+
+
+@pytest.mark.parametrize(
+    "field, value, shown",
+    [
+        ("id", None, "field 'id' must be str, got NoneType"),
+        ("fixed", 5, "field 'fixed' must be dict, got int"),
+        ("slot_types", ["x"], "field 'slot_types' must be dict, got list"),
+    ],
+)
+def test_template_field_of_the_wrong_type_names_the_line_and_field(
+    field, value, shown, tmp_path, capsys
+):
+    lines = (KG_T_DIR / "templates.jsonl").read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    templates = tmp_path / "templates.jsonl"
+    templates.write_text(lines[0] + "\n" + json.dumps({**record, field: value}) + "\n")
+    argv = ["generate", "--kg", str(KG_T_DIR), "--templates", str(templates), "--n", "1"]
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "g"))
+    assert_one_error_line(code, err, f"{templates}:2", shown)

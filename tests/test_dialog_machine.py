@@ -142,6 +142,99 @@ def test_coreference_mentions_resolve_to_previous_pair(store, templates):
     assert seen > 0
 
 
+def _pair_plan_and_answer_entities(pair):
+    """Entities a turn pair's plans mention or its system turns render."""
+    out = set()
+    for t in pair:
+        if t.plan is not None:
+            out |= qa.plan_entities(t.plan)
+        if t.speaker == "system":
+            out.update(t.entities)
+    return out
+
+
+def test_that_mentions_resolve_to_previous_plan_or_answer(store, templates):
+    config = RunConfig(min_questions=6, max_questions=9, ambiguity_rate=0.3)
+    seen = 0
+    for seed in range(60):
+        pairs = _pairs(dm.generate_dialog(store, templates, seed, config))
+        for prev, nxt in zip(pairs, pairs[1:]):
+            if nxt[0].state != dm.TurnState.COREFERENCE_Q:
+                continue
+            # an ambiguous mention is answered on its clarification turn
+            asked = next(t for t in nxt if t.speaker == "user" and t.plan is not None)
+            antecedent = qa.plan_lookups(asked.plan)[0].anchor
+            assert antecedent in _pair_plan_and_answer_entities(prev), (seed, prev, nxt)
+            seen += 1
+    assert seen > 0
+
+
+def _assert_question_entities_come_from_plans(turns):
+    asked = [
+        (t, qa.plan_entities(t.plan) if t.plan is not None else frozenset())
+        for t in question_turns(turns)
+    ]
+    # no phantom entity first, then the id order
+    for t, mentioned in asked:
+        assert set(t.entities) == mentioned, t
+    for t, mentioned in asked:
+        assert t.entities == tuple(sorted(mentioned)), t
+
+
+def test_question_entities_are_the_entities_of_their_plan(store, templates):
+    config = RunConfig(min_questions=6, max_questions=9, ambiguity_rate=0.3)
+    states = set()
+    for seed in range(60):
+        turns = dm.generate_dialog(store, templates, seed, config)
+        _assert_question_entities_come_from_plans(turns)
+        states.update(t.state for t in question_turns(turns))
+    assert set(dm.QUESTION_STATES) <= states
+
+
+def test_question_entities_are_the_entities_of_their_plan_on_random_stores():
+    synth, synth_templates = _synthetic_dialog_setup(150)
+    config = RunConfig(min_questions=6, max_questions=9)
+    states = set()
+    for seed in range(40):
+        turns = dm.generate_dialog(synth, synth_templates, seed, config)
+        _assert_question_entities_come_from_plans(turns)
+        states.update(t.state for t in question_turns(turns))
+    assert dm.TurnState.QUANTITATIVE_THRESHOLD_Q in states
+
+
+def _context_after(store, templates, kind):
+    """The context left by the first question of ``kind`` that follows an
+    opening question."""
+    config = RunConfig(transition_weights={k: float(k == kind) for k in dm.TRANSFORM_KINDS})
+    for seed in range(50):
+        rng = random.Random(seed)
+        _, context = dm.start_dialog(store, templates, rng, config)
+        step = dm.next_turn(store, templates, context, rng, config)
+        if step is not None:
+            return step[1]
+    pytest.fail(f"no {kind} question over 50 seeds")
+
+
+_DRAWN = {
+    "threshold": (dm._build_threshold, lambda plan: plan.n),
+    "comparative": (dm._build_comparative, lambda plan: plan.reference),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DRAWN))
+def test_grouped_questions_draw_fresh_numbers_and_references(store, templates, kind):
+    # a threshold (comparative) turn must not pin n (the reference) of the
+    # next one through the context it leaves
+    build, drawn = _DRAWN[kind]
+    context = _context_after(store, templates, kind)
+    values = set()
+    for seed in range(50):
+        question = build(store, templates, context, random.Random(seed), CFG)
+        if question is not None:
+            values.add(drawn(question.instantiation.plan))
+    assert len(values) > 1, values
+
+
 # -- resolve_coreference ----------------------------------------------------------------
 
 
@@ -184,7 +277,6 @@ def _pending_context(store, templates, ids, intended):
         candidates=candidates,
         intended=intended,
         template=river,
-        bindings={**river.fixed, "entity:1": intended},
     )
     return dm.DialogContext(
         salience=candidates,

@@ -16,8 +16,8 @@ from kgdialog.dialog_machine import QUESTION_STATES, TurnState
 GOLDEN_SEED = 7
 GOLDEN_N = 60
 GOLDEN_SHA256 = {
-    "dialogs.jsonl": "6da9f47f29fb1079bfdce53181d5ca3a215d6b0299f50328018cd799d2d9a582",
-    "stats.json": "f5783ee6141ff813db7ddcc822fc44196331cf2d5ff6858843e9edb0f78cda37",
+    "dialogs.jsonl": "b18185fe7f0930521a8b7cba1cd1287e525faefc851bbe52947bb01e2176f42d",
+    "stats.json": "5027862aa740e95da0de22096978e4ce7aed4207bd4025670a2f204c89b66fa9",
 }
 
 

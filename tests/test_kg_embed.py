@@ -185,6 +185,27 @@ def test_filtered_ranks_not_worse_than_raw(store):
     assert report.subject_side.filtered_mean_rank <= report.subject_side.mean_rank
 
 
+def test_filtered_ranks_by_hand():
+    # 1-d embeddings: relation 0 is the identity, so scores are distances
+    ents = np.array([[0.0], [1.0], [2.0], [4.0], [8.0]])
+    rels = np.array([[0.0], [100.0]])
+    held = [Tuple(0, 0, 3)]
+    known = [Tuple(0, 0, 1), Tuple(0, 0, 3), Tuple(0, 0, 4), Tuple(0, 2, 3), Tuple(0, 3, 3), Tuple(1, 0, 2)]
+    report = kg_embed.link_prediction_eval(EmbeddingTable(ents, rels), held, k=2, all_tuples=known)
+    # object side: distances to entity 0 are 0 1 2 4 8 and the true object 3
+    # is at 4; entities 0, 1 and 2 are closer, and of those only 1 is a
+    # known object of (0, 0, ?) -- entity 2 is one only under relation 1
+    assert report.object_side.mean_rank == 4.0
+    assert report.object_side.filtered_mean_rank == 3.0
+    assert report.object_side.filtered_hits_at_k == 0.0
+    # subject side: distances to entity 3 are 4 3 2 0 4 and the true subject
+    # 0 is at 4; entity 4 ties and does not count, and of 1, 2 and 3 the
+    # known subjects of (0, ?, 3) are 2 and 3
+    assert report.subject_side.mean_rank == 4.0
+    assert report.subject_side.filtered_mean_rank == 2.0
+    assert report.subject_side.filtered_hits_at_k == 1.0
+
+
 def test_empty_held_out_rejected():
     table = EmbeddingTable(np.zeros((2, 2)), np.zeros((1, 2)))
     with pytest.raises(kg_embed.EmbedError):
