@@ -26,7 +26,7 @@ from . import (
     query_algebra as qa,
     templates as tpl,
 )
-from .config import RunConfig, load_config
+from .config import EMBED_SETTINGS, RunConfig, load_config
 
 # every module's error class subclasses ValueError
 _ERRORS = (ValueError, OSError)
@@ -129,8 +129,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    overrides = {"seed": getattr(args, "seed", None)}
+def _config(args: argparse.Namespace, **overrides) -> RunConfig:
+    """The run config with the flags that were given (not None) on top."""
+    overrides["seed"] = getattr(args, "seed", None)
     return load_config(args.config, overrides=overrides)
 
 
@@ -358,15 +359,11 @@ def _cmd_link(args: argparse.Namespace) -> int:
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:
-    config = _config(args)
+    config = _config(args, embed_dim=args.dim, embed_epochs=args.epochs)
     store = kg_store.load_dir(args.kg)
     train_config = kg_embed.TrainConfig(
-        dim=args.dim or config.embed_dim,
-        margin=config.embed_margin,
-        learning_rate=config.embed_lr,
-        epochs=args.epochs or config.embed_epochs,
-        negatives=config.embed_negatives,
         seed=config.seed,
+        **{setting: getattr(config, name) for name, setting in EMBED_SETTINGS.items()},
     )
     table = kg_embed.train(store, train_config)
     kg_embed.save_embeddings(table, args.out)

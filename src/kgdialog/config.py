@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
+from . import kg_embed
+
 ENV_PREFIX = "KGDIALOG_"
 
 # question kinds a dialog turn can take, in the order the dialog machine
@@ -31,6 +33,16 @@ TRANSFORM_KINDS = (
     "comparative",
     "boolean",
 )
+
+
+# embedding fields and the kg_embed.TrainConfig settings they feed
+EMBED_SETTINGS = {
+    "embed_dim": "dim",
+    "embed_margin": "margin",
+    "embed_lr": "learning_rate",
+    "embed_epochs": "epochs",
+    "embed_negatives": "negatives",
+}
 
 
 class ConfigError(ValueError):
@@ -118,6 +130,10 @@ class RunConfig:
         problem = split_fractions_problem(self.split_fractions)
         if problem:
             raise ConfigError(f"split_fractions: {problem}")
+        for name, setting in EMBED_SETTINGS.items():
+            problem = kg_embed.setting_problem(setting, getattr(self, name))
+            if problem:
+                raise ConfigError(f"{name} {problem}")
 
 
 def split_fractions_problem(fractions) -> str | None:

@@ -2,15 +2,16 @@
 
 Entities and relations get D-dimensional vectors; a tuple's implausibility
 is the L2 norm of subject + relation - object.  Training minimizes a
-margin-ranking objective against corrupted tuples with plain SGD; entity
-vectors are renormalized to unit L2 after every update, relation vectors
-only at initialization.  Everything is driven by a seeded generator, so a
-seed pins the whole table.
+margin-ranking objective against corrupted tuples with minibatch SGD,
+blocks of 128 pairs; entity vectors are renormalized to unit L2 after
+every block, relation vectors only at initialization.  Everything is
+driven by a seeded generator, so a seed pins the whole table.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,6 +22,7 @@ import numpy as np
 from .kg_store import KgStore, Tuple, UnknownIdError
 
 _MAGIC = b"KGE1"
+BLOCK = 128  # (positive, corrupted) pairs per SGD step
 
 
 class EmbedError(ValueError):
@@ -37,10 +39,25 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.dim < 1:
-            raise EmbedError("dim must be >= 1")
-        if self.margin <= 0:
-            raise EmbedError("margin must be > 0")
+        for name in ("dim", "margin", "learning_rate", "epochs", "negatives"):
+            problem = setting_problem(name, getattr(self, name))
+            if problem:
+                raise EmbedError(f"{name} {problem}")
+
+
+def setting_problem(name: str, value) -> str | None:
+    """Why ``value`` cannot be the :class:`TrainConfig` setting ``name``, or
+    None: ``margin`` and ``learning_rate`` are finite numbers > 0, ``dim``
+    and ``negatives`` integers >= 1, ``epochs`` an integer >= 0."""
+    if name in ("margin", "learning_rate"):
+        real = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if real and math.isfinite(value) and value > 0:
+            return None
+        return f"must be a finite number > 0, got {value!r}"
+    least = 0 if name == "epochs" else 1
+    if isinstance(value, int) and not isinstance(value, bool) and value >= least:
+        return None
+    return f"must be an integer >= {least}, got {value!r}"
 
 
 @dataclass
@@ -93,34 +110,39 @@ def margin_loss(
 def margin_loss_grads(
     table: EmbeddingTable, positive: Tuple, negative: Tuple, margin: float
 ) -> tuple[float, dict[tuple[str, int], np.ndarray]]:
-    """Loss and analytic gradients for one (positive, corrupted) pair.
+    """Loss and analytic gradients for one (positive, corrupted) pair: the
+    one-pair view of :func:`_batch_grads`, the kernel :func:`train` applies.
 
     Gradients are keyed by ("entity"|"relation", id) and accumulate when
-    the pair shares vectors.  At zero loss all gradients are zero; the
-    norm's own nondifferentiable point (residual exactly 0) is treated as
-    gradient 0.
+    the pair shares vectors; at zero loss there are none.
     """
-    loss = margin_loss(table, positive, negative, margin)
+    for t in (positive, negative):
+        score(table, t)  # raises UnknownIdError on an id the table lacks
+    E, R = table.entity_vecs, table.relation_vecs
+    loss, g = _batch_grads(E, R, np.array([positive]), np.array([negative]), margin)
     grads: dict[tuple[str, int], np.ndarray] = {}
-    if loss <= 0.0:
-        return loss, grads
+    if loss[0] <= 0.0:
+        return 0.0, grads
+    for t, unit in zip((positive, negative), g[:, 0]):
+        for key, value in ((("entity", t.subject), unit), (("relation", t.relation), unit),
+                           (("entity", t.object), -unit)):
+            grads[key] = grads[key] + value if key in grads else value.copy()
+    return float(loss[0]), grads
 
-    def accumulate(key: tuple[str, int], value: np.ndarray) -> None:
-        if key in grads:
-            grads[key] = grads[key] + value
-        else:
-            grads[key] = value.copy()
 
-    for t, sign in ((positive, 1.0), (negative, -1.0)):
-        residual = table.entity(t.subject) + table.relation(t.relation) - table.entity(t.object)
-        norm = np.linalg.norm(residual)
-        if norm == 0.0:
-            continue
-        unit = residual / norm
-        accumulate(("entity", t.subject), sign * unit)
-        accumulate(("relation", t.relation), sign * unit)
-        accumulate(("entity", t.object), -sign * unit)
-    return loss, grads
+def _batch_grads(E: np.ndarray, R: np.ndarray, pos: np.ndarray, neg: np.ndarray, margin: float):
+    """Hinge losses (B,) and gradients (2, B, D) of B pairs of (relation,
+    subject, object) rows: ``g[0, b]`` is the gradient of pair b's loss with
+    respect to its positive's subject and relation, ``g[1, b]`` its
+    negative's, and each object's is the negation.  The norm's
+    nondifferentiable point (a residual exactly 0) gets gradient 0."""
+    pairs = np.stack([pos, neg])
+    residual = E[pairs[..., 1]] + R[pairs[..., 0]] - E[pairs[..., 2]]
+    norms = np.linalg.norm(residual, axis=2, keepdims=True)
+    loss = np.maximum(0.0, margin + norms[0, :, 0] - norms[1, :, 0])
+    g = np.divide(residual, norms, out=np.zeros_like(residual), where=norms > 0)
+    g *= (loss > 0)[:, None] * np.array([1.0, -1.0])[:, None, None]
+    return loss, g
 
 
 def gradient_check(rng: np.random.Generator, tolerance: float = 1e-4) -> str | None:
@@ -156,64 +178,63 @@ def gradient_check(rng: np.random.Generator, tolerance: float = 1e-4) -> str | N
 
 
 def train(store: KgStore, config: TrainConfig | None = None) -> EmbeddingTable:
-    """SGD over margin-ranking loss with uniform subject/object corruption.
-
-    Deterministic per seed; the per-epoch mean loss history is attached to
-    the returned table.
-    """
+    """Minibatch SGD over margin-ranking loss with uniform subject/object
+    corruption, in blocks of :data:`BLOCK` shuffled pairs.  Deterministic
+    per seed; the per-epoch mean loss history is attached to the table."""
     config = config or TrainConfig()
     config.validate()
     if not store.tuples:
         raise EmbedError("cannot train on an empty store")
     table = init_table(store.n_entities, store.n_relations, config)
+    E, R, lr = table.entity_vecs, table.relation_vecs, config.learning_rate
     rng = np.random.default_rng(config.seed + 1)
-    positives = sorted(store.tuples)
-    known = store.tuples
-    n_entities = store.n_entities
+    positives = np.array(sorted(store.tuples), dtype=np.int64)
+    known = _keys(positives, store.n_entities)  # sorted, as the tuples are
     losses: list[float] = []
     for _ in range(config.epochs):
-        order = rng.permutation(len(positives))
+        pos = np.repeat(positives[rng.permutation(len(positives))], config.negatives, axis=0)
+        neg = _corrupt(pos, store.n_entities, known, rng)
         epoch_loss = 0.0
-        steps = 0
-        for idx in order:
-            pos = positives[idx]
-            for _ in range(config.negatives):
-                neg = _corrupt(pos, n_entities, known, rng)
-                loss, grads = margin_loss_grads(table, pos, neg, config.margin)
-                epoch_loss += loss
-                steps += 1
-                if not grads:
-                    continue
-                touched_entities = set()
-                for (kind, i), g in grads.items():
-                    if kind == "entity":
-                        table.entity_vecs[i] -= config.learning_rate * g
-                        touched_entities.add(i)
-                    else:
-                        table.relation_vecs[i] -= config.learning_rate * g
-                for i in touched_entities:
-                    norm = np.linalg.norm(table.entity_vecs[i])
-                    if norm > 0:
-                        table.entity_vecs[i] /= norm
-        losses.append(epoch_loss / steps if steps else 0.0)
+        for i in range(0, len(pos), BLOCK):
+            epoch_loss += _step(E, R, pos[i : i + BLOCK], neg[i : i + BLOCK], config.margin, lr)
+        losses.append(epoch_loss / len(pos))
     table.epoch_losses = tuple(losses)
     return table
 
 
-def _corrupt(
-    pos: Tuple, n_entities: int, known: frozenset[Tuple], rng: np.random.Generator
-) -> Tuple:
-    """Replace subject or object uniformly; re-draws corrupted tuples that
-    are themselves true facts, so the objective never pushes facts apart."""
+def _step(E: np.ndarray, R: np.ndarray, pos: np.ndarray, neg: np.ndarray, margin: float, lr: float):
+    """One SGD step in place: the summed :func:`_batch_grads` of a block,
+    then the entities it touched back to unit L2.  Returns the summed loss."""
+    loss, g = _batch_grads(E, R, pos, neg, margin)
+    pairs = np.stack([pos, neg])
+    np.add.at(E, pairs[..., 1], -lr * g)
+    np.add.at(R, pairs[..., 0], -lr * g)
+    np.add.at(E, pairs[..., 2], lr * g)
+    touched = np.unique(pairs[..., 1:])
+    rows = E[touched]
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    E[touched] = np.divide(rows, norms, out=rows, where=norms > 0)
+    return float(loss.sum())
+
+
+def _keys(tuples: np.ndarray, n_entities: int) -> np.ndarray:
+    """One int64 per (relation, subject, object) row, increasing in that order."""
+    return (tuples[:, 0] * n_entities + tuples[:, 1]) * n_entities + tuples[:, 2]
+
+
+def _corrupt(pos: np.ndarray, n_entities: int, known: np.ndarray, rng: np.random.Generator):
+    """Replace each row's subject or object uniformly; re-draws rows whose
+    key is among the sorted ``known`` keys, up to 64 rounds, so the objective
+    never pushes facts apart when a non-fact can be found."""
+    neg, redraw = pos.copy(), np.arange(len(pos))
     for _ in range(64):
-        corrupt_subject = bool(rng.integers(0, 2))
-        replacement = int(rng.integers(0, n_entities))
-        if corrupt_subject:
-            neg = Tuple(pos.relation, replacement, pos.object)
-        else:
-            neg = Tuple(pos.relation, pos.subject, replacement)
-        if neg != pos and neg not in known:
-            return neg
+        side = 1 + rng.integers(0, 2, size=len(redraw))
+        neg[redraw] = pos[redraw]
+        neg[redraw, side] = rng.integers(0, n_entities, size=len(redraw))
+        keys = _keys(neg[redraw], n_entities)
+        redraw = redraw[known[np.minimum(np.searchsorted(known, keys), len(known) - 1)] == keys]
+        if not len(redraw):
+            break
     return neg
 
 

@@ -132,8 +132,8 @@ def template_from_record(record: Mapping) -> QuestionTemplate:
             paraphrase_group=optional("paraphrase_group", str, template_id),
             surface=_surface_variants(json_field(record, "surface", str, dict, list)),
             plan_schema=plan_text.parse_symbolic(json_field(record, "plan_schema", str)),
-            fixed=dict(optional("fixed", dict, {})),
-            slot_types=dict(optional("slot_types", dict, {})),
+            fixed=_strings("fixed", optional("fixed", dict, {})),
+            slot_types=_strings("slot_types", optional("slot_types", dict, {})),
         )
     except KeyError as exc:
         raise TemplateError(f"missing field {exc}") from None
@@ -149,14 +149,20 @@ def _surface_variants(surface) -> dict[str, str]:
     if isinstance(surface, str):
         return {"singular": surface}
     if isinstance(surface, Mapping):
-        return dict(surface)
-    variants = list(surface)
-    if not variants:
+        return _strings("surface", surface)
+    if not surface:
         raise TemplateError("surface list may not be empty")
-    out = {"singular": variants[0]}
-    if len(variants) > 1:
-        out["plural"] = variants[1]
-    return out
+    _strings("surface", dict(enumerate(surface)))
+    return dict(zip(("singular", "plural"), surface))
+
+
+def _strings(name: str, mapping: Mapping) -> dict:
+    """``mapping`` as a dict, once each value is checked to be a string;
+    otherwise a ``TypeError`` naming the record field ``name``."""
+    for value in mapping.values():
+        if not isinstance(value, str):
+            raise TypeError(f"field {name!r} must hold only strings, got {type(value).__name__}")
+    return dict(mapping)
 
 
 def validate_template(t: QuestionTemplate) -> None:

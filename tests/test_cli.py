@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from conftest import KERNEL_VECTORS, KG_T_DIR
@@ -195,6 +196,25 @@ def test_embed_writes_model(tmp_path, capsys):
     assert out.exists()
     assert (tmp_path / "emb.bin.manifest.json").exists()
     assert "mean rank" in out_text
+
+
+def test_embed_with_zero_epochs_saves_the_seeded_initialisation(store, tmp_path, capsys):
+    out = tmp_path / "emb.bin"
+    argv = ["embed", "--kg", str(KG_T_DIR), "--dim", "8", "--epochs", "0", "--seed", "3"]
+    code, _, _ = run(capsys, *argv, "--out", str(out))
+    assert code == 0
+    saved = kg_embed.load_embeddings(out)
+    init = kg_embed.init_table(store.n_entities, store.n_relations, kg_embed.TrainConfig(dim=8, seed=3))
+    assert np.array_equal(saved.entity_vecs, init.entity_vecs.astype(np.float32))
+    assert np.array_equal(saved.relation_vecs, init.relation_vecs.astype(np.float32))
+
+
+def test_embed_with_zero_dim_is_an_error(tmp_path, capsys):
+    out = tmp_path / "emb.bin"
+    code, _, err = run(capsys, "embed", "--kg", str(KG_T_DIR), "--dim", "0", "--out", str(out))
+    assert code == 1
+    assert err.splitlines() == ["error: embed_dim must be an integer >= 1, got 0"]
+    assert not out.exists()
 
 
 def test_kernel_check_passes(capsys):
@@ -535,6 +555,9 @@ def test_template_error_names_the_line_once(tmp_path, capsys):
         ("id", None, "field 'id' must be str, got NoneType"),
         ("fixed", 5, "field 'fixed' must be dict, got int"),
         ("slot_types", ["x"], "field 'slot_types' must be dict, got list"),
+        ("surface", [5], "field 'surface' must hold only strings, got int"),
+        ("fixed", {"relation": [1]}, "field 'fixed' must hold only strings, got list"),
+        ("slot_types", {"entity:1": 3}, "field 'slot_types' must hold only strings, got int"),
     ],
 )
 def test_template_field_of_the_wrong_type_names_the_line_and_field(

@@ -114,3 +114,22 @@ def test_bad_split_fractions_are_rejected_with_the_split_rule(fractions):
     assert problem in str(raised.value)
     with pytest.raises(PipelineError, match=re.escape(split_fractions_problem(tuple(fractions)))):
         SplitSpec(tuple(fractions)).validate()
+
+
+@pytest.mark.parametrize(
+    "field, value, shown",
+    [
+        ("embed_dim", 0, "embed_dim must be an integer >= 1, got 0"),
+        ("embed_margin", float("nan"), "embed_margin must be a finite number > 0, got nan"),
+        ("embed_lr", 0, "embed_lr must be a finite number > 0, got 0"),
+        ("embed_epochs", -2, "embed_epochs must be an integer >= 0, got -2"),
+        ("embed_negatives", 0, "embed_negatives must be an integer >= 1, got 0"),
+    ],
+)
+def test_embedding_setting_that_trains_nothing_or_backwards_names_the_field(field, value, shown):
+    with pytest.raises(ConfigError, match=re.escape(shown)):
+        load_config(env={}, overrides={field: value})
+
+
+def test_zero_embedding_epochs_are_accepted():
+    assert load_config(env={}, overrides={"embed_epochs": 0}).embed_epochs == 0

@@ -223,6 +223,65 @@ def test_held_out_ids_are_checked_before_ranking(bad):
         kg_embed.link_prediction_eval(table, [good, bad], all_tuples=[good])
 
 
+@pytest.mark.parametrize(
+    "setting, value",
+    [
+        ("dim", 0),
+        ("epochs", -2),
+        ("negatives", 0),
+        ("learning_rate", 0.0),
+        ("learning_rate", float("inf")),
+        ("margin", float("nan")),
+        ("margin", -1.0),
+    ],
+)
+def test_settings_that_train_nothing_or_backwards_are_rejected(store, setting, value):
+    with pytest.raises(kg_embed.EmbedError, match=f"^{setting} must be"):
+        kg_embed.train(store, TrainConfig(**{"dim": 4, "epochs": 1, setting: value}))
+
+
+def test_batch_step_equals_the_sum_of_per_pair_gradients():
+    """One block: entities and relations shared across pairs, and one pair
+    whose negative is so far off that its hinge is inactive."""
+    rng = np.random.default_rng(21)
+    ents, rels = rng.standard_normal((6, 4)), rng.standard_normal((2, 4))
+    ents[5] = 100.0
+    pos = np.array([[0, 0, 1], [1, 0, 2], [0, 2, 1], [1, 3, 3], [0, 0, 1]])
+    neg = np.array([[0, 0, 4], [1, 3, 2], [0, 2, 0], [1, 3, 4], [0, 0, 5]])
+    margin, lr = 10.0, 0.05
+
+    table = EmbeddingTable(ents.copy(), rels.copy())
+    expected_e, expected_r = ents.copy(), rels.copy()
+    expected_loss = 0.0
+    for p, n in zip(pos, neg):
+        loss, grads = kg_embed.margin_loss_grads(table, Tuple(*p), Tuple(*n), margin)
+        inactive = n[2] == 5
+        assert (loss == 0.0) == inactive and (grads == {}) == inactive
+        expected_loss += loss
+        for (kind, i), grad in grads.items():
+            (expected_e if kind == "entity" else expected_r)[i] -= lr * grad
+    touched = sorted({int(i) for i in np.concatenate([pos[:, 1:], neg[:, 1:]]).ravel()})
+    expected_e[touched] /= np.linalg.norm(expected_e[touched], axis=1, keepdims=True)
+
+    E, R = ents.copy(), rels.copy()
+    assert kg_embed._step(E, R, pos, neg, margin, lr) == pytest.approx(expected_loss, abs=1e-12)
+    assert np.allclose(E, expected_e, rtol=0, atol=1e-12)
+    assert np.allclose(R, expected_r, rtol=0, atol=1e-12)
+
+
+def test_vectorised_corruption_changes_one_slot_and_avoids_facts(store):
+    positives = np.array(sorted(store.tuples), dtype=np.int64)
+    known = kg_embed._keys(positives, store.n_entities)
+    pos = np.repeat(positives, 20, axis=0)
+    negs = [kg_embed._corrupt(pos, store.n_entities, known, np.random.default_rng(5)) for _ in range(2)]
+    assert np.array_equal(negs[0], negs[1])
+    neg = negs[0]
+    assert np.array_equal(neg[:, 0], pos[:, 0])
+    assert np.all(np.count_nonzero(neg != pos, axis=1) == 1)
+    assert not {Tuple(*map(int, row)) for row in neg} & store.tuples
+    assert len(np.unique(neg, axis=0)) > len(positives)
+
+
 def test_train_requires_tuples():
     empty = KgStore([], ["A"], ["r"], ["t"], {0: frozenset({0})})
     with pytest.raises(kg_embed.EmbedError):
