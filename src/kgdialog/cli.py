@@ -368,17 +368,16 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     table = kg_embed.train(store, train_config)
     kg_embed.save_embeddings(table, args.out)
     report = kg_embed.link_prediction_eval(table, store.tuples, all_tuples=store.tuples)
-    n = store.n_entities
+    random_rank = kg_embed.random_baseline_mean_rank(store.n_entities)
     print(f"saved embeddings to {args.out} (dim {table.dim})")
-    print(
-        f"object side: mean rank {report.object_side.mean_rank:.2f} "
-        f"(random {kg_embed.random_baseline_mean_rank(n):.2f}), "
-        f"hits@{report.k} {report.object_side.hits_at_k:.3f}"
-    )
-    print(
-        f"subject side: mean rank {report.subject_side.mean_rank:.2f}, "
-        f"hits@{report.k} {report.subject_side.hits_at_k:.3f}"
-    )
+    print("ranks on the training tuples (they show fit, not prediction):")
+    for name, side in (("object", report.object_side), ("subject", report.subject_side)):
+        print(
+            f"{name} side: mean rank {side.mean_rank:.2f} (random {random_rank:.2f}), "
+            f"hits@{report.k} {side.hits_at_k:.3f}, "
+            f"filtered mean rank {side.filtered_mean_rank:.2f}, "
+            f"filtered hits@{report.k} {side.filtered_hits_at_k:.3f}"
+        )
     return 0
 
 

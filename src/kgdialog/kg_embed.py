@@ -5,7 +5,10 @@ is the L2 norm of subject + relation - object.  Training minimizes a
 margin-ranking objective against corrupted tuples with minibatch SGD,
 blocks of 128 pairs; entity vectors are renormalized to unit L2 after
 every block, relation vectors only at initialization.  Everything is
-driven by a seeded generator, so a seed pins the whole table.
+driven by a seeded generator, so a seed pins the whole table.  Link
+prediction ranks all entities for blocks of held-out tuples at once: a
+matrix-product screen, then exact norms for the near ties it cannot
+order, so ranks equal those of comparing every exact score.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .kg_store import KgStore, Tuple, UnknownIdError
 
 _MAGIC = b"KGE1"
 BLOCK = 128  # (positive, corrupted) pairs per SGD step
+SCREEN_ENTRIES = 32768  # scores per link-prediction block: 256 KB of float64
 
 
 class EmbedError(ValueError):
@@ -282,10 +286,17 @@ def link_prediction_eval(
 
     Raw ranks count every competing entity with strictly smaller score;
     filtered ranks (reported when ``all_tuples`` is given) additionally
-    ignore competitors that form other true tuples.  A held-out tuple with
-    an id the table does not embed raises :class:`UnknownIdError` naming
-    the tuple, before any ranking.
+    ignore competitors that form other true tuples.  ``k`` must be an
+    integer >= 1.  A held-out tuple with an id the table does not embed
+    raises :class:`UnknownIdError` naming the tuple, before any ranking.
+
+    Every comparison gives the same answer as comparing the exact
+    per-entity norms ``np.linalg.norm(E - target, axis=1)``, ties included
+    (see :func:`_ranks`), so the ranks do not depend on how the
+    held-out tuples are blocked.
     """
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise EmbedError(f"k must be an integer >= 1, got {k!r}")
     held = sorted(held_out)
     if not held:
         raise EmbedError("link prediction needs at least one held-out tuple")
@@ -294,46 +305,82 @@ def link_prediction_eval(
             table.entity(t.subject), table.relation(t.relation), table.entity(t.object)
         except UnknownIdError as exc:
             raise UnknownIdError(f"held-out tuple {tuple(t)}: {exc}") from None
-    # per side: the true tuples' other entities, keyed by (relation, anchor)
-    rivals: dict[str, dict[tuple[int, int], set[int]]] | None = None
+    # per held-out tuple: the objects, and the subjects, of the true tuples
+    # that share its (relation, subject), and its (relation, object)
+    obj_rivals = subj_rivals = None
     if all_tuples is not None:
-        rivals = {"object": {}, "subject": {}}
+        by_subject = {(t.relation, t.subject): set() for t in held}
+        by_object = {(t.relation, t.object): set() for t in held}
         for t in all_tuples:
-            rivals["object"].setdefault((t.relation, t.subject), set()).add(t.object)
-            rivals["subject"].setdefault((t.relation, t.object), set()).add(t.subject)
+            if (t.relation, t.subject) in by_subject:
+                by_subject[t.relation, t.subject].add(t.object)
+            if (t.relation, t.object) in by_object:
+                by_object[t.relation, t.object].add(t.subject)
+        obj_rivals = [by_subject[t.relation, t.subject] for t in held]
+        subj_rivals = [by_object[t.relation, t.object] for t in held]
+    E, R = table.entity_vecs, table.relation_vecs
+    rel, subj, obj = np.array(held, dtype=np.int64).T
 
-    def ranks(side: str) -> tuple[list[int], list[int] | None]:
-        raw: list[int] = []
-        filtered: list[int] | None = [] if rivals is not None else None
-        for t in held:
-            if side == "object":
-                target = table.entity(t.subject) + table.relation(t.relation)
-                true_id, anchor = t.object, t.subject
-            else:
-                target = table.entity(t.object) - table.relation(t.relation)
-                true_id, anchor = t.subject, t.object
-            scores = np.linalg.norm(table.entity_vecs - target, axis=1)
-            true_score = scores[true_id]
-            rank = 1 + int(np.count_nonzero(scores < true_score))
-            raw.append(rank)
-            if filtered is not None:
-                rival_scores = scores[list(rivals[side].get((t.relation, anchor), ()))]
-                filtered.append(rank - int(np.count_nonzero(rival_scores < true_score)))
-        return raw, filtered
+    def report(target: np.ndarray, true_id: np.ndarray, rivals: list[set[int]] | None) -> DirectionReport:
+        pairs = [(i, e) for i, others in enumerate(rivals or []) for e in others]
+        raw, filtered = _ranks(E, target, true_id, *np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
+        if rivals is None:
+            return DirectionReport(*_summary(raw, k))
+        return DirectionReport(*_summary(raw, k), *_summary(filtered, k))
 
-    def report(raw: list[int], filtered: list[int] | None) -> DirectionReport:
-        return DirectionReport(
-            mean_rank=sum(raw) / len(raw),
-            hits_at_k=sum(1 for r in raw if r <= k) / len(raw),
-            filtered_mean_rank=sum(filtered) / len(filtered) if filtered else None,
-            filtered_hits_at_k=(
-                sum(1 for r in filtered if r <= k) / len(filtered) if filtered else None
-            ),
-        )
+    return LinkPredictionReport(
+        k, report(E[subj] + R[rel], obj, obj_rivals), report(E[obj] - R[rel], subj, subj_rivals)
+    )
 
-    obj_raw, obj_f = ranks("object")
-    subj_raw, subj_f = ranks("subject")
-    return LinkPredictionReport(k, report(obj_raw, obj_f), report(subj_raw, subj_f))
+
+def _summary(ranks: np.ndarray, k: int) -> tuple[float, float]:
+    """Mean rank and hits@k as Python floats."""
+    return int(ranks.sum()) / len(ranks), int(np.count_nonzero(ranks <= k)) / len(ranks)
+
+
+def _ranks(
+    E: np.ndarray, target: np.ndarray, true_id: np.ndarray, rival_rows: np.ndarray, rival_ents: np.ndarray
+):
+    """Raw and filtered ranks (int64 arrays) of ``true_id[i]`` among the
+    entities ``E`` by score ``np.linalg.norm(E[e] - target[i])``.  A rank
+    is 1 + the number of entities scoring strictly below the true one; the
+    filtered rank also leaves out the rivals ``rival_ents[j]`` of row
+    ``rival_rows[j]`` (sorted by row).
+
+    Screen: squared scores of every entity come from one matrix product
+    per block of rows, ``|e|^2 - 2 t.e + |t|^2``.  An entity below the
+    true score's square by more than ``tol = 1e-9 (max |e|^2 + |t|^2 + 1)``
+    is better, one above it by more is not; ``tol`` is orders of magnitude
+    above the rounding error of a D-term product.  Refine: the few
+    entities within ``tol`` (exact ties among them) get their exact norm
+    and a strict ``<``; the true entity is skipped.  So every decision
+    equals comparing exact norms.  A block holds at most
+    :data:`SCREEN_ENTRIES` scores, so memory is bounded at every graph size.
+    """
+    true_score = np.linalg.norm(E[true_id] - target, axis=1)
+    e2 = np.einsum("ij,ij->i", E, E)
+    t2 = np.einsum("ij,ij->i", target, target)
+    tol = 1e-9 * (e2.max() + t2 + 1.0)
+    raw = np.ones(len(target), dtype=np.int64)
+    filtered = np.empty_like(raw)
+    step = max(1, SCREEN_ENTRIES // len(E))
+    for lo in range(0, len(target), step):
+        block = slice(lo, lo + step)
+        T = target[block]
+        gap = T @ E.T
+        gap *= -2.0
+        gap += e2
+        gap += (t2[block] - true_score[block] ** 2)[:, None]
+        better = gap < -tol[block, None]
+        near = np.abs(gap, out=gap) <= tol[block, None]
+        near[np.arange(len(T)), true_id[block]] = False
+        rows, ents = np.nonzero(near)
+        better[rows, ents] = np.linalg.norm(E[ents] - T[rows], axis=1) < true_score[block][rows]
+        raw[block] += np.count_nonzero(better, axis=1)
+        first, last = np.searchsorted(rival_rows, [lo, lo + step])
+        rows, ents = rival_rows[first:last] - lo, rival_ents[first:last]
+        filtered[block] = raw[block] - np.bincount(rows[better[rows, ents]], minlength=len(T))
+    return raw, filtered
 
 
 # -- file format -----------------------------------------------------------------------

@@ -209,6 +209,24 @@ def test_embed_with_zero_epochs_saves_the_seeded_initialisation(store, tmp_path,
     assert np.array_equal(saved.relation_vecs, init.relation_vecs.astype(np.float32))
 
 
+def test_embed_prints_filtered_ranks_on_both_sides(store, tmp_path, capsys):
+    out = tmp_path / "emb.bin"
+    argv = ["embed", "--kg", str(KG_T_DIR), "--dim", "8", "--epochs", "0", "--seed", "3"]
+    code, out_text, _ = run(capsys, *argv, "--out", str(out))
+    assert code == 0
+    assert out_text.splitlines()[1:] == [
+        "ranks on the training tuples (they show fit, not prediction):",
+        "object side: mean rank 4.88 (random 5.50), hits@10 1.000, "
+        "filtered mean rank 4.38, filtered hits@10 1.000",
+        "subject side: mean rank 5.12 (random 5.50), hits@10 1.000, "
+        "filtered mean rank 5.00, filtered hits@10 1.000",
+    ]
+    init = kg_embed.init_table(store.n_entities, store.n_relations, kg_embed.TrainConfig(dim=8, seed=3))
+    report = kg_embed.link_prediction_eval(init, store.tuples, all_tuples=store.tuples)
+    assert report.object_side.filtered_mean_rank == 4.375
+    assert report.subject_side.filtered_mean_rank == 5.0
+
+
 def test_embed_with_zero_dim_is_an_error(tmp_path, capsys):
     out = tmp_path / "emb.bin"
     code, _, err = run(capsys, "embed", "--kg", str(KG_T_DIR), "--dim", "0", "--out", str(out))

@@ -1,5 +1,7 @@
 """Embedding training, scoring, gradients and link-prediction metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,156 @@ def test_filtered_ranks_by_hand():
     assert report.subject_side.mean_rank == 4.0
     assert report.subject_side.filtered_mean_rank == 2.0
     assert report.subject_side.filtered_hits_at_k == 1.0
+
+
+def rivals_of(known, t, side):
+    """The objects (resp. subjects) of the tuples in ``known`` that share
+    ``t``'s relation and subject (resp. object)."""
+    if side == "object":
+        return [u.object for u in known if (u.relation, u.subject) == (t.relation, t.subject)]
+    return [u.subject for u in known if (u.relation, u.object) == (t.relation, t.object)]
+
+
+def reference_ranks(table, held, all_tuples=None):
+    """The per-row loop the blocked ranking replaced, kept as the oracle:
+    per side, the raw and filtered rank of each sorted held-out tuple from
+    one exact norm per entity."""
+    ents, rels = table.entity_vecs, table.relation_vecs
+    known = set(all_tuples) if all_tuples is not None else set()
+    out = {}
+    for side in ("object", "subject"):
+        raw, filtered = [], []
+        for t in sorted(held):
+            if side == "object":
+                scores = np.linalg.norm(ents - (ents[t.subject] + rels[t.relation]), axis=1)
+                true_id = t.object
+            else:
+                scores = np.linalg.norm(ents - (ents[t.object] - rels[t.relation]), axis=1)
+                true_id = t.subject
+            rank = 1 + int(np.count_nonzero(scores < scores[true_id]))
+            raw.append(rank)
+            rival_scores = scores[rivals_of(known, t, side)]
+            filtered.append(rank - int(np.count_nonzero(rival_scores < scores[true_id])))
+        out[side] = (raw, filtered if all_tuples is not None else None)
+    return out
+
+
+def reference_report(table, held, k=10, all_tuples=None) -> dict:
+    """:meth:`LinkPredictionReport.as_dict` built from :func:`reference_ranks`."""
+    def summary(raw, filtered):
+        def hits(ranks):
+            return sum(1 for r in ranks if r <= k) / len(ranks)
+
+        return {
+            "mean_rank": sum(raw) / len(raw),
+            "hits_at_k": hits(raw),
+            "filtered_mean_rank": sum(filtered) / len(filtered) if filtered else None,
+            "filtered_hits_at_k": hits(filtered) if filtered else None,
+        }
+
+    ranks = reference_ranks(table, held, all_tuples)
+    return {"k": k, **{side: summary(*ranks[side]) for side in ("object", "subject")}}
+
+
+def assert_ranks_match_reference(table, held, all_tuples):
+    """Per-row raw and filtered ranks, and the whole report with and
+    without the filter, equal the per-row loop's."""
+    held = sorted(held)
+    ents, rels = table.entity_vecs, table.relation_vecs
+    rel, subj, obj = np.array(held).T
+    ranks = reference_ranks(table, held, all_tuples)
+    known = set(all_tuples)
+    sides = (("object", ents[subj] + rels[rel], obj), ("subject", ents[obj] - rels[rel], subj))
+    for side, target, true_id in sides:
+        pairs = [(i, e) for i, t in enumerate(held) for e in rivals_of(known, t, side)]
+        pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        raw, filtered = kg_embed._ranks(ents, target, true_id, pairs[:, 0], pairs[:, 1])
+        assert (raw.tolist(), filtered.tolist()) == ranks[side], side
+    for known in (None, all_tuples):
+        got = kg_embed.link_prediction_eval(table, held, k=3, all_tuples=known)
+        assert got.as_dict() == reference_report(table, held, k=3, all_tuples=known)
+        for side in (got.object_side, got.subject_side):
+            assert all(type(v) is float for v in side.__dict__.values() if v is not None)
+
+
+N_BLOCKED = 4096  # entities: a ranking block then holds SCREEN_ENTRIES // 4096 == 8 rows
+ONE_BLOCK = kg_embed.SCREEN_ENTRIES // N_BLOCKED
+
+
+@pytest.mark.parametrize("n_held", [1, ONE_BLOCK, ONE_BLOCK + 1])
+@pytest.mark.parametrize(
+    "case", ["gaussian", "duplicate rows", "near ties", "target on an entity", "scaled 1e3"]
+)
+def test_blocked_ranks_equal_the_per_row_loop(case, n_held):
+    rng = np.random.default_rng(n_held)
+    ents, rels = rng.standard_normal((N_BLOCKED, 8)), rng.standard_normal((3, 8))
+    held = [
+        Tuple(int(rng.integers(3)), int(rng.integers(N_BLOCKED)), int(rng.integers(N_BLOCKED)))
+        for _ in range(n_held)
+    ]
+    # rivals: other true tuples sharing each held tuple's (relation, anchor)
+    known = list(held)
+    for t in held:
+        for other in rng.integers(N_BLOCKED, size=4).tolist():
+            known += [Tuple(t.relation, t.subject, other), Tuple(t.relation, other, t.object)]
+    if case == "duplicate rows":
+        # every entity has a twin, so each true entity ties with another,
+        # which is also among its rivals
+        ents[N_BLOCKED // 2 :] = ents[: N_BLOCKED // 2]
+        twin = N_BLOCKED // 2
+        for t in held:
+            known += [Tuple(t.relation, t.subject, (t.object + twin) % N_BLOCKED),
+                      Tuple(t.relation, (t.subject + twin) % N_BLOCKED, t.object)]
+    elif case == "near ties":
+        # entities a hair closer to or farther from the object-side target
+        # than the true object: inside the screen's tolerance, so only the
+        # exact refinement can order them
+        for t in held:
+            target = ents[t.subject] + rels[t.relation]
+            for j, step in enumerate((1e-11, -1e-11, 1e-13)):
+                nudged = ents[t.object] + step * (target - ents[t.object])
+                ents[(t.object + 1000 * (j + 1)) % N_BLOCKED] = nudged
+    elif case == "target on an entity":
+        for t in held:
+            ents[t.object] = ents[t.subject] + rels[t.relation]  # object-side score 0
+    elif case == "scaled 1e3":
+        ents *= 1e3
+        rels *= 1e3
+    assert_ranks_match_reference(EmbeddingTable(ents, rels), held, known)
+
+
+def test_blocked_ranks_count_ties_on_an_integer_grid():
+    """Small integer coordinates make many entities exactly tie with the
+    true one; none of them counts."""
+    rng = np.random.default_rng(4)
+    ents = rng.integers(-2, 3, size=(300, 3)).astype(float)
+    rels = rng.integers(-1, 2, size=(2, 3)).astype(float)
+    held = [Tuple(int(rng.integers(2)), int(rng.integers(300)), int(rng.integers(300))) for _ in range(250)]
+    known = held + [Tuple(t.relation, t.subject, (t.object + 1) % 300) for t in held]
+    assert_ranks_match_reference(EmbeddingTable(ents, rels), held, known)
+
+
+def test_ranking_memory_is_bounded_by_the_block():
+    """The per-row loop allocated an n_entities x D difference (5 MB here)
+    per held-out tuple; a block's scores stay within SCREEN_ENTRIES."""
+    rng = np.random.default_rng(0)
+    n = 20_000
+    table = EmbeddingTable(rng.standard_normal((n, 32)), rng.standard_normal((4, 32)))
+    held = [Tuple(int(rng.integers(4)), int(rng.integers(n)), int(rng.integers(n))) for _ in range(200)]
+    tracemalloc.start()
+    try:
+        kg_embed.link_prediction_eval(table, held, all_tuples=held)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+
+
+@pytest.mark.parametrize("k", [0, -1, 2.0, True, False, "10", None])
+def test_k_must_be_an_integer_of_at_least_one(k):
+    table = EmbeddingTable(np.zeros((2, 2)), np.zeros((1, 2)))
+    with pytest.raises(kg_embed.EmbedError, match=rf"^k must be an integer >= 1, got {k!r}$"):
+        kg_embed.link_prediction_eval(table, [Tuple(0, 0, 1)], k=k)
 
 
 def test_empty_held_out_rejected():
