@@ -9,7 +9,7 @@ import hashlib
 import json
 import os
 
-from conftest import KG_T_DIR
+from conftest import KG_T_DIR, REPO
 from kgdialog.cli import dispatch
 from kgdialog.dialog_machine import QUESTION_STATES, TurnState
 
@@ -48,3 +48,32 @@ def test_golden_corpus_covers_every_question_state(tmp_path, monkeypatch, capsys
         states |= {turn["state"] for turn in json.loads(line)["turns"]}
     assert {s.value for s in QUESTION_STATES} <= states
     assert {TurnState.CLARIFICATION_Q.value, TurnState.CLARIFICATION_A.value} <= states
+
+
+GRAPHGEN_SHA256 = "8e52bcf143260fa5372790453c739bacc74893c56e730e39a1824a01adf75878"
+
+
+def test_generate_on_synthetic_graph_matches_golden_digest(tmp_path, monkeypatch):
+    """60 default-weight dialogs on a 1,594-tuple synthetic graph, pinned
+    byte for byte: a graph large enough that every builder draws from many
+    candidates, which the 10-entity fixture cannot show."""
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    import graphgen
+
+    from kgdialog import dataset_pipeline as dp
+    from kgdialog.config import RunConfig
+    from kgdialog.templates import load_templates
+
+    store = graphgen.make_graph(1, 1565, "uniform")
+    assert len(store.tuples) == 1594
+    templates = load_templates(KG_T_DIR / "templates.jsonl")
+    corpus = dp.generate_corpus(store, templates, 60, RunConfig(seed=7), seed=7)
+    path = tmp_path / "dialogs.jsonl"
+    dp.write_corpus(corpus, store, path)
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GRAPHGEN_SHA256
+    states = set()
+    for line in data.decode("utf-8").splitlines():
+        states |= {turn["state"] for turn in json.loads(line)["turns"]}
+    assert {s.value for s in QUESTION_STATES} <= states
+    assert TurnState.CLARIFICATION_Q.value in states
