@@ -9,6 +9,7 @@ seed produce byte-identical outputs.  Exit codes: 0 ok, 1 runtime error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
@@ -158,22 +159,12 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     out = Path(args.out)
     kg_store.save_dir(store, out)
     stats = kg_store.stats(store)
+    payload = dataclasses.asdict(stats)
+    # string keys, as JSON writes them, so sort_keys orders them as text
+    payload["fanout_histogram"] = {str(k): v for k, v in stats.fanout_histogram.items()}
     _write_json(
         out / "stats.json",
-        {
-            "stats": {
-                "n_tuples": stats.n_tuples,
-                "n_entities": stats.n_entities,
-                "n_relations": stats.n_relations,
-                "n_entities_in_tuples": stats.n_entities_in_tuples,
-                "fanout_histogram": {str(k): v for k, v in sorted(stats.fanout_histogram.items())},
-                "n_fanout_ge3": stats.n_fanout_ge3,
-                "n_one_one": stats.n_one_one,
-                "n_one_many": stats.n_one_many,
-            },
-            "retained_types": retained_types,
-            "config": config.as_dict(),
-        },
+        {"stats": payload, "retained_types": retained_types, "config": config.as_dict()},
     )
     print(f"wrote {stats.n_tuples} tuples to {out}")
     return 0
@@ -330,9 +321,8 @@ def _cmd_link(args: argparse.Namespace) -> int:
         print("error: link needs --utterance or --corpus", file=sys.stderr)
         return 2
     if args.utterance is not None:
-        matches = linker.link(gaz, args.utterance)
         candidates = linker.link_and_retrieve(store, gaz, args.utterance, cap)
-        for m in matches:
+        for m in candidates.matches:
             names = ", ".join(store.entity_label(e) for e in m.entities)
             print(f"[{m.start}:{m.end}] {m.text!r} -> {names}")
         print(f"candidate tuples: {len(candidates.tuples)} (truncated: {candidates.truncated})")

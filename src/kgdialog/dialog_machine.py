@@ -306,16 +306,11 @@ def start_dialog(
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     segments = []
     for t in templates:
-        if t.kind != "Retrieve" or t.anchor_slot() is None:
-            continue
-        ty = tpl.anchor_type(store, t)
+        ty = tpl.anchor_type(store, t) if t.kind == "Retrieve" else None
         if ty is not None:
             segments.append((t, store.sorted_members(ty)))
 
-    def attempt(t: tpl.QuestionTemplate, anchor: int) -> _Question | None:
-        return _ask(store, TurnState.SIMPLE_Q, t, {t.anchor_slot(): anchor}, config, base=t)
-
-    question = _first(rng, segments, attempt)
+    question = _first(rng, segments, lambda t, e: _simple_question(store, config, t, e))
     if question is None:
         raise DialogError("no template is instantiable over this store")
     return _respond_turns(store, question, rng, config, DialogContext())
@@ -510,7 +505,6 @@ def _try_instantiate(
     template: tpl.QuestionTemplate,
     bindings: Mapping[str, int | str],
     config: RunConfig,
-    number: str = "plural",
 ) -> tpl.Instantiation | None:
     try:
         built = tpl.instantiate(
@@ -518,7 +512,7 @@ def _try_instantiate(
             template,
             bindings,
             answer_cap=config.answer_cap,
-            number=number,
+            number="plural",
             include_zero_groups=config.include_zero_groups,
         )
     except (tpl.TemplateError, qa.PlanError):
@@ -545,12 +539,15 @@ def _ask(store, state, template, bindings, config, base):
     return None if built is None else _Question(state, built, template, retrieve_base=base)
 
 
+def _simple_question(store, config, t, anchor):
+    """The direct question template ``t`` asks of ``anchor``, or None."""
+    return _ask(store, TurnState.SIMPLE_Q, t, {t.anchor_slot(): anchor}, config, t)
+
+
 def _simple_templates(store, templates):
     out = []
     for t in templates:
-        if t.kind != "Retrieve" or t.anchor_slot() is None:
-            continue
-        if len(t.free_slots()) != 1 or t.free_slots() != [t.anchor_slot()]:
+        if t.kind != "Retrieve" or t.free_slots() != [t.anchor_slot()]:
             continue
         ty = tpl.anchor_type(store, t)
         if ty is not None:
@@ -561,93 +558,71 @@ def _simple_templates(store, templates):
 def _build_direct(store, templates, context, rng, config):
     # anchors of a template whose relation was just used may be any member
     # of the anchor type; otherwise only the salient ones link
+    salient = _holders_by_type(store, context.salience)
     segments = []
     for t, ty in _simple_templates(store, templates):
-        rel = _template_relation(store, t)
-        if rel is not None and rel in context.last_relations:
+        if _template_relation(store, t) in context.last_relations:
             segments.append((t, store.sorted_members(ty)))
         else:
-            salient = dict.fromkeys(e for e in context.salience if store.has_type(e, ty))
-            segments.append((t, list(salient)))
-
-    def attempt(t, anchor):
-        return _ask(store, TurnState.SIMPLE_Q, t, {t.anchor_slot(): anchor}, config, base=t)
-
-    return _first(rng, segments, attempt)
+            segments.append((t, salient.get(ty, [])))
+    return _first(rng, segments, lambda t, e: _simple_question(store, config, t, e))
 
 
 def _build_coreference(store, templates, context, rng, config):
-    ambiguous_ok = rng.random() < config.ambiguity_rate
-    salience_types: dict[int, list[int]] = {}
-    for e in context.salience:
-        for ty in store.types_of(e):
-            salience_types.setdefault(ty, []).append(e)
-
-    if ambiguous_ok:
+    if rng.random() < config.ambiguity_rate:
         built = _build_ambiguous(store, templates, context, rng, config)
         if built is not None:
             return built
-
+    holders = _holders_by_type(store, context.salience)
     segments = []
     for t, ty in _simple_templates(store, templates):
-        holders = salience_types.get(ty, [])
-        if len(holders) == 1:
-            segments.append(((t, ty), holders))
-
-    def attempt(key, anchor):
-        t, ty = key
-        built = _try_instantiate(store, t, {t.anchor_slot(): anchor}, config)
-        if built is None:
-            return None
-        built = _with_mention(store, t, built, f"that {store.type_label(ty)}")
-        return _Question(TurnState.COREFERENCE_Q, built, t, retrieve_base=t)
-
-    return _first(rng, segments, attempt)
+        if len(holders.get(ty, ())) == 1:
+            segments.append(((t, ty), holders[ty]))
+    return _first(rng, segments, lambda key, e: _mention_question(store, config, key, e, None))
 
 
 def _build_ambiguous(store, templates, context, rng, config):
-    answer_types: dict[int, list[int]] = {}
-    for e in context.last_answer_entities:
-        for ty in store.types_of(e):
-            answer_types.setdefault(ty, []).append(e)
+    holders = _holders_by_type(store, context.last_answer_entities)
     # one candidate per template: the answer entities its mention could mean
     segments = []
     for t, ty in _simple_templates(store, templates):
-        holders = answer_types.get(ty, [])
-        if len(holders) >= 2:
-            segments.append(((t, ty), [holders]))
+        if len(holders.get(ty, ())) >= 2:
+            segments.append(((t, ty), [holders[ty]]))
 
-    def attempt(key, holders):
-        t, ty = key
-        intended = rng.choice(sorted(holders))
-        built = _try_instantiate(store, t, {t.anchor_slot(): intended}, config)
-        if built is None:
-            return None
-        mention = f"that {store.type_label(ty)}"
-        built = _with_mention(store, t, built, mention)
-        pending = PendingClarification(
-            candidates=tuple(dict.fromkeys(holders)),
-            intended=intended,
-            template=t,
-        )
-        return _Question(TurnState.COREFERENCE_Q, built, t, ambiguous=pending, retrieve_base=t)
+    def attempt(key, candidates):
+        intended = rng.choice(sorted(candidates))
+        pending = PendingClarification(tuple(dict.fromkeys(candidates)), intended, key[0])
+        return _mention_question(store, config, key, intended, pending)
 
     return _first(rng, segments, attempt)
 
 
-def _with_mention(store, t, built, mention):
-    """``built`` with its anchor spoken as ``mention`` ("that ⟨type⟩")."""
+def _holders_by_type(store, entities):
+    """Each type's holders among ``entities``, in their order."""
+    holders: dict[int, list[int]] = {}
+    for e in entities:
+        for ty in store.types_of(e):
+            holders.setdefault(ty, []).append(e)
+    return holders
+
+
+def _mention_question(store, config, key, anchor, ambiguous):
+    """The coreference question ``t`` asks of ``anchor``, its anchor spoken
+    as "that ⟨ty⟩" (``key`` is ``(t, ty)``), opening the clarification
+    ``ambiguous`` unless that is None; None when it cannot be instantiated."""
+    t, ty = key
+    built = _try_instantiate(store, t, {t.anchor_slot(): anchor}, config)
+    if built is None:
+        return None
+    mention = {t.anchor_slot(): f"that {store.type_label(ty)}"}
     question = tpl.render_question(
-        store, t, built.bindings, number=built.number, mention_overrides={t.anchor_slot(): mention}
+        store, t, built.bindings, number=built.number, mention_overrides=mention
     )
-    return replace(built, question=question)
+    return _Question(TurnState.COREFERENCE_Q, replace(built, question=question), t, ambiguous, t)
 
 
 def _build_ellipsis(store, templates, context, rng, config):
     t = context.last_template
-    anchor_slot = t.anchor_slot()
-    if anchor_slot is None:
-        return None
     ty = tpl.anchor_type(store, t)
     if ty is None:
         return None
@@ -657,7 +632,7 @@ def _build_ellipsis(store, templates, context, rng, config):
     def attempt(_, anchor):
         if anchor == context.last_anchor:
             return None
-        built = _try_instantiate(store, t, {anchor_slot: anchor}, config)
+        built = _try_instantiate(store, t, {t.anchor_slot(): anchor}, config)
         if built is None:
             return None
         built = replace(built, question=pattern.format(entity=store.entity_label(anchor)))
@@ -666,24 +641,39 @@ def _build_ellipsis(store, templates, context, rng, config):
     return _first(rng, [(None, store.sorted_members(ty))], attempt)
 
 
+def _first_derived(store, context, rng, config, state, segments, derive, bindings):
+    """The first question, asked under ``bindings``, that ``derive(key,
+    member)`` makes from the last retrieve template over the segments'
+    candidates in uniformly random order.  ``derive`` returns None to skip
+    a candidate; a derivation the template does not admit ends the search
+    with None."""
+    base = context.last_retrieve_template
+
+    def attempt(key, member):
+        derived = derive(key, member)
+        return None if derived is None else _ask(store, state, derived, bindings, config, base)
+
+    try:
+        return _first(rng, segments, attempt)
+    except tpl.TemplateError:
+        return None
+
+
 def _build_logical(store, templates, context, rng, config):
     base = context.last_retrieve_template
     anchor = context.last_anchor
     ty = tpl.anchor_type(store, base)
     if anchor is None or ty is None:
         return None
-
-    def attempt(op, extra):
-        if extra == anchor:
-            return None
-        derived = tpl.transform_logical(base, op, extra)
-        return _ask(store, TurnState.LOGICAL_Q, derived, {base.anchor_slot(): anchor}, config, base)
-
     members = store.sorted_members(ty)
-    try:
-        return _first(rng, [(op, members) for op in ("and", "or", "but_not")], attempt)
-    except tpl.TemplateError:
-        return None
+    segments = [(op, members) for op in ("and", "or", "but_not")]
+
+    def derive(op, extra):
+        return None if extra == anchor else tpl.transform_logical(base, op, extra)
+
+    state = TurnState.LOGICAL_Q
+    bindings = {base.anchor_slot(): anchor}
+    return _first_derived(store, context, rng, config, state, segments, derive, bindings)
 
 
 def _build_count(store, templates, context, rng, config):
@@ -693,19 +683,19 @@ def _build_count(store, templates, context, rng, config):
     except tpl.TemplateError:
         return None
 
-    def attempt(_, anchor):
+    def ask(anchor):
         bindings = {base.anchor_slot(): anchor}
         return _ask(store, TurnState.QUANTITATIVE_COUNT_Q, derived, bindings, config, base)
 
     # the previous anchor first, then the other members of its type
     old = context.last_anchor
     if old is not None:
-        question = attempt(None, old)
+        question = ask(old)
         if question is not None:
             return question
     ty = tpl.anchor_type(store, base)
     members = store.sorted_members(ty) if ty is not None else ()
-    return _first(rng, [(None, members)], lambda _, e: None if e == old else attempt(None, e))
+    return _first(rng, [(None, members)], lambda _, e: None if e == old else ask(e))
 
 
 def _build_argopt(store, templates, context, rng, config):
@@ -725,18 +715,14 @@ _THRESHOLD_NS = (1, 2, 3, 4)
 def _build_threshold(store, templates, context, rng, config):
     base = context.last_retrieve_template
     counting = rng.random() < 0.5
-    state = TurnState.QUANTITATIVE_THRESHOLD_Q
 
-    def attempt(cmp_, n):
+    def derive(cmp_, n):
         derived = tpl.transform_threshold(base, cmp_, n)
-        if counting:
-            derived = tpl.transform_to_count(derived)
-        return _ask(store, state, derived, {}, config, base)
+        return tpl.transform_to_count(derived) if counting else derived
 
-    try:
-        return _first(rng, [(cmp_, _THRESHOLD_NS) for cmp_ in qa.COMPARATORS], attempt)
-    except tpl.TemplateError:
-        return None
+    segments = [(cmp_, _THRESHOLD_NS) for cmp_ in qa.COMPARATORS]
+    state = TurnState.QUANTITATIVE_THRESHOLD_Q
+    return _first_derived(store, context, rng, config, state, segments, derive, {})
 
 
 def _build_comparative(store, templates, context, rng, config):
@@ -751,17 +737,13 @@ def _build_comparative(store, templates, context, rng, config):
         return None
     state = TurnState.COMPARATIVE_COUNT_Q if counting else TurnState.COMPARATIVE_Q
 
-    def attempt(direction, ref):
+    def derive(direction, ref):
         derived = tpl.transform_comparative(base, direction, ref)
-        if counting:
-            derived = tpl.transform_to_count(derived)
-        return _ask(store, state, derived, {}, config, base)
+        return tpl.transform_to_count(derived) if counting else derived
 
     refs = store.sorted_members(group_ty)
-    try:
-        return _first(rng, [(d, refs) for d in qa.CMP_DIRECTIONS], attempt)
-    except tpl.TemplateError:
-        return None
+    segments = [(d, refs) for d in qa.CMP_DIRECTIONS]
+    return _first_derived(store, context, rng, config, state, segments, derive, {})
 
 
 def _build_boolean(store, templates, context, rng, config):

@@ -111,34 +111,27 @@ def candidate_tuples(store: KgStore, matched: Sequence[int], cap: int = 10000) -
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     entities = list(dict.fromkeys(matched))
-    pools = {
-        e: sorted(store.tuples_containing(e))
-        for e in entities
-    }
+    pools = {e: sorted(store.tuples_containing(e)) for e in entities}
     order = sorted(entities, key=lambda e: (len(pools[e]), e))
+    # each round, every entity with a tuple not yet chosen gives its next one
+    pending = [iter(pools[e]) for e in order]
     chosen: list[Tuple] = []
     seen: set[Tuple] = set()
-    cursors = {e: 0 for e in order}
-    truncated = False
-    remaining = True
-    while remaining:
-        remaining = False
-        for e in order:
-            pool = pools[e]
-            while cursors[e] < len(pool) and pool[cursors[e]] in seen:
-                cursors[e] += 1
-            if cursors[e] >= len(pool):
+    while pending:
+        live = []
+        for tuples in pending:
+            for t in tuples:
+                if t not in seen:
+                    break
+            else:
                 continue
-            remaining = True
             if len(chosen) >= cap:
-                truncated = True
-                remaining = False
-                break
-            t = pool[cursors[e]]
+                return CandidateSet(matches=(), tuples=tuple(chosen), truncated=True)
             chosen.append(t)
             seen.add(t)
-            cursors[e] += 1
-    return CandidateSet(matches=(), tuples=tuple(chosen), truncated=truncated)
+            live.append(tuples)
+        pending = live
+    return CandidateSet(matches=(), tuples=tuple(chosen), truncated=False)
 
 
 def link_and_retrieve(

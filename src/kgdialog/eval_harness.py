@@ -76,19 +76,20 @@ def _kind(value: Gold) -> str:
 
 
 def precision_recall(gold: frozenset | set, predicted: frozenset | set) -> tuple[float, float]:
-    """Set precision/recall with explicit empty-side conventions.
+    """Set precision/recall, empty sets scored as :func:`_precision_recall_counts` says."""
+    gold = frozenset(gold)
+    predicted = frozenset(predicted)
+    return _precision_recall_counts(len(gold & predicted), len(gold), len(predicted))
+
+
+def _precision_recall_counts(hit: int, n_gold: int, n_predicted: int) -> tuple[float, float]:
+    """Precision/recall from the overlap and the set sizes.
 
     Empty prediction scores precision 1 when the gold set is empty too,
     else 0; an empty gold set makes recall vacuously 1.
     """
-    gold = frozenset(gold)
-    predicted = frozenset(predicted)
-    hit = len(gold & predicted)
-    if predicted:
-        precision = hit / len(predicted)
-    else:
-        precision = 1.0 if not gold else 0.0
-    recall = hit / len(gold) if gold else 1.0
+    precision = hit / n_predicted if n_predicted else (0.0 if n_gold else 1.0)
+    recall = hit / n_gold if n_gold else 1.0
     return precision, recall
 
 
@@ -243,6 +244,7 @@ def aggregate(records: Iterable[EvalRecord]) -> Report:
             hit = sum(len(frozenset(g) & frozenset(p)) for g, p in pairs)
             pred_total = sum(len(p) for _, p in pairs)
             gold_total = sum(len(g) for g, _ in pairs)
+            micro_p, micro_r = _precision_recall_counts(hit, gold_total, pred_total)
             rows.append(
                 ReportRow(
                     qtype,
@@ -250,8 +252,8 @@ def aggregate(records: Iterable[EvalRecord]) -> Report:
                     len(group),
                     macro_precision=macro_p,
                     macro_recall=macro_r,
-                    micro_precision=hit / pred_total if pred_total else (1.0 if not gold_total else 0.0),
-                    micro_recall=hit / gold_total if gold_total else 1.0,
+                    micro_precision=micro_p,
+                    micro_recall=micro_r,
                     f1=f1_from(macro_p, macro_r),
                 )
             )

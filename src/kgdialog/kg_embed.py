@@ -287,8 +287,9 @@ def link_prediction_eval(
     Raw ranks count every competing entity with strictly smaller score;
     filtered ranks (reported when ``all_tuples`` is given) additionally
     ignore competitors that form other true tuples.  ``k`` must be an
-    integer >= 1.  A held-out tuple with an id the table does not embed
-    raises :class:`UnknownIdError` naming the tuple, before any ranking.
+    integer >= 1.  A held-out tuple, or a tuple of ``all_tuples`` that
+    names a competitor, with an id the table does not embed raises
+    :class:`UnknownIdError` naming the tuple, before any ranking.
 
     Every comparison gives the same answer as comparing the exact
     per-entity norms ``np.linalg.norm(E - target, axis=1)``, ties included
@@ -309,13 +310,20 @@ def link_prediction_eval(
     # that share its (relation, subject), and its (relation, object)
     obj_rivals = subj_rivals = None
     if all_tuples is not None:
+        def rival(t: Tuple, e: int) -> int:
+            try:
+                table.entity(e)
+            except UnknownIdError as exc:
+                raise UnknownIdError(f"tuple {tuple(t)} of all_tuples: {exc}") from None
+            return e
+
         by_subject = {(t.relation, t.subject): set() for t in held}
         by_object = {(t.relation, t.object): set() for t in held}
         for t in all_tuples:
             if (t.relation, t.subject) in by_subject:
-                by_subject[t.relation, t.subject].add(t.object)
+                by_subject[t.relation, t.subject].add(rival(t, t.object))
             if (t.relation, t.object) in by_object:
-                by_object[t.relation, t.object].add(t.subject)
+                by_object[t.relation, t.object].add(rival(t, t.subject))
         obj_rivals = [by_subject[t.relation, t.subject] for t in held]
         subj_rivals = [by_object[t.relation, t.object] for t in held]
     E, R = table.entity_vecs, table.relation_vecs

@@ -613,3 +613,23 @@ def test_draws_per_turn_do_not_grow_with_type_size():
     # shuffling every candidate would cost hundreds of draws per turn on the
     # small store and ten times that on the large one
     assert large < 2 * small + 5, (small, large)
+
+
+def test_count_falls_back_to_other_members_when_the_anchor_gives_no_question(store, templates, ids):
+    # a river cannot anchor "how many cities are the capital of ...", so the
+    # count question moves to the members of the anchor type
+    base = next(t for t in templates if t.id == "capital_city")
+    counted = tpl.transform_to_count(base)
+    nile = ids["Nile"]
+    with pytest.raises(tpl.TemplateError):
+        tpl.instantiate(store, counted, {base.anchor_slot(): nile})
+    context = dm.DialogContext(
+        salience=(nile,), last_template=base, last_retrieve_template=base, last_anchor=nile
+    )
+    anchors = set()
+    for seed in range(20):
+        question = dm._build_count(store, templates, context, random.Random(seed), CFG)
+        assert question.state == dm.TurnState.QUANTITATIVE_COUNT_Q
+        assert question.template.id == counted.id
+        anchors |= {lookup.anchor for lookup in qa.plan_lookups(question.instantiation.plan)}
+    assert anchors == {ids["India"], ids["China"], ids["Egypt"]}

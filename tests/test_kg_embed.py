@@ -375,6 +375,27 @@ def test_held_out_ids_are_checked_before_ranking(bad):
         kg_embed.link_prediction_eval(table, [good, bad], all_tuples=[good])
 
 
+
+@pytest.mark.parametrize(
+    "bad",
+    [Tuple(0, 0, -1), Tuple(0, 0, 9), Tuple(0, -1, 3), Tuple(0, 9, 3)],
+)
+def test_rival_ids_are_checked_before_ranking(bad):
+    # a negative id would be read as an entity counted from the end of the
+    # table, one past it as an index error
+    table = EmbeddingTable(np.arange(5.0).reshape(5, 1), np.zeros((1, 1)))
+    held = Tuple(0, 0, 3)
+    with pytest.raises(UnknownIdError, match=rf"tuple \({bad.relation}, {bad.subject}, {bad.object}\) of all_tuples"):
+        kg_embed.link_prediction_eval(table, [held], all_tuples=[held, bad])
+
+
+def test_tuples_that_rival_no_held_out_tuple_are_not_checked():
+    table = EmbeddingTable(np.arange(5.0).reshape(5, 1), np.zeros((1, 1)))
+    held = Tuple(0, 0, 3)
+    report = kg_embed.link_prediction_eval(table, [held], all_tuples=[held, Tuple(7, 9, -1)])
+    assert report == kg_embed.link_prediction_eval(table, [held], all_tuples=[held])
+
+
 @pytest.mark.parametrize(
     "setting, value",
     [
