@@ -1,4 +1,4 @@
-"""Golden corpus: `generate` on the fixture is pinned byte for byte.
+"""Golden corpus: `generate` and `split` on the fixture are pinned byte for byte.
 
 A refactor of the plan algebra, the templates or the dialog builders must
 leave this corpus unchanged.  A deliberate change of the RNG stream or of
@@ -39,6 +39,33 @@ def test_generate_matches_golden_digests(tmp_path, monkeypatch, capsys):
         name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256
     }
     assert digests == GOLDEN_SHA256
+
+
+SPLIT_SEED = 3
+SPLIT_SHA256 = {
+    "train.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "valid.jsonl": "5d6ed55d6173c465e9a5829536d9e43cd0b54fd12b3b7a5b5771c3973eef7e18",
+    "test.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "discarded.jsonl": "06466af01d23d5fb07dcec048c3339aeb6fa10150ff86ea184639d9ff39b0a91",
+    "split_report.json": "00744b2e9b2ec09c27e41dbb6dc26086535bee9ad40bfe681a6b3d460ff1735b",
+}
+
+
+def test_split_matches_golden_digests(tmp_path, monkeypatch, capsys):
+    """The golden corpus split 0.5/0.25/0.25 (from a config file): 0 train,
+    5 valid, 0 test and 55 discarded dialogs, pinned byte for byte."""
+    corpus = _generate(tmp_path, monkeypatch, capsys) / "dialogs.jsonl"
+    config = tmp_path / "split_config.json"
+    config.write_text(json.dumps({"split_fractions": [0.5, 0.25, 0.25]}), encoding="utf-8")
+    out = tmp_path / "split"
+    argv = ["split", "--kg", str(KG_T_DIR), "--corpus", str(corpus), "--seed", str(SPLIT_SEED)]
+    code = dispatch([*argv, "--config", str(config), "--out", str(out)])
+    assert capsys.readouterr().out == "train 0  valid 5  test 0  discarded 55\n"
+    assert code == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in SPLIT_SHA256
+    }
+    assert digests == SPLIT_SHA256
 
 
 def test_golden_corpus_covers_every_question_state(tmp_path, monkeypatch, capsys):
