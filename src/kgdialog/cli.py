@@ -1,4 +1,5 @@
-"""Command-line entry point wiring all modules together.
+"""Command-line entry point: each subcommand parses its flags, calls the
+library and prints.
 
 Subcommands: ingest, generate, split, stats, answer, link, embed,
 kernel-check, eval.  All randomness flows from --seed; identical flags and
@@ -81,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--kg", required=True)
     p.add_argument("--corpus", required=True, help="dialogs.jsonl from generate")
-    p.add_argument("--fractions", help="train,valid,test fractions (default from config)")
+    p.add_argument("--fractions", type=_floats, help="train,valid,test fractions (default from config)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_split)
 
@@ -136,11 +137,12 @@ def _config(args: argparse.Namespace, **overrides) -> RunConfig:
     return load_config(args.config, overrides=overrides)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+def _floats(text: str) -> list[float] | str:
+    """Comma-separated floats, or ``text`` as is for the config check to reject."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        return text
 
 
 # -- subcommands ---------------------------------------------------------------------
@@ -162,7 +164,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     payload = dataclasses.asdict(stats)
     # string keys, as JSON writes them, so sort_keys orders them as text
     payload["fanout_histogram"] = {str(k): v for k, v in stats.fanout_histogram.items()}
-    _write_json(
+    kg_store.write_json(
         out / "stats.json",
         {"stats": payload, "retained_types": retained_types, "config": config.as_dict()},
     )
@@ -170,30 +172,12 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_templates(args: argparse.Namespace) -> list[tpl.QuestionTemplate]:
-    path = args.templates if getattr(args, "templates", None) else Path(args.kg) / "templates.jsonl"
-    return tpl.load_templates(path)
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     config = _config(args)
     store = kg_store.load_dir(args.kg)
-    templates = _load_templates(args)
-    corpus = pipeline.generate_corpus(store, templates, args.n, config, config.seed)
+    templates = tpl.load_templates(args.templates or Path(args.kg) / "templates.jsonl")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    pipeline.write_corpus(corpus, store, out / "dialogs.jsonl")
-    stats = pipeline.corpus_stats(corpus, config.vocab_threshold)
-    _write_json(
-        out / "stats.json",
-        {
-            "stats": stats.as_dict(),
-            "shortfall": corpus.shortfall,
-            "full_scale_reference": pipeline.FULL_SCALE_REFERENCE,
-            "config": config.as_dict(),
-        },
-    )
-    _write_json(out / "run_config.json", config.as_dict())
+    corpus = pipeline.run_generate(store, templates, args.n, config, out)
     if corpus.shortfall:
         print(f"warning: store exhausted, generated {len(corpus.dialogs)} of {args.n} dialogs")
     print(f"wrote {len(corpus.dialogs)} dialogs to {out / 'dialogs.jsonl'}")
@@ -201,26 +185,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_split(args: argparse.Namespace) -> int:
-    config = _config(args)
+    config = _config(args, split_fractions=args.fractions)
     store = kg_store.load_dir(args.kg)
     corpus = pipeline.read_corpus(args.corpus, store)
-    fractions = config.split_fractions
-    if args.fractions:
-        fractions = [float(x) for x in args.fractions.split(",")]
-    spec = pipeline.SplitSpec(tuple(fractions), config.seed)
-    result = pipeline.split_corpus(corpus, spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, dialogs in (
-        ("train", result.train),
-        ("valid", result.valid),
-        ("test", result.test),
-        ("discarded", result.discarded),
-    ):
-        pipeline.write_corpus(pipeline.Corpus(dialogs), store, out / f"{name}.jsonl")
-    report = pipeline.split_report(corpus, result)
-    report["config"] = config.as_dict()
-    _write_json(out / "split_report.json", report)
+    report = pipeline.run_split(store, corpus, config, Path(args.out))
     print(
         f"train {report['n_train']}  valid {report['n_valid']}  test {report['n_test']}  "
         f"discarded {report['n_discarded']}"
@@ -231,41 +199,29 @@ def _cmd_split(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     config = _config(args)
     store = kg_store.load_dir(args.kg)
-    corpus = pipeline.read_corpus(args.corpus, store)
-    stats = pipeline.corpus_stats(corpus, config.vocab_threshold)
-    payload = {
-        "stats": stats.as_dict(),
-        "full_scale_reference": pipeline.FULL_SCALE_REFERENCE,
-        "config": config.as_dict(),
-    }
+    payload = pipeline.stats_payload(pipeline.read_corpus(args.corpus, store), config)
     if args.out:
-        _write_json(Path(args.out), payload)
+        kg_store.write_json(args.out, payload)
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
-
-
-def _render_answer(store: kg_store.KgStore, answer: qa.AnswerSet, config: RunConfig) -> str:
-    rendered = dm.render_response(
-        store,
-        answer,
-        display_limit=config.display_limit,
-        sample_size=config.sample_size,
-        rng=random.Random(config.seed),
-        words=config.number_words,
-    )
-    return rendered.utterance
 
 
 def _cmd_answer(args: argparse.Namespace) -> int:
     config = _config(args)
     store = kg_store.load_dir(args.kg)
     if args.plan is not None:
-        plan = plan_text.parse_plan(args.plan, store)
-        answer = qa.execute(store, plan, include_zero_groups=config.include_zero_groups)
-        print(_render_answer(store, answer, config))
+        _answer(store, args.plan, config)
         return 0
     return _repl(store, config)
+
+
+def _answer(store: kg_store.KgStore, text: str, config: RunConfig) -> qa.AnswerSet:
+    """Parse and execute a plan, print its rendered answer and return it."""
+    plan = plan_text.parse_plan(text, store)
+    answer = qa.execute(store, plan, include_zero_groups=config.include_zero_groups)
+    print(dm.render_answer(store, answer, config, random.Random(config.seed)).utterance)
+    return answer
 
 
 def _repl(store: kg_store.KgStore, config: RunConfig) -> int:
@@ -282,12 +238,9 @@ def _repl(store: kg_store.KgStore, config: RunConfig) -> int:
         if not line:
             return 0
         try:
-            resolved = _resolve_that(store, line, last_entities)
-            plan = plan_text.parse_plan(resolved, store)
-            answer = qa.execute(store, plan, include_zero_groups=config.include_zero_groups)
+            answer = _answer(store, _resolve_that(store, line, last_entities), config)
             if isinstance(answer, qa.Entities):
                 last_entities = tuple(sorted(answer.members))
-            print(_render_answer(store, answer, config))
         except _ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
 
@@ -336,7 +289,6 @@ def _cmd_link(args: argparse.Namespace) -> int:
         report = linker.recall_report(
             store, gaz, corpus.dialogs, cap, use_context=config.link_use_context
         )
-        payload = {"recall": report.as_dict(), "config": config.as_dict()}
         print(
             f"candidate recall over {report.n_questions_with_gold} questions: "
             f"micro {report.micro_recall:.4f}, macro {report.macro_recall:.4f}"
@@ -344,7 +296,7 @@ def _cmd_link(args: argparse.Namespace) -> int:
         for state, value in report.per_state.items():
             print(f"  {state:<24} {value:.4f}")
         if args.out:
-            _write_json(Path(args.out), payload)
+            kg_store.write_json(args.out, {"recall": report.as_dict(), "config": config.as_dict()})
     return 0
 
 
@@ -387,9 +339,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     report = eval_harness.aggregate(records)
     print(eval_harness.format_report(report))
     if args.out:
-        payload = report.as_dict()
-        payload["config"] = config.as_dict()
-        _write_json(Path(args.out), payload)
+        kg_store.write_json(args.out, {**report.as_dict(), "config": config.as_dict()})
     return 0
 
 

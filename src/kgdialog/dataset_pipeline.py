@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from . import dialog_machine as dm, plan_text, query_algebra as qa
 from .config import RunConfig, split_fractions_problem
-from .kg_store import KgStore, Tuple, json_field, read_json_lines
+from .kg_store import KgStore, Tuple, json_field, read_json_lines, write_json
 from .templates import QuestionTemplate
 
 
@@ -43,6 +43,12 @@ class Corpus:
     # per dialog id, derived from the plans; writing a corpus does not read it
     provenance: dict[str, frozenset[Tuple]] = field(default_factory=dict)
     shortfall: int = 0  # dialogs requested but not generatable
+
+    def provenance_of(self, dialog: Dialog) -> frozenset[Tuple]:
+        """Missing is an error: taken as empty, it would send the dialog to train."""
+        if dialog.dialog_id not in self.provenance:
+            raise PipelineError(f"dialog {dialog.dialog_id!r} has no provenance entry")
+        return self.provenance[dialog.dialog_id]
 
 
 @dataclass(frozen=True)
@@ -290,7 +296,7 @@ def split_corpus(corpus: Corpus, spec: SplitSpec) -> SplitResult:
     result = SplitResult([], [], [], [])
     buckets = {"train": result.train, "valid": result.valid, "test": result.test}
     for d in corpus.dialogs:
-        prov = corpus.provenance.get(d.dialog_id, frozenset())
+        prov = corpus.provenance_of(d)
         # an empty provenance lies in every part, so the first, train, owns it
         owner = next((name for name, part in parts.items() if prov <= part), None)
         buckets.get(owner, result.discarded).append(d)
@@ -299,7 +305,7 @@ def split_corpus(corpus: Corpus, spec: SplitSpec) -> SplitResult:
 
 def split_report(corpus: Corpus, result: SplitResult) -> dict:
     def prov_union(dialogs: list[Dialog]) -> set[Tuple]:
-        return set().union(*(corpus.provenance.get(d.dialog_id, ()) for d in dialogs))
+        return set().union(*(corpus.provenance_of(d) for d in dialogs))
 
     train_prov = prov_union(result.train)
     eval_prov = prov_union(result.valid) | prov_union(result.test)
@@ -349,3 +355,40 @@ def corpus_stats(corpus: Corpus, vocab_threshold: int = 10) -> CorpusStats:
         vocab_size=sum(1 for c in vocab.values() if c >= vocab_threshold),
         vocab_threshold=vocab_threshold,
     )
+
+
+def stats_payload(corpus: Corpus, config: RunConfig) -> dict:
+    """The corpus statistics next to the published full-scale ones."""
+    return {
+        "stats": corpus_stats(corpus, config.vocab_threshold).as_dict(),
+        "full_scale_reference": FULL_SCALE_REFERENCE,
+        "config": config.as_dict(),
+    }
+
+
+# -- runs ---------------------------------------------------------------------------
+
+
+def run_generate(
+    store: KgStore, templates: Sequence[QuestionTemplate], n: int, config: RunConfig, out: Path
+) -> Corpus:
+    """``n`` dialogs seeded by ``config.seed``, written to ``out`` as
+    ``dialogs.jsonl``, ``stats.json`` and ``run_config.json``."""
+    corpus = generate_corpus(store, templates, n, config, config.seed)
+    out.mkdir(parents=True, exist_ok=True)
+    write_corpus(corpus, store, out / "dialogs.jsonl")
+    write_json(out / "stats.json", {**stats_payload(corpus, config), "shortfall": corpus.shortfall})
+    write_json(out / "run_config.json", config.as_dict())
+    return corpus
+
+
+def run_split(store: KgStore, corpus: Corpus, config: RunConfig, out: Path) -> dict:
+    """Split by the ``split_fractions`` and ``seed`` the report echoes; write
+    the four parts and ``split_report.json`` to ``out``; return the report."""
+    result = split_corpus(corpus, SplitSpec(tuple(config.split_fractions), config.seed))
+    out.mkdir(parents=True, exist_ok=True)
+    for name in ("train", "valid", "test", "discarded"):
+        write_corpus(Corpus(getattr(result, name)), store, out / f"{name}.jsonl")
+    report = {**split_report(corpus, result), "config": config.as_dict()}
+    write_json(out / "split_report.json", report)
+    return report

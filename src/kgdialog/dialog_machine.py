@@ -172,6 +172,15 @@ def render_response(
     raise DialogError(f"cannot render {type(answer).__name__}")
 
 
+def render_answer(
+    store: KgStore, answer: qa.AnswerSet, config: RunConfig, rng: random.Random
+) -> RenderedResponse:
+    """``render_response`` under the run's rendering settings."""
+    return render_response(
+        store, answer, config.display_limit, config.sample_size, rng, config.number_words
+    )
+
+
 def _labels(store: KgStore, entities: Sequence[int]) -> str:
     return ", ".join(store.entity_label(e) for e in entities)
 
@@ -267,14 +276,7 @@ def _answer_turns(
     """The system response to an asked question (plus any negotiation
     follow-ups) and the context it leaves for the next turn pair, given
     the context ``previous`` the question was asked in."""
-    rendered = render_response(
-        store,
-        inst.answer,
-        display_limit=config.display_limit,
-        sample_size=config.sample_size,
-        rng=rng,
-        words=config.number_words,
-    )
+    rendered = render_answer(store, inst.answer, config, rng)
     response = DialogTurn(
         "system", TurnState.RESPONSE, rendered.utterance, rendered.entities, inst.plan, inst.answer
     )

@@ -364,6 +364,14 @@ def read_json_lines(
     return out
 
 
+def write_json(path: str | Path, payload: dict) -> None:
+    """Indented json with sorted keys (equal payloads, equal bytes); makes the directory."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
+        fh.write("\n")
+
+
 def json_field(record: dict, name: str, *kinds: type):
     """``record[name]``, which must be an instance of one of ``kinds``
     (``NoneType`` allows null); otherwise a ``TypeError`` naming the field."""

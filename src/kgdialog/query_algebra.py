@@ -483,7 +483,7 @@ def multi_relation_combine(
 # -- provenance --------------------------------------------------------------------
 
 
-def plan_tuples(store: KgStore, plan: QueryPlan, include_zero_groups: bool = True) -> frozenset[Tuple]:
+def plan_tuples(store: KgStore, plan: QueryPlan) -> frozenset[Tuple]:
     """Store tuples the plan's answer depends on.
 
     Grouped plans depend on every counted tuple of every group member (the

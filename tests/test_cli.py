@@ -120,11 +120,36 @@ def test_split_accounts_for_every_dialog(tmp_path, capsys):
     )
     assert code == 0
     report = json.loads((split_dir / "split_report.json").read_text())
+    assert report["config"]["split_fractions"] == [0.6, 0.2, 0.2]
     n_parts = sum(report[k] for k in ("n_train", "n_valid", "n_test", "n_discarded"))
     assert n_parts == 8
     assert report["provenance_overlap_train_eval"] == 0
     for name in ("train", "valid", "test", "discarded"):
         assert (split_dir / f"{name}.jsonl").exists()
+
+
+@pytest.mark.parametrize("fractions", ["0.8,x,0.1", "0.5,0.5", "0.5,0.25,0.5"])
+def test_bad_fractions_flag_names_the_field(fractions, tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    run(capsys, "generate", "--kg", str(KG_T_DIR), "--n", "2", "--seed", "3", "--out", str(corpus_dir))
+    corpus = str(corpus_dir / "dialogs.jsonl")
+    split_dir = tmp_path / "split"
+    argv = ["split", "--kg", str(KG_T_DIR), "--corpus", corpus, "--fractions", fractions]
+    code, _, err = run(capsys, *argv, "--out", str(split_dir))
+    assert code == 1
+    assert err.startswith("error: split_fractions")
+    assert not split_dir.exists()
+
+
+def test_stats_subcommand_prints_the_stats_of_generate(tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    run(capsys, "generate", "--kg", str(KG_T_DIR), "--n", "5", "--seed", "4", "--out", str(corpus_dir))
+    corpus = str(corpus_dir / "dialogs.jsonl")
+    code, out, _ = run(capsys, "stats", "--kg", str(KG_T_DIR), "--corpus", corpus, "--seed", "4")
+    assert code == 0
+    generated = json.loads((corpus_dir / "stats.json").read_text())
+    assert generated.pop("shortfall") == 0
+    assert json.loads(out) == generated
 
 
 def test_stats_subcommand_reads_corpus(tmp_path, capsys):

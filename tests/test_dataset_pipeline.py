@@ -185,6 +185,20 @@ def test_empty_provenance_goes_to_train():
     assert [d.dialog_id for d in result.train] == ["d"]
 
 
+def test_dialog_without_provenance_is_refused(corpus):
+    """Taken as empty, a missing provenance would send every dialog to
+    train and report no overlap; the first dialog lacking one is named."""
+    spec = pipe.SplitSpec((0.5, 0.25, 0.25), seed=0)
+    bare = pipe.Corpus(corpus.dialogs)
+    with pytest.raises(pipe.PipelineError, match="'d000000' has no provenance"):
+        pipe.split_corpus(bare, spec)
+    partial = pipe.Corpus(corpus.dialogs, dict(list(corpus.provenance.items())[:3]))
+    with pytest.raises(pipe.PipelineError, match="'d000003' has no provenance"):
+        pipe.split_corpus(partial, spec)
+    with pytest.raises(pipe.PipelineError, match="has no provenance entry"):
+        pipe.split_report(bare, pipe.split_corpus(corpus, spec))
+
+
 def test_split_disjointness_over_many_random_corpora(store, templates):
     for seed in range(5):
         corpus = pipe.generate_corpus(store, templates, 15, CFG, seed=seed)
