@@ -8,7 +8,7 @@ import pytest
 from conftest import KERNEL_VECTORS
 from kgdialog import kg_embed, memnet_kernel as mk
 from kgdialog.entity_linker import CandidateSet
-from kgdialog.kg_store import Tuple
+from kgdialog.kg_store import Tuple, UnknownIdError
 
 
 def small_slab(rng, n, d_emb):
@@ -41,6 +41,68 @@ def test_build_memory_shapes_and_provenance(store, ids):
         assert np.allclose(slab.keys[i, :8], table.relation(t.relation))
         assert np.allclose(slab.keys[i, 8:], table.entity(t.subject))
         assert np.allclose(slab.values[i], table.entity(t.object))
+
+
+def _seeded_table(n_entities=5, n_relations=2, dim=3, dtype=np.float64):
+    rng = np.random.default_rng(12)
+    return kg_embed.EmbeddingTable(
+        rng.standard_normal((n_entities, dim)).astype(dtype),
+        rng.standard_normal((n_relations, dim)).astype(dtype),
+    )
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (Tuple(0, 5, 1), "entity id 5 not embedded"),
+        (Tuple(1, 2, 9), "entity id 9 not embedded"),
+        (Tuple(2, 0, 1), "relation id 2 not embedded"),
+        (Tuple(0, -1, 1), "entity id -1 not embedded"),
+        (Tuple(0, 1, -1), "entity id -1 not embedded"),
+        (Tuple(-1, 1, 1), "relation id -1 not embedded"),
+    ],
+)
+def test_build_memory_rejects_an_id_the_table_lacks(bad, message):
+    table = _seeded_table()
+    with pytest.raises(UnknownIdError, match=f"^{message}$"):
+        mk.build_memory([Tuple(0, 0, 1), bad, Tuple(1, 4, 4)], table)
+
+
+def test_build_memory_names_the_first_bad_id_in_candidate_order():
+    table = _seeded_table()
+    candidates = [Tuple(0, 0, 1), Tuple(0, 1, 7), Tuple(3, 0, 0), Tuple(0, 6, 0)]
+    with pytest.raises(UnknownIdError, match="^entity id 7 not embedded$"):
+        mk.build_memory(candidates, table)
+    # within a row the relation is checked before the subject and the object
+    with pytest.raises(UnknownIdError, match="^relation id 4 not embedded$"):
+        mk.build_memory([Tuple(4, 8, 9)], table)
+
+
+def test_build_memory_of_no_candidates_is_an_empty_float64_slab():
+    slab = mk.build_memory(CandidateSet((), (), False), _seeded_table(dim=3))
+    assert slab.keys.shape == (0, 6) and slab.keys.dtype == np.float64
+    assert slab.values.shape == (0, 3) and slab.values.dtype == np.float64
+    assert slab.provenance == ()
+
+
+def test_build_memory_rows_follow_candidate_order():
+    table = _seeded_table()
+    candidates = [Tuple(1, 4, 0), Tuple(0, 0, 3), Tuple(1, 4, 0), Tuple(0, 2, 2)]
+    slab = mk.build_memory(candidates, table)
+    assert slab.provenance == tuple(candidates)
+    for i, t in enumerate(candidates):
+        assert np.array_equal(
+            slab.keys[i], np.concatenate([table.relation(t.relation), table.entity(t.subject)])
+        )
+        assert np.array_equal(slab.values[i], table.entity(t.object))
+
+
+def test_build_memory_of_a_float32_table_gives_float64_slabs():
+    table = _seeded_table(dtype=np.float32)
+    slab = mk.build_memory([Tuple(1, 0, 2), Tuple(0, 3, 4)], table)
+    assert slab.keys.dtype == np.float64 and slab.values.dtype == np.float64
+    assert np.array_equal(slab.keys[1, 3:], table.entity(3).astype(np.float64))
+    assert np.array_equal(slab.values[0], table.entity(2).astype(np.float64))
 
 
 def test_empty_memory_build_then_hop_errors():
