@@ -111,7 +111,7 @@ def candidate_tuples(store: KgStore, matched: Sequence[int], cap: int = 10000) -
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     entities = list(dict.fromkeys(matched))
-    pools = {e: sorted(store.tuples_containing(e)) for e in entities}
+    pools = {e: store.sorted_tuples_containing(e) for e in entities}
     order = sorted(entities, key=lambda e: (len(pools[e]), e))
     # each round, every entity with a tuple not yet chosen gives its next one
     pending = [iter(pools[e]) for e in order]

@@ -84,6 +84,18 @@ class EmbeddingTable:
             raise UnknownIdError(f"relation id {r} not embedded")
         return self.relation_vecs[r]
 
+    def check_tuple_ids(self, ids: np.ndarray) -> None:
+        """Check an (N, 3) int array of (relation, subject, object) rows in
+        one pass.  The first id outside the table, in row order, raises the
+        :class:`UnknownIdError` that :meth:`relation` or :meth:`entity`
+        would; a negative id is outside too, never counted from the end."""
+        limits = (len(self.relation_vecs), len(self.entity_vecs), len(self.entity_vecs))
+        bad = np.flatnonzero((ids < 0) | (ids >= limits))
+        if bad.size:
+            i = int(bad[0])
+            kind = "relation" if i % 3 == 0 else "entity"
+            raise UnknownIdError(f"{kind} id {ids.flat[i]} not embedded")
+
 
 def score(table: EmbeddingTable, t: Tuple) -> float:
     """Dissimilarity of a tuple: lower means more plausible, 0 is exact."""

@@ -2,8 +2,8 @@
 
 The store is built once from three tab-separated files (tuples, labels,
 types) and never mutated afterwards, so concurrent readers need no locking.
-Values derived from it (sorted type members, grouped counts, grouped
-provenance) are cached on the store instance; readers racing on a cold key
+Values derived from it (sorted type members, sorted entity fanouts, grouped
+counts, grouped provenance) are cached on the store instance; readers racing on a cold key
 compute the same value twice, which is harmless.  Entities, relations and types live in
 separate dense integer id spaces assigned in label-file order.
 """
@@ -200,6 +200,13 @@ class KgStore:
     def tuples_containing(self, entity: int) -> frozenset[Tuple]:
         self._check_entity(entity)
         return self.by_entity.get(entity, frozenset())
+
+    def sorted_tuples_containing(self, entity: int) -> tuple[Tuple, ...]:
+        """Tuples containing ``entity`` in ascending order, sorted once per store."""
+        return self.derived(
+            ("sorted_tuples_containing", entity),
+            lambda: tuple(sorted(self.tuples_containing(entity))),
+        )
 
     def types_of(self, entity: int) -> frozenset[int]:
         self._check_entity(entity)

@@ -8,14 +8,16 @@ into a copy distribution.  No training happens here: all parameter
 matrices are inputs.
 
 Values live in D dimensions but the single projection A expects the key
-width 2D, so value rows are lifted by zero-padding on the relation half
-(the object vector occupies the same columns as the subject embedding).
-Callers preferring a separate value projection can pass one explicitly.
+width 2D, so values are projected through A's last D columns, the ones
+that read the subject half of a key: the same as zero-padding a value on
+the relation half, without building the padded copy.  Callers preferring
+a separate value projection can pass one explicitly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from .entity_linker import CandidateSet
 from .kg_embed import EmbeddingTable, gradient_check
-from .kg_store import Tuple, read_json_lines
+from .kg_store import Tuple, UnknownIdError, read_json_lines
 
 DEFAULT_HOPS = 2
 DEFAULT_MEMORY_CAP = 10000
@@ -54,7 +56,7 @@ class HopParams:
     A: np.ndarray               # (d, D_kv)
     R: tuple[np.ndarray, ...]   # H maps, each (d, d)
     B: np.ndarray               # (d, D)
-    value_map: np.ndarray | None = None  # optional (d, D) alternative to zero-padding
+    value_map: np.ndarray | None = None  # optional (d, D) alternative to A's last D columns
     anchor_mode: str = "current"  # "current" re-adds q_j each hop, "initial" q_1
 
     @property
@@ -62,6 +64,7 @@ class HopParams:
         return len(self.R)
 
     def validate(self, slab: MemorySlab) -> None:
+        _check_slab(slab, self.value_map)
         d, d_kv = self.A.shape
         if d_kv != slab.keys.shape[1]:
             raise KernelError(
@@ -82,6 +85,18 @@ class HopParams:
             raise KernelError(f"unknown anchor mode {self.anchor_mode!r}")
 
 
+def _check_slab(slab: MemorySlab, value_map: np.ndarray | None) -> None:
+    """Keys and values pair row for row; without a value map, values must
+    fit the key width, whose last columns project them."""
+    keys, values = slab.keys.shape, slab.values.shape
+    if keys[0] != values[0]:
+        raise KernelError(f"memory keys {keys} and values {values} differ in row count")
+    if value_map is None and values[1] > keys[1]:
+        raise KernelError(
+            f"memory values {values} are wider than keys {keys} and there is no value map"
+        )
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Max-shifted softmax; stable for logit magnitudes up to ~1e4."""
     shifted = logits - np.max(logits)
@@ -91,21 +106,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def build_memory(candidates: CandidateSet | Sequence[Tuple], table: EmbeddingTable) -> MemorySlab:
     """Slab rows follow candidate order: key i = (relation_i ‖ subject_i),
-    value i = object_i."""
+    value i = object_i, as float64 whatever the table's dtype.  An id the
+    table lacks raises :class:`UnknownIdError` before any row is read."""
     tuples = tuple(candidates.tuples if isinstance(candidates, CandidateSet) else candidates)
-    d = table.dim
-    keys = np.zeros((len(tuples), 2 * d))
-    values = np.zeros((len(tuples), d))
-    for i, t in enumerate(tuples):
-        keys[i, :d] = table.relation(t.relation)
-        keys[i, d:] = table.entity(t.subject)
-        values[i] = table.entity(t.object)
+    ids = np.fromiter(chain.from_iterable(tuples), np.int64, 3 * len(tuples)).reshape(-1, 3)
+    table.check_tuple_ids(ids)
+    keys = np.concatenate(
+        [table.relation_vecs[ids[:, 0]], table.entity_vecs[ids[:, 1]]], axis=1, dtype=np.float64
+    )
+    values = table.entity_vecs[ids[:, 2]].astype(np.float64, copy=False)
     return MemorySlab(keys, values, tuples)
-
-
-def _lift_values(slab: MemorySlab) -> np.ndarray:
-    pad = np.zeros((slab.size, slab.keys.shape[1] - slab.values.shape[1]))
-    return np.concatenate([pad, slab.values], axis=1)
 
 
 def hop(
@@ -124,10 +134,11 @@ def hop(
         raise KernelError(
             f"dimension mismatch: A {A.shape}, keys {slab.keys.shape}, q {q.shape}"
         )
+    _check_slab(slab, value_map)
     projected_keys = slab.keys @ A.T        # (N, d)
     weights = softmax(projected_keys @ q)   # (N,)
     if value_map is None:
-        projected_values = _lift_values(slab) @ A.T
+        projected_values = slab.values @ A[:, d_kv - slab.values.shape[1] :].T
     else:
         projected_values = slab.values @ value_map.T
     read = projected_values.T @ weights     # (d,)
@@ -180,15 +191,16 @@ def substitute_kg_words(
     """
     if len(distribution) != slab.size:
         raise KernelError("distribution length must match memory size")
-    per_entity: dict[int, float] = {}
-    for i, t in enumerate(slab.provenance):
-        per_entity[t.object] = per_entity.get(t.object, 0.0) + float(distribution[i])
-    ranked = sorted(per_entity.items(), key=lambda kv: (-kv[1], kv[0]))
+    objects = np.fromiter((t.object for t in slab.provenance), np.int64, slab.size)
+    entities, rows = np.unique(objects, return_inverse=True)
+    # bincount adds each entity's rows in row order, starting from 0.0
+    mass = np.bincount(rows, weights=distribution, minlength=len(entities))
+    ranked = entities[np.lexsort((entities, -mass))].tolist()
     out: list[str] = []
     cursor = 0
     for token in tokens:
         if token == placeholder and cursor < len(ranked):
-            entity = ranked[cursor][0]
+            entity = ranked[cursor]
             cursor += 1
             out.append(labels[entity] if labels is not None else str(entity))
         else:
@@ -277,6 +289,21 @@ def builtin_checks() -> list[VectorOutcome]:
             "margin-loss gradients match central differences", problem is None, problem or ""
         )
     )
+
+    table = EmbeddingTable(rng.standard_normal((6, 3)), rng.standard_normal((2, 3)))
+    tuples = [Tuple(*map(int, row)) for row in rng.integers(0, (2, 6, 6), size=(12, 3))]
+    name = "memory rows are the table rows of their tuples"
+    try:
+        built = build_memory(tuples, table)
+    except UnknownIdError as exc:
+        checks.append(VectorOutcome(name, False, str(exc)))
+    else:
+        ok = built.provenance == tuple(tuples) and all(
+            np.array_equal(built.keys[i], np.concatenate([table.relation(r), table.entity(s)]))
+            and np.array_equal(built.values[i], table.entity(o))
+            for i, (r, s, o) in enumerate(tuples)
+        )
+        checks.append(VectorOutcome(name, ok))
     return checks
 
 

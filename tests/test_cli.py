@@ -290,6 +290,25 @@ def test_kernel_check_flags_wrong_expectations(tmp_path, capsys):
     assert "FAIL vector wrong" in out
 
 
+def test_kernel_check_fails_a_too_wide_record_and_runs_the_rest(tmp_path, capsys):
+    good = KERNEL_VECTORS.read_text().splitlines()
+    wide = {
+        **json.loads(good[0]), "name": "wide", "keys": [[1.0], [0.0]],
+        "values": [[1.0, 0.0], [0.0, 1.0]], "A": [[1.0], [0.0]], "B": [[1.0, 0.0], [0.0, 1.0]],
+    }
+    vectors = tmp_path / "vectors.jsonl"
+    vectors.write_text("\n".join([json.dumps(wide), *good]) + "\n")
+    code, out, err = run(capsys, "kernel-check", "--vectors", str(vectors))
+    assert code == 1
+    assert err == ""
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed == [
+        "FAIL vector wide: memory values (2, 2) are wider than keys (2, 1) and there is no value map"
+    ]
+    passed_vectors = [line for line in out.splitlines() if line.startswith("PASS vector")]
+    assert len(passed_vectors) == len(good)
+
+
 def test_split_outputs_byte_identical_across_runs(tmp_path, capsys):
     corpus_dir = tmp_path / "corpus"
     run(capsys, "generate", "--kg", str(KG_T_DIR), "--n", "6", "--seed", "9", "--out", str(corpus_dir))

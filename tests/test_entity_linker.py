@@ -106,6 +106,44 @@ def test_completeness_under_unbounded_cap(seed):
     assert not cands.truncated
 
 
+def sort_per_call_candidates(store, matched, cap):
+    """candidate_tuples as it was before fanouts were cached: each call
+    sorts every matched entity's whole fanout."""
+    entities = list(dict.fromkeys(matched))
+    pools = {e: sorted(store.tuples_containing(e)) for e in entities}
+    order = sorted(entities, key=lambda e: (len(pools[e]), e))
+    pending = [iter(pools[e]) for e in order]
+    chosen, seen = [], set()
+    while pending:
+        live = []
+        for tuples in pending:
+            for t in tuples:
+                if t not in seen:
+                    break
+            else:
+                continue
+            if len(chosen) >= cap:
+                return tuple(chosen), True
+            chosen.append(t)
+            seen.add(t)
+            live.append(tuples)
+        pending = live
+    return tuple(chosen), False
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("cap", [7, 40, 10**9])
+def test_candidate_tuples_equal_the_sort_per_call_version(seed, cap):
+    import random
+
+    s = make_random_store(seed, n_tuples=400)
+    rng = random.Random(seed)
+    for _ in range(20):
+        matched = [rng.randrange(s.n_entities) for _ in range(rng.randint(1, 6))]
+        got = el.candidate_tuples(s, matched, cap)
+        assert (got.tuples, got.truncated) == sort_per_call_candidates(s, matched, cap)
+
+
 def test_recall_report_on_toy_corpus(store, templates):
     corpus = pipe.generate_corpus(
         store, templates, 20, RunConfig(min_questions=4, max_questions=6), seed=5

@@ -84,6 +84,35 @@ def test_unknown_ids_raise(store):
         store.entity_id("Atlantis")
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sorted_tuples_containing_is_the_sorted_fanout_cached_per_store(seed):
+    s = make_random_store(seed, n_tuples=300)
+    for e in range(s.n_entities):
+        assert s.sorted_tuples_containing(e) == tuple(sorted(s.tuples_containing(e)))
+        assert s.sorted_tuples_containing(e) is s.sorted_tuples_containing(e)
+
+
+def test_sorted_tuples_containing_an_unknown_id_caches_nothing():
+    s = make_random_store(0, n_tuples=50)
+    s.sorted_tuples_containing(0)
+    cached = dict(s._derived)
+    for bad in (s.n_entities, -1):
+        with pytest.raises(UnknownIdError):
+            s.sorted_tuples_containing(bad)
+    assert s._derived == cached
+
+
+def test_filtered_store_sorts_its_own_fanouts():
+    s = make_random_store(1, n_tuples=300)
+    hub = max(range(s.n_entities), key=lambda e: len(s.tuples_containing(e)))
+    full = s.sorted_tuples_containing(hub)
+    filtered = kg_store.filter_relations(s, {0})
+    own = filtered.sorted_tuples_containing(hub)
+    assert own == tuple(t for t in full if t.relation == 0)
+    assert own != full
+    assert s.sorted_tuples_containing(hub) is full
+
+
 def test_filter_relations_keeps_exactly_allowlisted(store, ids):
     filtered = kg_store.filter_relations(store, {ids["flows_through"]})
     assert len(filtered.tuples) == 6

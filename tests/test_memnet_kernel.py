@@ -1,5 +1,6 @@
 """Memory kernel: golden vectors, softmax properties, shape and invariance."""
 
+import json
 import math
 
 import numpy as np
@@ -290,6 +291,48 @@ def test_dimension_mismatch_raises():
     bad_r = mk.HopParams(A=rng.standard_normal((4, 6)), R=(np.eye(3),), B=np.zeros((4, 3)))
     with pytest.raises(mk.KernelError):
         mk.multi_hop(rng.standard_normal(4), slab, bad_r)
+
+
+def test_values_wider_than_keys_without_a_value_map_raise_naming_both_shapes():
+    rng = np.random.default_rng(13)
+    slab = mk.MemorySlab(rng.standard_normal((3, 2)), rng.standard_normal((3, 4)), ())
+    params = mk.HopParams(A=rng.standard_normal((2, 2)), R=(np.eye(2),), B=np.zeros((2, 4)))
+    q1 = rng.standard_normal(2)
+    with pytest.raises(mk.KernelError, match=r"values \(3, 4\) .*keys \(3, 2\)"):
+        mk.multi_hop(q1, slab, params)
+    with pytest.raises(mk.KernelError, match=r"values \(3, 4\) .*keys \(3, 2\)"):
+        mk.hop(q1, slab, params.A, params.R[0], q1)
+    # a value map reads values of any width
+    mapped = mk.HopParams(A=params.A, R=params.R, B=params.B, value_map=rng.standard_normal((2, 4)))
+    assert mk.multi_hop(q1, slab, mapped).q_final.shape == (2,)
+
+
+def test_keys_and_values_of_different_row_counts_raise_naming_both_shapes():
+    rng = np.random.default_rng(14)
+    slab = mk.MemorySlab(rng.standard_normal((3, 6)), rng.standard_normal((2, 3)), ())
+    params = rand_params(rng, 4, 3)
+    q1 = rng.standard_normal(4)
+    with pytest.raises(mk.KernelError, match=r"keys \(3, 6\) and values \(2, 3\)"):
+        mk.multi_hop(q1, slab, params)
+    with pytest.raises(mk.KernelError, match=r"keys \(3, 6\) and values \(2, 3\)"):
+        mk.hop(q1, slab, params.A, params.R[0], q1)
+
+
+def test_a_malformed_vector_record_fails_alone(tmp_path):
+    good = KERNEL_VECTORS.read_text().splitlines()[0]
+    wide = {
+        **json.loads(good), "name": "wide", "keys": [[1.0], [0.0]],
+        "values": [[1.0, 0.0], [0.0, 1.0]], "A": [[1.0], [0.0]], "B": [[1.0, 0.0], [0.0, 1.0]],
+    }
+    short = {**json.loads(good), "name": "short", "values": [[1.0]]}
+    vectors = tmp_path / "vectors.jsonl"
+    vectors.write_text("\n".join([json.dumps(wide), json.dumps(short), good]) + "\n")
+    outcomes = mk.run_vector_file(vectors)
+    assert [(o.name, o.passed) for o in outcomes] == [
+        ("wide", False), ("short", False), ("two_rows_one_hop_identity", True)
+    ]
+    assert "values (2, 2) are wider than keys (2, 1)" in outcomes[0].detail
+    assert "keys (2, 2) and values (1, 1) differ in row count" in outcomes[1].detail
 
 
 def test_value_map_reading_changes_projection_only():
