@@ -3,9 +3,10 @@
 The store is built once from three tab-separated files (tuples, labels,
 types) and never mutated afterwards, so concurrent readers need no locking.
 Values derived from it (sorted type members, sorted entity fanouts, grouped
-counts, grouped provenance) are cached on the store instance; readers racing on a cold key
-compute the same value twice, which is harmless.  Entities, relations and types live in
-separate dense integer id spaces assigned in label-file order.
+counts, grouped provenance) are cached on the store instance; readers racing
+on a cold key compute the same value twice, which is harmless.  Entities,
+relations and types live in separate dense integer id spaces assigned in
+label-file order.
 """
 
 from __future__ import annotations
