@@ -1,4 +1,5 @@
-"""Golden corpus: `generate` and `split` on the fixture are pinned byte for byte.
+"""Golden corpus: `generate`, `split`, `link` and `ingest` on the fixture are
+pinned byte for byte.
 
 A refactor of the plan algebra, the templates or the dialog builders must
 leave this corpus unchanged.  A deliberate change of the RNG stream or of
@@ -8,6 +9,8 @@ the output format updates the digests below and says so in CHANGES.md.
 import hashlib
 import json
 import os
+
+import pytest
 
 from conftest import KG_T_DIR, REPO
 from kgdialog.cli import dispatch
@@ -21,10 +24,14 @@ GOLDEN_SHA256 = {
 }
 
 
-def _generate(tmp_path, monkeypatch, capsys):
+def _default_config(monkeypatch):
     for var in list(os.environ):
         if var.startswith("KGDIALOG_"):
             monkeypatch.delenv(var)
+
+
+def _generate(tmp_path, monkeypatch, capsys):
+    _default_config(monkeypatch)
     out = tmp_path / "corpus"
     argv = ["generate", "--kg", str(KG_T_DIR), "--n", str(GOLDEN_N), "--seed", str(GOLDEN_SEED)]
     code = dispatch([*argv, "--out", str(out)])
@@ -104,3 +111,56 @@ def test_generate_on_synthetic_graph_matches_golden_digest(tmp_path, monkeypatch
         states |= {turn["state"] for turn in json.loads(line)["turns"]}
     assert {s.value for s in QUESTION_STATES} <= states
     assert TurnState.CLARIFICATION_Q.value in states
+
+
+LINK_SHA256 = "1c9f668e6c2f6fc3ded0a8f31f34ee830f80e048a78f33d7efaf1ac9fcbc5a26"
+
+
+def test_link_recall_report_of_the_golden_corpus_matches_golden_digest(
+    tmp_path, monkeypatch, capsys
+):
+    """`link --corpus … --out` over the golden corpus, pinned byte for byte."""
+    corpus = _generate(tmp_path, monkeypatch, capsys) / "dialogs.jsonl"
+    out = tmp_path / "link.json"
+    code = dispatch(["link", "--kg", str(KG_T_DIR), "--corpus", str(corpus), "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LINK_SHA256
+
+
+FIXTURE_LABELS_SHA256 = "c67cd9211083e7adbf740aa1fd80ff116e6b168a89e2b2f9a1d59815b5b3eb48"
+FIXTURE_TYPES_SHA256 = "66e205cacf99fd64ce31ea4e4515f180425bd7cc168c00c74648c801a86c91f7"
+FLOWS_THROUGH_TUPLES_SHA256 = "83001c4e6dd493128abdf3f2d0647be2cf56a590832adca50b6ebce4758ad84a"
+INGEST_SHA256 = {
+    (): {
+        "labels.tsv": FIXTURE_LABELS_SHA256,
+        "types.tsv": FIXTURE_TYPES_SHA256,
+        "tuples.tsv": "b69213f3676ac7c4a82b9924777cfa832678657309aa5657fee2a8d4dcc64a65",
+        "stats.json": "203c66f7bd1100b2f8de5d05c6039df719cd5800a3a86c28134c76946bf92e75",
+    },
+    ("--relations", "flows_through"): {
+        "labels.tsv": FIXTURE_LABELS_SHA256,
+        "types.tsv": FIXTURE_TYPES_SHA256,
+        "tuples.tsv": FLOWS_THROUGH_TUPLES_SHA256,
+        "stats.json": "afdf4023e20d9dff275de102de268b89221af9a28238b2cd5772c9ee7c5f7bb5",
+    },
+    ("--type-coverage", "0.5"): {
+        "labels.tsv": FIXTURE_LABELS_SHA256,
+        "types.tsv": "225f23b8545152f01037559657f6d388a2e6a8c0fe21e87f111bf057b83e7724",
+        "tuples.tsv": FLOWS_THROUGH_TUPLES_SHA256,
+        "stats.json": "61eac17390c75d9e649c1dec1560026b99bd044e32fc747ba705187f069d2be2",
+    },
+}
+
+
+@pytest.mark.parametrize("flags", list(INGEST_SHA256), ids=lambda f: " ".join(f) or "plain")
+def test_ingest_matches_golden_digests(flags, tmp_path, monkeypatch, capsys):
+    """`ingest` of the fixture, plain and with each filter: every output file
+    (the re-emitted store and its statistics) pinned byte for byte."""
+    _default_config(monkeypatch)
+    out = tmp_path / "ingest"
+    code = dispatch(["ingest", "--kg", str(KG_T_DIR), *flags, "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+    assert digests == INGEST_SHA256[flags]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import make_random_store
+from conftest import REPO, make_random_store
 from kgdialog import kg_store
 from kgdialog.kg_store import KgStore, LoadError, Tuple, UnknownIdError
 
@@ -169,6 +169,69 @@ def test_filter_types_breaks_participation_ties_by_id():
     assert filtered.tuples == frozenset({Tuple(0, 0, 1)})
 
 
+def _filter_types_reference(store: KgStore, fraction: float):
+    """The ranked-prefix type filter as first written: after each added type,
+    rescan every tuple for both ends keeping a type.  Returns the retained
+    types, the kept tuples and the new entity types."""
+
+    def survives(t, retained):
+        return bool(store.types_of(t.subject) & retained) and bool(
+            store.types_of(t.object) & retained
+        )
+
+    total = len(store.tuples)
+    participation = {ty: 0 for ty in range(store.n_types)}
+    for t in store.tuples:
+        for ty in store.types_of(t.subject) | store.types_of(t.object):
+            participation[ty] += 1
+    ranked = sorted(participation, key=lambda ty: (-participation[ty], ty))
+    retained: set[int] = set()
+    if total:
+        covered = 0
+        for ty in ranked:
+            if covered / total >= fraction:
+                break
+            retained.add(ty)
+            covered = sum(1 for t in store.tuples if survives(t, retained))
+    new_types = {
+        e: frozenset(ts & retained) for e, ts in store.entity_types.items() if ts & retained
+    }
+    kept = frozenset(t for t in store.tuples if survives(t, retained))
+    return frozenset(retained), kept, new_types
+
+
+FILTER_FRACTIONS = (0.0, 0.1, 0.33, 0.5, 0.75, 0.9, 0.99, 1.0)
+
+
+def _assert_filter_types_matches_reference(s: KgStore):
+    for fraction in FILTER_FRACTIONS:
+        filtered, retained = kg_store.filter_types(s, fraction)
+        ref_retained, ref_kept, ref_types = _filter_types_reference(s, fraction)
+        assert retained == ref_retained, fraction
+        assert filtered.tuples == ref_kept, fraction
+        assert filtered.entity_types == ref_types, fraction
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_filter_types_equals_the_rescanning_reference_on_random_stores(seed):
+    rng = random.Random(f"filter_types:{seed}")
+    s = make_random_store(seed, n_tuples=rng.randint(0, 600), n_types=rng.randint(1, 6))
+    _assert_filter_types_matches_reference(s)
+    # the same graph with every fifth entity untyped: its tuples never survive
+    untyped = KgStore(
+        s.tuples,
+        s.entity_labels,
+        s.relation_labels,
+        s.type_labels,
+        {e: ts for e, ts in s.entity_types.items() if e % 5},
+    )
+    _assert_filter_types_matches_reference(untyped)
+
+
+def test_filter_types_equals_the_rescanning_reference_on_fixture(store):
+    _assert_filter_types_matches_reference(store)
+
+
 def test_stats_on_fixture(store, ids):
     st = kg_store.stats(store)
     assert st.n_tuples == 8
@@ -213,12 +276,12 @@ def _brute_stats(s: KgStore):
     }
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_stats_equal_brute_force_on_random_stores(seed):
-    s = make_random_store(seed, n_tuples=400, n_relations=5, n_types=4)
+def _assert_stats_equal_brute_force(s: KgStore):
     st = kg_store.stats(s)
     brute = _brute_stats(s)
     assert st.n_tuples == brute["n_tuples"]
+    assert st.n_entities == s.n_entities
+    assert st.n_relations == s.n_relations
     assert st.n_fanout_ge3 == brute["ge3"]
     assert dict(st.fanout_histogram) == brute["hist"]
     assert st.n_one_one == brute["one_one"]
@@ -226,14 +289,27 @@ def test_stats_equal_brute_force_on_random_stores(seed):
     assert st.n_entities_in_tuples == brute["in_tuples"]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stats_equal_brute_force_on_random_stores(seed):
+    s = make_random_store(seed, n_tuples=400, n_relations=5, n_types=4)
+    _assert_stats_equal_brute_force(s)
+
+
 def test_stats_equal_brute_force_at_scale():
     s = make_random_store(99, n_tuples=100_000, n_relations=20, n_types=8, n_entities=20_000)
-    st = kg_store.stats(s)
-    brute = _brute_stats(s)
-    assert st.n_tuples == brute["n_tuples"]
-    assert st.n_fanout_ge3 == brute["ge3"]
-    assert st.n_one_one == brute["one_one"]
-    assert st.n_one_many == brute["one_many"]
+    _assert_stats_equal_brute_force(s)
+
+
+@pytest.mark.parametrize(
+    ("n_tuples", "fanout", "expected"), [(1565, "uniform", 1594), (6800, "heavy", 6139)]
+)
+def test_stats_equal_brute_force_on_synthetic_graphs(n_tuples, fanout, expected, monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    import graphgen
+
+    s = graphgen.make_graph(1, n_tuples, fanout)
+    assert len(s.tuples) == expected
+    _assert_stats_equal_brute_force(s)
 
 
 @pytest.mark.parametrize("seed", [3, 4])
