@@ -42,13 +42,6 @@ class CandidateSet:
     tuples: tuple[Tuple, ...]
     truncated: bool
 
-    @property
-    def entities(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for m in self.matches:
-            out.extend(m.entities)
-        return tuple(dict.fromkeys(out))
-
 
 def build_gazetteer(store: KgStore, aliases: Iterable[tuple[int, str]] = ()) -> Gazetteer:
     """Index every entity label (and optional aliases) after normalization."""
@@ -197,15 +190,8 @@ def recall_report(
             if turn.speaker != "user" or turn.state not in QUESTION_STATES:
                 continue
             n_questions += 1
-            plan = turn.plan
-            if plan is None:
-                # ambiguous question: the resolved plan sits on the following
-                # clarification answer turn
-                plan = next(
-                    (t.plan for t in turns[idx + 1 :] if t.plan is not None), None
-                )
             context = pair_entities if use_context else ()
-            pair_entities = _pair_entities(turns, idx)
+            plan, pair_entities = _turn_pair(turns, idx)
             if plan is None:
                 continue
             gold = qa.plan_tuples(store, plan)
@@ -229,14 +215,17 @@ def recall_report(
     )
 
 
-def _pair_entities(turns, question_idx: int) -> tuple[int, ...]:
-    """Entities of the turn pair opened at ``question_idx``: the question
-    plus the system turns up to the next user question."""
+def _turn_pair(turns, question_idx: int):
+    """The plan and the entities of the turn pair opened at ``question_idx``:
+    the question plus the turns up to the next user question.  The plan is
+    the pair's first; an ambiguous question has none of its own, and its
+    resolved plan sits on the clarification answer."""
     from .dialog_machine import QUESTION_STATES
 
-    out: list[int] = list(turns[question_idx].entities)
+    pair = [turns[question_idx]]
     for turn in turns[question_idx + 1 :]:
         if turn.speaker == "user" and turn.state in QUESTION_STATES:
             break
-        out.extend(turn.entities)
-    return tuple(dict.fromkeys(out))
+        pair.append(turn)
+    plan = next((t.plan for t in pair if t.plan is not None), None)
+    return plan, tuple(dict.fromkeys(e for t in pair for e in t.entities))

@@ -139,7 +139,10 @@ def exact_match_f1(pairs: Sequence[tuple[Gold, Gold]]) -> float | None:
 # -- BLEU ---------------------------------------------------------------------------
 
 
-def bleu4(reference: str, candidate: str, max_n: int = 4, smoothing: bool = False) -> float:
+BLEU_MAX_N = 4  # highest n-gram order
+
+
+def bleu4(reference: str, candidate: str, smoothing: bool = False) -> float:
     """Sentence BLEU with clipped n-gram precision and brevity penalty.
 
     Tokenization is whitespace splitting.  With ``smoothing`` a zero
@@ -151,7 +154,7 @@ def bleu4(reference: str, candidate: str, max_n: int = 4, smoothing: bool = Fals
     if not cand:
         return 0.0
     log_sum = 0.0
-    for n in range(1, max_n + 1):
+    for n in range(1, BLEU_MAX_N + 1):
         total = max(len(cand) - n + 1, 0)
         if total == 0:
             matched = 0.0
@@ -168,7 +171,7 @@ def bleu4(reference: str, candidate: str, max_n: int = 4, smoothing: bool = Fals
             if not smoothing:
                 return 0.0
             total = 1
-        log_sum += math.log(matched / total) / max_n
+        log_sum += math.log(matched / total) / BLEU_MAX_N
     if len(cand) > len(ref):
         bp = 1.0
     else:

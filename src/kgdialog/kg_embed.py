@@ -161,12 +161,15 @@ def _batch_grads(E: np.ndarray, R: np.ndarray, pos: np.ndarray, neg: np.ndarray,
     return loss, g
 
 
-def gradient_check(rng: np.random.Generator, tolerance: float = 1e-4) -> str | None:
+GRADIENT_TOLERANCE = 1e-4  # relative L2 error
+
+
+def gradient_check(rng: np.random.Generator) -> str | None:
     """Compare :func:`margin_loss_grads` with central differences of
     :func:`margin_loss` on three random tables with an active hinge.
 
-    Returns None when every gradient matches within ``tolerance``
-    (relative L2 error), otherwise what went wrong.
+    Returns None when every gradient matches within
+    :data:`GRADIENT_TOLERANCE`, otherwise what went wrong.
     """
     for trial in range(3):
         table = EmbeddingTable(rng.standard_normal((6, 5)), rng.standard_normal((2, 5)))
@@ -188,7 +191,7 @@ def gradient_check(rng: np.random.Generator, tolerance: float = 1e-4) -> str | N
                 array[idx, d] = orig
                 numeric[d] = (up - down) / (2 * h)
             rel_err = np.linalg.norm(grad - numeric) / max(np.linalg.norm(numeric), 1e-12)
-            if rel_err >= tolerance:
+            if rel_err >= GRADIENT_TOLERANCE:
                 return f"relative error {rel_err:.2e} at {kind} {idx}"
     return None
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import NoneType
@@ -65,9 +66,11 @@ class KgStore:
     """Tuple set plus lookup indices, entity types, and labels.
 
     Instances are created by :func:`load` (or internally by the filter
-    operations) and treated as immutable afterwards.  Each instance owns a
-    cache of values derived from it (see :meth:`derived`); a filtered store
-    is a new instance and starts with an empty cache.
+    operations) and treated as immutable afterwards.  Relation and type
+    labels are unique (:func:`load` checks); entity labels may repeat.
+    Each instance owns a cache of values derived from it (see
+    :meth:`derived`); a filtered store is a new instance and starts with an
+    empty cache.
     """
 
     def __init__(
@@ -110,8 +113,8 @@ class KgStore:
         self._entity_ids_by_label: dict[str, list[int]] = {}
         for i, lab in enumerate(self.entity_labels):
             self._entity_ids_by_label.setdefault(lab, []).append(i)
-        self._relation_id_by_label = _unique_index(self.relation_labels)
-        self._type_id_by_label = _unique_index(self.type_labels)
+        self._relation_id_by_label = {lab: i for i, lab in enumerate(self.relation_labels)}
+        self._type_id_by_label = {lab: i for i, lab in enumerate(self.type_labels)}
         self._derived: dict[Hashable, object] = {}
 
     def derived(self, key: Hashable, compute: Callable[[], T]) -> T:
@@ -229,13 +232,6 @@ class KgStore:
             raise UnknownIdError(f"unknown type id {ty!r}")
 
 
-def _unique_index(labels: list[str]) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for i, lab in enumerate(labels):
-        out.setdefault(lab, i)
-    return out
-
-
 # -- loading ----------------------------------------------------------------
 
 
@@ -243,15 +239,17 @@ def load(tuple_file: str | Path, label_file: str | Path, type_file: str | Path) 
     """Build a store from the three tab-separated input files.
 
     labels.tsv lines are ``file_id<TAB>kind<TAB>label`` with kind one of
-    E/R/T; dense ids are assigned per kind in file order.  tuples.tsv lines
-    are ``rel<TAB>subj<TAB>obj`` and types.tsv lines ``entity<TAB>type``,
-    both referring to label-file ids.  Malformed lines raise
-    :class:`LoadError` with the line number; dangling references raise
-    :class:`LoadError` naming the id.  Duplicate tuples are dropped (a
-    count is logged).
+    E/R/T; dense ids are assigned per kind in file order.  Relation and type
+    labels must be unique; entity labels may repeat.  tuples.tsv lines are
+    ``rel<TAB>subj<TAB>obj`` and types.tsv lines ``entity<TAB>type``, both
+    referring to label-file ids.  Malformed lines and repeated relation or
+    type labels raise :class:`LoadError` with the line number; dangling
+    references raise :class:`LoadError` naming the id.  Duplicate tuples
+    are dropped (a count is logged).
     """
     file_ids: dict[str, dict[str, int]] = {ENTITY: {}, RELATION: {}, TYPE: {}}
     labels: dict[str, list[str]] = {ENTITY: [], RELATION: [], TYPE: []}
+    label_lines: dict[tuple[str, str], int] = {}  # relation and type labels
 
     for lineno, parts in read_tsv(label_file, 3):
         fid, kind, label = parts
@@ -259,6 +257,13 @@ def load(tuple_file: str | Path, label_file: str | Path, type_file: str | Path) 
             raise LoadError(f"{label_file}:{lineno}: bad kind {kind!r} (expected E, R or T)")
         if fid in file_ids[kind]:
             raise LoadError(f"{label_file}:{lineno}: duplicate {kind} id {fid!r}")
+        if kind != ENTITY:
+            first = label_lines.setdefault((kind, label), lineno)
+            if first != lineno:
+                raise LoadError(
+                    f"{label_file}:{lineno}: duplicate {kind} label {label!r}"
+                    f" (first at line {first})"
+                )
         file_ids[kind][fid] = len(labels[kind])
         labels[kind].append(label)
 
@@ -270,8 +275,6 @@ def load(tuple_file: str | Path, label_file: str | Path, type_file: str | Path) 
         entity_types.setdefault(e, set()).add(ty)
 
     tuples: list[Tuple] = []
-    seen: set[Tuple] = set()
-    duplicates = 0
     for lineno, parts in read_tsv(tuple_file, 3):
         rfid, sfid, ofid = parts
         r = _resolve(file_ids[RELATION], rfid, "relation", tuple_file, lineno)
@@ -282,22 +285,19 @@ def load(tuple_file: str | Path, label_file: str | Path, type_file: str | Path) 
                 raise LoadError(
                     f"{tuple_file}:{lineno}: entity {fid!r} has no type assignment"
                 )
-        t = Tuple(r, s, o)
-        if t in seen:
-            duplicates += 1
-            continue
-        seen.add(t)
-        tuples.append(t)
-    if duplicates:
-        log.info("dropped %d duplicate tuples from %s", duplicates, tuple_file)
+        tuples.append(Tuple(r, s, o))
 
-    return KgStore(
+    store = KgStore(
         tuples,
         labels[ENTITY],
         labels[RELATION],
         labels[TYPE],
         {e: frozenset(ts) for e, ts in entity_types.items()},
     )
+    duplicates = len(tuples) - len(store.tuples)
+    if duplicates:
+        log.info("dropped %d duplicate tuples from %s", duplicates, tuple_file)
+    return store
 
 
 def load_dir(directory: str | Path) -> KgStore:
@@ -431,76 +431,52 @@ def filter_types(store: KgStore, coverage_fraction: float) -> tuple[KgStore, fro
     if not 0.0 <= coverage_fraction <= 1.0:
         raise KgError(f"coverage_fraction must be in [0, 1], got {coverage_fraction}")
 
-    total = len(store.tuples)
-    participation: dict[int, int] = {ty: 0 for ty in range(store.n_types)}
-    for t in store.tuples:
-        touched = store.types_of(t.subject) | store.types_of(t.object)
-        for ty in touched:
-            participation[ty] += 1
+    # one pass: tuples counted by the type sets of their two ends
+    ends = Counter((store.types_of(t.subject), store.types_of(t.object)) for t in store.tuples)
+    participation = dict.fromkeys(range(store.n_types), 0)
+    for (subject_types, object_types), n in ends.items():
+        for ty in subject_types | object_types:
+            participation[ty] += n
 
     ranked = sorted(participation, key=lambda ty: (-participation[ty], ty))
-    retained: set[int] = set()
-    if total:
-        covered = 0
-        for ty in ranked:
-            if covered / total >= coverage_fraction:
-                break
-            retained.add(ty)
-            covered = sum(1 for t in store.tuples if _survives(store, t, retained))
+    position = {ty: i for i, ty in enumerate(ranked, start=1)}
+    # survive[k]: tuples that survive once the first k ranked types are kept,
+    # but not the first k - 1
+    survive = [0] * (len(ranked) + 1)
+    for (subject_types, object_types), n in ends.items():
+        if subject_types and object_types:
+            k = max(min(map(position.get, subject_types)), min(map(position.get, object_types)))
+            survive[k] += n
+    total = len(store.tuples)
+    k = covered = 0
+    while total and k < len(ranked) and covered / total < coverage_fraction:
+        k += 1
+        covered += survive[k]
+    retained = frozenset(ranked[:k])
 
-    new_types = {
-        e: frozenset(ts & retained)
-        for e, ts in store.entity_types.items()
-        if ts & retained
-    }
-    kept = [t for t in store.tuples if _survives(store, t, retained)]
-    new_store = KgStore(
-        kept,
-        store.entity_labels,
-        store.relation_labels,
-        store.type_labels,
-        new_types,
+    new_types = {e: kept for e, ts in store.entity_types.items() if (kept := ts & retained)}
+    tuples = [t for t in store.tuples if t.subject in new_types and t.object in new_types]
+    filtered = KgStore(
+        tuples, store.entity_labels, store.relation_labels, store.type_labels, new_types
     )
-    return new_store, frozenset(retained)
-
-
-def _survives(store: KgStore, t: Tuple, retained: set[int]) -> bool:
-    return bool(store.types_of(t.subject) & retained) and bool(
-        store.types_of(t.object) & retained
-    )
+    return filtered, retained
 
 
 # -- statistics ---------------------------------------------------------------
 
 
 def stats(store: KgStore) -> StoreStats:
-    """Counts over the store; fanout is the number of tuples containing an entity."""
-    fanout: dict[int, int] = {e: 0 for e in range(store.n_entities)}
-    in_tuples: set[int] = set()
-    for t in store.tuples:
-        seen = {t.subject, t.object}
-        for e in seen:
-            fanout[e] += 1
-        in_tuples |= seen
-
-    histogram: dict[int, int] = {}
-    for e, f in fanout.items():
-        histogram[f] = histogram.get(f, 0) + 1
-
-    group_sizes: dict[tuple[int, int], int] = {}
-    for t in store.tuples:
-        key = (t.relation, t.subject)
-        group_sizes[key] = group_sizes.get(key, 0) + 1
-    one_one = sum(n for n in group_sizes.values() if n == 1)
-    one_many = sum(n for n in group_sizes.values() if n > 1)
-
+    """Counts over the store, read from its indices; fanout is the number of
+    tuples containing an entity."""
+    fanouts = [len(store.by_entity.get(e, ())) for e in range(store.n_entities)]
+    group_sizes = [len(objects) for objects in store.by_rel_subj.values()]
     return StoreStats(
         n_tuples=len(store.tuples),
         n_entities=store.n_entities,
         n_relations=store.n_relations,
-        n_entities_in_tuples=len(in_tuples),
-        fanout_histogram=histogram,
-        n_fanout_ge3=sum(1 for f in fanout.values() if f >= 3),
-        n_one_one=one_one,
-        n_one_many=one_many,
+        n_entities_in_tuples=len(store.by_entity),
+        fanout_histogram=dict(Counter(fanouts)),
+        n_fanout_ge3=sum(1 for f in fanouts if f >= 3),
+        n_one_one=group_sizes.count(1),
+        n_one_many=sum(n for n in group_sizes if n > 1),
     )

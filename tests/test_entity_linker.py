@@ -1,5 +1,7 @@
 """Gazetteer construction, longest-match linking, candidate retrieval."""
 
+import dataclasses
+
 import pytest
 
 from conftest import make_random_store
@@ -158,3 +160,26 @@ def test_recall_report_on_toy_corpus(store, templates):
     # context off can only lower (or keep) recall
     without = el.recall_report(store, gaz, corpus.dialogs, cap=10000, use_context=False)
     assert without.micro_recall <= report.micro_recall + 1e-12
+
+
+def test_recall_report_looks_for_a_plan_only_in_the_question_s_own_turn_pair(store, templates):
+    dialog = pipe.generate_corpus(store, templates, 30, RunConfig(), seed=7).dialogs[0]
+    question, response = dialog.turns[:2]
+    assert (question.state.value, response.state.value) == ("SimpleQ", "Response")
+    assert question.plan is not None and response.plan == question.plan
+    gaz = el.build_gazetteer(store)
+
+    def report(*turns):
+        edited = dataclasses.replace(dialog, turns=(*turns, *dialog.turns[2:]))
+        return el.recall_report(store, gaz, [edited])
+
+    full = report(question, response)
+    assert (full.n_questions, full.n_questions_with_gold) == (9, 7)
+    assert full.per_state["SimpleQ"] == 1.0
+    # the response still carries the plan, inside the opening pair
+    assert report(dataclasses.replace(question, plan=None), response) == full
+    # with no plan in the opening pair, the opening question has no gold; the
+    # next question's ComparativeQ plan must not be scored against it
+    unplanned = report(*(dataclasses.replace(t, plan=None) for t in (question, response)))
+    assert (unplanned.n_questions, unplanned.n_questions_with_gold) == (9, 6)
+    assert unplanned.per_state["SimpleQ"] == 1.0

@@ -1,12 +1,13 @@
 """Store loading, filtering, lookups and statistics."""
 
+import logging
 import random
 
 import pytest
 
 from conftest import REPO, make_random_store
 from kgdialog import kg_store
-from kgdialog.kg_store import KgStore, LoadError, Tuple, UnknownIdError
+from kgdialog.kg_store import KgError, KgStore, LoadError, Tuple, UnknownIdError
 
 
 def test_load_counts_match_fixture(store):
@@ -51,12 +52,46 @@ def test_untyped_tuple_entity_is_rejected(tmp_path):
         kg_store.load_dir(tmp_path)
 
 
-def test_duplicate_tuples_are_dropped(tmp_path):
+def test_duplicate_tuples_are_dropped(tmp_path, caplog):
     (tmp_path / "labels.tsv").write_text("a\tE\tA\nb\tE\tB\nr\tR\trel\nt\tT\tty\n")
     (tmp_path / "types.tsv").write_text("a\tt\nb\tt\n")
-    (tmp_path / "tuples.tsv").write_text("r\ta\tb\nr\ta\tb\n")
-    dup = kg_store.load_dir(tmp_path)
-    assert len(dup.tuples) == 1
+    (tmp_path / "tuples.tsv").write_text("r\ta\tb\nr\ta\tb\nr\tb\ta\nr\ta\tb\n")
+    with caplog.at_level(logging.INFO, logger="kgdialog.kg_store"):
+        dup = kg_store.load_dir(tmp_path)
+    assert dup.tuples == {Tuple(0, 0, 1), Tuple(0, 1, 0)}
+    assert caplog.messages == [f"dropped 2 duplicate tuples from {tmp_path / 'tuples.tsv'}"]
+
+
+def _labelled_store(tmp_path, extra_label_line):
+    (tmp_path / "labels.tsv").write_text(
+        "a\tE\tA\nb\tE\tB\nr\tR\tborders\nt\tT\tcountry\n" + extra_label_line
+    )
+    (tmp_path / "types.tsv").write_text("a\tt\nb\tt\n")
+    (tmp_path / "tuples.tsv").write_text("r\ta\tb\n")
+    return kg_store.load_dir(tmp_path)
+
+
+@pytest.mark.parametrize(
+    ("line", "message"),
+    [
+        ("r2\tR\tborders\n", "duplicate R label 'borders' (first at line 3)"),
+        ("t2\tT\tcountry\n", "duplicate T label 'country' (first at line 4)"),
+    ],
+)
+def test_repeated_relation_or_type_label_fails_at_load(line, message, tmp_path):
+    # a plan prints labels, so a repeated one would parse back to another id
+    with pytest.raises(LoadError) as err:
+        _labelled_store(tmp_path, line)
+    assert str(err.value) == f"{tmp_path / 'labels.tsv'}:5: {message}"
+
+
+def test_repeated_entity_label_loads_and_is_ambiguous_at_lookup(tmp_path):
+    s = _labelled_store(tmp_path, "c\tE\tA\n")
+    assert s.n_entities == 3
+    assert s.entity_label(2) == "A"
+    assert s.entity_id("B") == 1
+    with pytest.raises(KgError, match=r"ambiguous entity label 'A': ids \[0, 2\]"):
+        s.entity_id("A")
 
 
 def test_lookups_match_fixture(store, ids):
