@@ -445,8 +445,8 @@ def filter_types(store: KgStore, coverage_fraction: float) -> tuple[KgStore, fro
     survive = [0] * (len(ranked) + 1)
     for (subject_types, object_types), n in ends.items():
         if subject_types and object_types:
-            k = max(min(map(position.get, subject_types)), min(map(position.get, object_types)))
-            survive[k] += n
+            first = min(map(position.get, subject_types)), min(map(position.get, object_types))
+            survive[max(first)] += n
     total = len(store.tuples)
     k = covered = 0
     while total and k < len(ranked) and covered / total < coverage_fraction:
