@@ -1,9 +1,11 @@
 """Corpus generation, serialization, tuple-separated splits and stats."""
 
+import hashlib
 import json
 
 import pytest
 
+from conftest import REPO
 from kgdialog import dataset_pipeline as pipe, dialog_machine as dm
 from kgdialog.config import RunConfig
 from kgdialog.kg_store import Tuple
@@ -205,6 +207,53 @@ def test_split_disjointness_over_many_random_corpora(store, templates):
         result = pipe.split_corpus(corpus, pipe.SplitSpec((0.7, 0.15, 0.15), seed=seed))
         report = pipe.split_report(corpus, result)
         assert report["provenance_overlap_train_eval"] == 0
+
+
+def _split_reference(corpus, spec):
+    """Bucket ids by the split's first algorithm: partition the whole
+    provenance union by seeded hash, then give each dialog the first part
+    that holds all of its provenance."""
+
+    def unit(t):
+        key = f"{spec.seed}:{t.relation}:{t.subject}:{t.object}".encode()
+        return int.from_bytes(hashlib.sha256(key).digest()[:8], "big") / 2**64
+
+    train_cut, valid_cut = spec.fractions[0], spec.fractions[0] + spec.fractions[1]
+    parts = {"train": set(), "valid": set(), "test": set()}
+    for t in sorted(set().union(*corpus.provenance.values())):
+        u = unit(t)
+        parts["train" if u < train_cut else "valid" if u < valid_cut else "test"].add(t)
+    buckets = {"train": [], "valid": [], "test": [], "discarded": []}
+    for d in corpus.dialogs:
+        prov = corpus.provenance[d.dialog_id]
+        owner = next((name for name, part in parts.items() if prov <= part), "discarded")
+        buckets[owner].append(d.dialog_id)
+    return buckets
+
+
+NO_GROUPED = {"argopt": 0.0, "threshold": 0.0, "comparative": 0.0}
+
+
+def _graphgen_corpus(monkeypatch, templates, n_tuples, fanout, n_dialogs, weights=None):
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    import graphgen
+
+    store = graphgen.make_graph(1, n_tuples, fanout)
+    config = RunConfig(seed=42, transition_weights=weights or {})
+    return pipe.generate_corpus(store, templates, n_dialogs, config, seed=42)
+
+
+@pytest.mark.parametrize(
+    ("n_tuples", "fanout", "weights"),
+    [(300, "uniform", None), (1800, "heavy", None), (6000, "uniform", NO_GROUPED), (6000, "heavy", None)],
+)
+def test_split_equals_partitioning_the_whole_union(n_tuples, fanout, weights, templates, monkeypatch):
+    corpus = _graphgen_corpus(monkeypatch, templates, n_tuples, fanout, 80, weights)
+    assert len(corpus.dialogs) == 80
+    for fractions in [(0.8, 0.1, 0.1), (0.5, 0.25, 0.25), (1, 0, 0), (0, 0, 1), (0.98, 0.01, 0.01)]:
+        for seed in range(4):
+            spec = pipe.SplitSpec(fractions, seed)
+            assert _bucket_ids(pipe.split_corpus(corpus, spec)) == _split_reference(corpus, spec)
 
 
 # -- statistics ------------------------------------------------------------------------
