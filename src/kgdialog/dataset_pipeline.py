@@ -265,22 +265,20 @@ def _tuple_unit(seed: int, t: Tuple) -> float:
     return int.from_bytes(digest[:8], "big") / 2**64
 
 
+def _part_of(spec: SplitSpec, t: Tuple) -> str:
+    u = _tuple_unit(spec.seed, t)
+    train, valid, _ = spec.fractions
+    return "train" if u < train else "valid" if u < train + valid else "test"
+
+
 def partition_tuples(
     tuples: Iterable[Tuple], spec: SplitSpec
 ) -> dict[str, frozenset[Tuple]]:
     """Deterministically partition tuples into train/valid/test by seeded hash."""
     spec.validate()
-    train_cut = spec.fractions[0]
-    valid_cut = spec.fractions[0] + spec.fractions[1]
     out: dict[str, set[Tuple]] = {"train": set(), "valid": set(), "test": set()}
-    for t in sorted(tuples):
-        u = _tuple_unit(spec.seed, t)
-        if u < train_cut:
-            out["train"].add(t)
-        elif u < valid_cut:
-            out["valid"].add(t)
-        else:
-            out["test"].add(t)
+    for t in tuples:
+        out[_part_of(spec, t)].add(t)
     return {k: frozenset(v) for k, v in out.items()}
 
 
@@ -289,17 +287,18 @@ def split_corpus(corpus: Corpus, spec: SplitSpec) -> SplitResult:
 
     Guarantees empty tuple-provenance intersection between train and
     valid/test.  Dialogs whose provenance straddles partitions are
-    discarded; dialogs with empty provenance default to train.
+    discarded, at the first tuple outside the part of their first; dialogs
+    with empty provenance default to train.  Each tuple is hashed at most
+    once per call, and only if a dialog is still undecided when it comes.
     """
     spec.validate()
-    parts = partition_tuples(set().union(*corpus.provenance.values()), spec)
+    parts: dict[Tuple, str] = {}
     result = SplitResult([], [], [], [])
-    buckets = {"train": result.train, "valid": result.valid, "test": result.test}
     for d in corpus.dialogs:
         prov = corpus.provenance_of(d)
-        # an empty provenance lies in every part, so the first, train, owns it
-        owner = next((name for name, part in parts.items() if prov <= part), None)
-        buckets.get(owner, result.discarded).append(d)
+        owners = (parts.get(t) or parts.setdefault(t, _part_of(spec, t)) for t in prov)
+        owner = next(owners, "train")
+        getattr(result, owner if all(o == owner for o in owners) else "discarded").append(d)
     return result
 
 

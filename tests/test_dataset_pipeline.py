@@ -256,6 +256,33 @@ def test_split_equals_partitioning_the_whole_union(n_tuples, fanout, weights, te
             assert _bucket_ids(pipe.split_corpus(corpus, spec)) == _split_reference(corpus, spec)
 
 
+def _count_hashes(monkeypatch) -> list:
+    hashed = []
+    unit = pipe._tuple_unit
+    monkeypatch.setattr(pipe, "_tuple_unit", lambda seed, t: hashed.append(t) or unit(seed, t))
+    return hashed
+
+
+def test_split_hashes_no_tuple_twice(corpus, monkeypatch):
+    hashed = _count_hashes(monkeypatch)
+    for seed in range(4):
+        hashed.clear()
+        pipe.split_corpus(corpus, pipe.SplitSpec((0.5, 0.25, 0.25), seed))
+        assert hashed and len(hashed) == len(set(hashed))
+
+
+def test_split_hashes_only_the_tuples_that_decide(templates, monkeypatch):
+    """A grouped batch's provenance covers most of the graph, yet its
+    dialogs straddle parts within their first few tuples."""
+    corpus = _graphgen_corpus(monkeypatch, templates, 1800, "heavy", 10)
+    union = set().union(*corpus.provenance.values())
+    hashed = _count_hashes(monkeypatch)
+    for seed in range(4):
+        hashed.clear()
+        pipe.split_corpus(corpus, pipe.SplitSpec((0.8, 0.1, 0.1), seed))
+        assert len(hashed) == len(set(hashed)) < len(union) / 10
+
+
 # -- statistics ------------------------------------------------------------------------
 
 
