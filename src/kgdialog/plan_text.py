@@ -26,6 +26,15 @@ SLOT_OPEN = "⟨"   # ⟨
 SLOT_CLOSE = "⟩"  # ⟩
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# one alternative per token kind: punctuation, a quoted label (a backslash
+# escapes the next character), a slot marker, an atom; a lone `"` or slot
+# opener that no closing character follows is matched by `\S`
+_TOKEN = re.compile(
+    rf'[(),]|"(?:\\.|[^"\\])*"|{SLOT_OPEN}[^{SLOT_CLOSE}]*{SLOT_CLOSE}'
+    rf'|[^\s(),"{SLOT_OPEN}][^\s(),"]*|\S',
+    re.DOTALL,
+)
+_ESCAPED = re.compile(r"\\(.)", re.DOTALL)
 
 
 class PlanTextError(ValueError):
@@ -100,37 +109,21 @@ _PLAN_CLASSES = get_args(qa.QueryPlan)
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
     tokens: list[tuple[str, str]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "(),":
+    for tok in _TOKEN.findall(text):
+        ch = tok[0]
+        if ch in "(),":
             tokens.append((ch, ch))
-            i += 1
         elif ch == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    j += 1
-                out.append(text[j])
-                j += 1
-            if j >= n:
+            if len(tok) == 1:
                 raise PlanTextError(f"unterminated quote in plan text: {text!r}")
-            tokens.append(("quoted", "".join(out)))
-            i = j + 1
+            label = tok[1:-1]
+            tokens.append(("quoted", _ESCAPED.sub(r"\1", label) if "\\" in label else label))
         elif ch == SLOT_OPEN:
-            j = text.find(SLOT_CLOSE, i + 1)
-            if j < 0:
+            if len(tok) == 1:
                 raise PlanTextError(f"unterminated slot marker in plan text: {text!r}")
-            tokens.append(("slot", text[i + 1 : j]))
-            i = j + 1
+            tokens.append(("slot", tok[1:-1]))
         else:
-            m = re.match(r"[^\s(),\"]+", text[i:])
-            assert m is not None
-            tokens.append(("atom", m.group(0)))
-            i += m.end()
+            tokens.append(("atom", tok))
     return tokens
 
 

@@ -1,6 +1,7 @@
 """Canonical plan text: parse/print round-trips and slot handling."""
 
 import random
+import re
 
 import pytest
 
@@ -145,6 +146,64 @@ def test_bindings_accept_ids_and_labels(store, ids):
 def test_malformed_text_raises(store, bad):
     with pytest.raises(PlanTextError):
         plan_text.parse_plan(bad, store)
+
+
+def reference_tokenize(text):
+    """The tokenizer as a character loop: the reference `_tokenize` must equal."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "(),":
+            tokens.append((ch, ch))
+            i += 1
+        elif ch == '"':
+            j = i + 1
+            out = []
+            while j < n and text[j] != '"':
+                if text[j] == "\\" and j + 1 < n:
+                    j += 1
+                out.append(text[j])
+                j += 1
+            if j >= n:
+                raise PlanTextError(f"unterminated quote in plan text: {text!r}")
+            tokens.append(("quoted", "".join(out)))
+            i = j + 1
+        elif ch == "⟨":
+            j = text.find("⟩", i + 1)
+            if j < 0:
+                raise PlanTextError(f"unterminated slot marker in plan text: {text!r}")
+            tokens.append(("slot", text[i + 1 : j]))
+            i = j + 1
+        else:
+            m = re.match(r"[^\s(),\"]+", text[i:])
+            tokens.append(("atom", m.group(0)))
+            i += m.end()
+    return tokens
+
+
+def tokenize_outcome(tokenize, text):
+    """The tokens, or the message of the PlanTextError raised instead."""
+    try:
+        return tokenize(text)
+    except PlanTextError as exc:
+        return str(exc)
+
+
+# the characters the tokenizer branches on, two that str.isspace counts as
+# whitespace beyond ASCII, and ordinary label characters
+TOKEN_ALPHABET = '(),"\\⟨⟩ \t\n\x1c\xa0abcXYZ019-_:é'
+
+
+def test_tokenize_equals_the_character_loop():
+    rng = random.Random(0)
+    weights = [6 if ch in '(),"\\⟨⟩ ' else 1 for ch in TOKEN_ALPHABET]
+    for _ in range(20_000):
+        text = "".join(rng.choices(TOKEN_ALPHABET, weights, k=rng.randint(0, 24)))
+        expected = tokenize_outcome(reference_tokenize, text)
+        assert tokenize_outcome(plan_text._tokenize, text) == expected, text
 
 
 def test_unknown_labels_are_reported(store):
