@@ -67,7 +67,7 @@ class KgStore:
 
     Instances are created by :func:`load` (or internally by the filter
     operations) and treated as immutable afterwards.  Relation and type
-    labels are unique (:func:`load` checks); entity labels may repeat.
+    labels are unique (the constructor checks); entity labels may repeat.
     Each instance owns a cache of values derived from it (see
     :meth:`derived`); a filtered store is a new instance and starts with an
     empty cache.
@@ -115,6 +115,13 @@ class KgStore:
             self._entity_ids_by_label.setdefault(lab, []).append(i)
         self._relation_id_by_label = {lab: i for i, lab in enumerate(self.relation_labels)}
         self._type_id_by_label = {lab: i for i, lab in enumerate(self.type_labels)}
+        for kind, labels, ids in (
+            ("relation", self.relation_labels, self._relation_id_by_label),
+            ("type", self.type_labels, self._type_id_by_label),
+        ):
+            if len(ids) < len(labels):
+                repeated = next(lab for i, lab in enumerate(labels) if ids[lab] != i)
+                raise KgError(f"duplicate {kind} label {repeated!r}")
         self._derived: dict[Hashable, object] = {}
 
     def derived(self, key: Hashable, compute: Callable[[], T]) -> T:

@@ -94,6 +94,22 @@ def test_repeated_entity_label_loads_and_is_ambiguous_at_lookup(tmp_path):
         s.entity_id("A")
 
 
+@pytest.mark.parametrize(
+    ("relations", "types", "message"),
+    [
+        (["borders", "borders"], ["country"], "duplicate relation label 'borders'"),
+        (["borders"], ["country", "river", "country"], "duplicate type label 'country'"),
+    ],
+)
+def test_constructor_rejects_a_repeated_relation_or_type_label(relations, types, message):
+    """Stores built without `load` (the filters, synthetic graphs) are
+    checked too; entity labels may still repeat."""
+    entity_types = {0: frozenset({0}), 1: frozenset({0})}
+    with pytest.raises(KgError) as err:
+        KgStore([Tuple(0, 0, 1)], ["A", "A"], relations, types, entity_types)
+    assert str(err.value) == message
+
+
 def test_lookups_match_fixture(store, ids):
     assert store.objects_of(ids["flows_through"], ids["India"]) == frozenset(
         {ids["Ganga"], ids["Yamuna"], ids["Brahmaputra"]}
