@@ -287,9 +287,10 @@ def split_corpus(corpus: Corpus, spec: SplitSpec) -> SplitResult:
 
     Guarantees empty tuple-provenance intersection between train and
     valid/test.  Dialogs whose provenance straddles partitions are
-    discarded, at the first tuple outside the part of their first; dialogs
-    with empty provenance default to train.  Each tuple is hashed at most
-    once per call, and only if a dialog is still undecided when it comes.
+    discarded; dialogs with empty provenance default to train.  A dialog
+    is decided at its first tuple outside its first tuple's part, so each
+    tuple is hashed only if an undecided dialog reaches it, and at most
+    once per call.
     """
     spec.validate()
     parts: dict[Tuple, str] = {}
