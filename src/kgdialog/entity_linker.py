@@ -6,16 +6,20 @@ current token, so "new delhi" matches the two-token entity rather than any
 single-token fragment.  Candidate retrieval unions the tuples touching the
 matched entities, truncating under a cap by round-robin over the matched
 entities with the rarest entity's tuples first (popular entities would
-otherwise crowd out low-fanout ones).
+otherwise crowd out low-fanout ones).  The merge runs on the store's dense
+tuple ids, and candidates keep them as ``(N, 3)`` id rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .kg_store import KgStore, LoadError, Tuple, read_tsv
+import numpy as np
+
+from .kg_store import KgStore, LoadError, TupleRows, read_tsv
 from .text import normalize
 
 
@@ -39,8 +43,11 @@ class Match:
 @dataclass(frozen=True)
 class CandidateSet:
     matches: tuple[Match, ...]
-    tuples: tuple[Tuple, ...]
+    tuples: TupleRows  # any sequence of Tuples is taken as its rows
     truncated: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "tuples", TupleRows.of(self.tuples))
 
 
 def build_gazetteer(store: KgStore, aliases: Iterable[tuple[int, str]] = ()) -> Gazetteer:
@@ -98,33 +105,70 @@ def link(gazetteer: Gazetteer, utterance: str) -> list[Match]:
 def candidate_tuples(store: KgStore, matched: Sequence[int], cap: int = 10000) -> CandidateSet:
     """Tuples touching any matched entity, truncated fairly under ``cap``.
 
-    Ordering is deterministic: matched entities sorted rarest first, one
-    tuple taken from each in turn.
+    Ordering is deterministic: matched entities sorted rarest first, then
+    round by round each entity with a tuple not yet chosen gives its next
+    one in sorted ``Tuple`` order.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     entities = list(dict.fromkeys(matched))
-    pools = {e: store.sorted_tuples_containing(e) for e in entities}
-    order = sorted(entities, key=lambda e: (len(pools[e]), e))
-    # each round, every entity with a tuple not yet chosen gives its next one
-    pending = [iter(pools[e]) for e in order]
-    chosen: list[Tuple] = []
-    seen: set[Tuple] = set()
-    while pending:
-        live = []
-        for tuples in pending:
-            for t in tuples:
-                if t not in seen:
-                    break
-            else:
-                continue
-            if len(chosen) >= cap:
-                return CandidateSet(matches=(), tuples=tuple(chosen), truncated=True)
-            chosen.append(t)
-            seen.add(t)
-            live.append(tuples)
-        pending = live
-    return CandidateSet(matches=(), tuples=tuple(chosen), truncated=False)
+    pools = [store.tuple_ids_containing(e) for e in entities]
+    order = sorted(range(len(entities)), key=lambda k: (len(pools[k]), entities[k]))
+    merged = _round_robin(store, [pools[k] for k in order], entities)
+    return CandidateSet((), TupleRows(store.tuple_index().ids[merged[:cap]]), len(merged) > cap)
+
+
+def _round_robin(store: KgStore, pools: list[np.ndarray], entities: list[int]) -> np.ndarray:
+    """The union of ``pools`` (ascending dense ids of the tuples containing
+    each of ``entities``) in round-robin order: each round, every pool in
+    turn gives its next id that no pool has given yet.
+
+    Only a tuple whose two distinct ends are both matched sits in two pools,
+    and the pool that reaches it second skips it; such tuples are resolved
+    one by one, in pick order.  Without its skipped entries, a pool gives
+    its ``j``-th entry in round ``j``.
+    """
+    if len(pools) < 2:
+        return pools[0] if pools else np.empty(0, np.int64)
+    sizes = np.array([len(p) for p in pools])
+    flat = np.concatenate(pools)
+    ids = store.tuple_index().ids
+    subject, obj = ids[flat, 1], ids[flat, 2]
+    is_matched = np.zeros(store.n_entities, bool)
+    is_matched[entities] = True
+    shared = np.flatnonzero(is_matched[subject] & is_matched[obj] & (subject != obj))
+    if shared.size:
+        starts = np.cumsum(sizes) - sizes
+        pool = np.searchsorted(starts, shared, side="right") - 1
+        skip = np.array(_skipped(flat[shared].tolist(), pool.tolist(), (shared - starts[pool]).tolist()))
+        keep = np.ones(len(flat), bool)
+        keep[shared[skip]] = False
+        flat = flat[keep]
+        sizes -= np.bincount(pool[skip], minlength=len(pools))
+    rounds = np.arange(sizes.max())
+    return flat[np.argsort(np.concatenate([rounds[:n] for n in sizes.tolist()]), kind="stable")]
+
+
+def _skipped(tuples: list[int], pools: list[int], places: list[int]) -> list[bool]:
+    """Which entries of the shared ``tuples`` their pool skips because the
+    other pool gave the tuple first.  Entries come pool by pool in place
+    order; each pool's next one waits in a heap keyed by (round, pool), the
+    order in which entries are picked."""
+    skips = dict.fromkeys(pools, 0)
+    heap = [(places[i], k, i) for i, k in enumerate(pools) if i == 0 or pools[i - 1] != k]
+    heapify(heap)
+    given: set[int] = set()
+    skipped = [False] * len(tuples)
+    while heap:
+        _, k, i = heappop(heap)
+        if tuples[i] in given:
+            skipped[i] = True
+            skips[k] += 1
+        else:
+            given.add(tuples[i])
+        if i + 1 < len(pools) and pools[i + 1] == k:
+            heappush(heap, (places[i + 1] - skips[k], k, i + 1))
+    return skipped
 
 
 def link_and_retrieve(

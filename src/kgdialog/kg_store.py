@@ -2,11 +2,17 @@
 
 The store is built once from three tab-separated files (tuples, labels,
 types) and never mutated afterwards, so concurrent readers need no locking.
-Values derived from it (sorted type members, sorted entity fanouts, grouped
+Values derived from it (sorted type members, the dense tuple index, grouped
 counts, grouped provenance) are cached on the store instance; readers racing
 on a cold key compute the same value twice, which is harmless.  Entities,
 relations and types live in separate dense integer id spaces assigned in
 label-file order.
+
+A tuple's dense id is its position in the sorted array of all the store's
+tuples (:class:`TupleIndex`, built on first use).  Readers that gather many
+tuples, such as the entity linker and the memory kernel, pass ``(N, 3)`` id
+rows around and show them as :class:`TupleRows`, a sequence of
+:class:`Tuple` made only when an element is read.
 """
 
 from __future__ import annotations
@@ -14,10 +20,14 @@ from __future__ import annotations
 import json
 import logging
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from types import NoneType
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, TypeVar
+
+import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -46,6 +56,87 @@ class Tuple(NamedTuple):
     relation: int
     subject: int
     object: int
+
+
+class TupleRows(Sequence):
+    """Read-only sequence of :class:`Tuple` over an ``(N, 3)`` int64 array
+    of (relation, subject, object) rows, kept in ``ids``.
+
+    Length and truth read the array only; a ``Tuple`` is made when an
+    element is read.  It equals any sequence holding the same tuples in the
+    same order, and ``rows + other`` appends one.
+    """
+
+    __slots__ = ("ids",)
+
+    def __init__(self, ids: np.ndarray):
+        self.ids = ids.view()
+        self.ids.flags.writeable = False
+
+    @classmethod
+    def of(cls, tuples: Iterable[Tuple]) -> TupleRows:
+        """The rows of ``tuples``; a ``TupleRows`` is returned as it is."""
+        if isinstance(tuples, TupleRows):
+            return tuples
+        tuples = tuple(tuples)
+        return cls(np.fromiter(chain.from_iterable(tuples), np.int64, 3 * len(tuples)).reshape(-1, 3))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return TupleRows(self.ids[i])
+        return Tuple(*self.ids[i].tolist())
+
+    def __iter__(self):
+        return map(Tuple, *self.ids.T.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, TupleRows):
+            return np.array_equal(self.ids, other.ids)
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and tuple(self) == tuple(other)
+
+    __hash__ = None
+
+    def __add__(self, other: Iterable[Tuple]) -> TupleRows:
+        return TupleRows(np.concatenate([self.ids, TupleRows.of(other).ids]))
+
+    def __repr__(self) -> str:
+        return f"TupleRows({list(self)!r})"
+
+
+@dataclass(frozen=True)
+class TupleIndex:
+    """Every tuple of a store once, by dense id.
+
+    Row ``i`` of ``ids`` is the tuple with dense id ``i``: the ``i``-th in
+    sorted :class:`Tuple` order.  The ids of the tuples containing entity
+    ``e`` are ``positions[starts[e]:starts[e + 1]]``, ascending (a CSR
+    index); a self-loop is listed once.  All three arrays are int64 and
+    read-only.
+    """
+
+    ids: np.ndarray        # (T, 3)
+    starts: np.ndarray     # (n_entities + 1,)
+    positions: np.ndarray  # one entry per (tuple, distinct end)
+
+    @classmethod
+    def build(cls, tuples: Iterable[Tuple], n_entities: int) -> TupleIndex:
+        ids = TupleRows.of(tuples).ids
+        ids = ids[np.lexsort(ids.T[::-1])]  # by relation, then subject, then object
+        rows = np.arange(len(ids))
+        other = ids[:, 1] != ids[:, 2]
+        ends = np.concatenate([ids[:, 1], ids[other, 2]])
+        owners = np.concatenate([rows, rows[other]])
+        positions = owners[np.lexsort((owners, ends))]
+        starts = np.zeros(n_entities + 1, np.int64)
+        np.cumsum(np.bincount(ends, minlength=n_entities), out=starts[1:])
+        for array in (ids, starts, positions):
+            array.flags.writeable = False
+        return cls(ids, starts, positions)
 
 
 @dataclass(frozen=True)
@@ -212,12 +303,16 @@ class KgStore:
         self._check_entity(entity)
         return self.by_entity.get(entity, frozenset())
 
-    def sorted_tuples_containing(self, entity: int) -> tuple[Tuple, ...]:
-        """Tuples containing ``entity`` in ascending order, sorted once per store."""
-        return self.derived(
-            ("sorted_tuples_containing", entity),
-            lambda: tuple(sorted(self.tuples_containing(entity))),
-        )
+    def tuple_index(self) -> TupleIndex:
+        """Every tuple by dense id, built on first use and cached."""
+        return self.derived("tuple_index", lambda: TupleIndex.build(self.tuples, self.n_entities))
+
+    def tuple_ids_containing(self, entity: int) -> np.ndarray:
+        """Dense ids of the tuples containing ``entity``, ascending (so in
+        sorted ``Tuple`` order): a read-only view into :meth:`tuple_index`."""
+        self._check_entity(entity)
+        index = self.tuple_index()
+        return index.positions[index.starts[entity] : index.starts[entity + 1]]
 
     def types_of(self, entity: int) -> frozenset[int]:
         self._check_entity(entity)

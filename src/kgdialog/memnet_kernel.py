@@ -17,7 +17,6 @@ a separate value projection can pass one explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from .entity_linker import CandidateSet
 from .kg_embed import EmbeddingTable, gradient_check
-from .kg_store import Tuple, UnknownIdError, read_json_lines
+from .kg_store import Tuple, TupleRows, UnknownIdError, read_json_lines
 
 DEFAULT_HOPS = 2
 DEFAULT_MEMORY_CAP = 10000
@@ -41,7 +40,10 @@ class KernelError(ValueError):
 class MemorySlab:
     keys: np.ndarray    # (N, 2D)
     values: np.ndarray  # (N, D)
-    provenance: tuple[Tuple, ...]
+    provenance: TupleRows  # any sequence of Tuples is taken as its rows
+
+    def __post_init__(self):
+        object.__setattr__(self, "provenance", TupleRows.of(self.provenance))
 
     @property
     def size(self) -> int:
@@ -107,15 +109,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def build_memory(candidates: CandidateSet | Sequence[Tuple], table: EmbeddingTable) -> MemorySlab:
     """Slab rows follow candidate order: key i = (relation_i ‖ subject_i),
     value i = object_i, as float64 whatever the table's dtype.  An id the
-    table lacks raises :class:`UnknownIdError` before any row is read."""
-    tuples = tuple(candidates.tuples if isinstance(candidates, CandidateSet) else candidates)
-    ids = np.fromiter(chain.from_iterable(tuples), np.int64, 3 * len(tuples)).reshape(-1, 3)
+    table lacks raises :class:`UnknownIdError` before any row is read.  A
+    ``CandidateSet``'s id rows are read as they are, and the slab keeps them."""
+    rows = candidates.tuples if isinstance(candidates, CandidateSet) else TupleRows.of(candidates)
+    ids = rows.ids
     table.check_tuple_ids(ids)
     keys = np.concatenate(
         [table.relation_vecs[ids[:, 0]], table.entity_vecs[ids[:, 1]]], axis=1, dtype=np.float64
     )
     values = table.entity_vecs[ids[:, 2]].astype(np.float64, copy=False)
-    return MemorySlab(keys, values, tuples)
+    return MemorySlab(keys, values, rows)
 
 
 def hop(
@@ -127,6 +130,12 @@ def hop(
     value_map: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One memory pass: returns (next query, attention weights)."""
+    _check_hop(q, slab, A, anchor_q)
+    _check_slab(slab, value_map)
+    return _step(q, *_project(slab, A, value_map), R_j, anchor_q)
+
+
+def _check_hop(q: np.ndarray, slab: MemorySlab, A: np.ndarray, anchor_q: np.ndarray) -> None:
     if slab.size == 0:
         raise KernelError("cannot hop over an empty memory")
     d, d_kv = A.shape
@@ -134,14 +143,26 @@ def hop(
         raise KernelError(
             f"dimension mismatch: A {A.shape}, keys {slab.keys.shape}, q {q.shape}"
         )
-    _check_slab(slab, value_map)
-    projected_keys = slab.keys @ A.T        # (N, d)
-    weights = softmax(projected_keys @ q)   # (N,)
+
+
+def _project(
+    slab: MemorySlab, A: np.ndarray, value_map: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Keys and values in query space, (N, d) each; no hop changes them."""
+    keys = slab.keys @ A.T
     if value_map is None:
-        projected_values = slab.values @ A[:, d_kv - slab.values.shape[1] :].T
+        values = slab.values @ A[:, A.shape[1] - slab.values.shape[1] :].T
     else:
-        projected_values = slab.values @ value_map.T
-    read = projected_values.T @ weights     # (d,)
+        values = slab.values @ value_map.T
+    return keys, values
+
+
+def _step(
+    q: np.ndarray, keys: np.ndarray, values: np.ndarray, R_j: np.ndarray, anchor_q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One hop over projected keys and values: (next query, attention weights)."""
+    weights = softmax(keys @ q)   # (N,)
+    read = values.T @ weights     # (d,)
     q_next = R_j @ (anchor_q + read)
     if not np.all(np.isfinite(q_next)):
         raise KernelError("hop produced non-finite values")
@@ -156,13 +177,15 @@ class MultiHopResult:
 
 def multi_hop(q1: np.ndarray, slab: MemorySlab, params: HopParams) -> MultiHopResult:
     """Run all hops; the anchor re-added inside each hop is the current
-    query by default ("initial" re-adds q1 instead)."""
+    query by default ("initial" re-adds q1 instead).  Keys and values are
+    projected once, for every hop."""
     params.validate(slab)
-    q = np.asarray(q1, dtype=float)
+    q = initial = np.asarray(q1, dtype=float)
+    _check_hop(q, slab, params.A, q)
+    keys, values = _project(slab, params.A, params.value_map)
     attentions: list[np.ndarray] = []
-    for j in range(params.hops):
-        anchor = np.asarray(q1, dtype=float) if params.anchor_mode == "initial" else q
-        q, weights = hop(q, slab, params.A, params.R[j], anchor, params.value_map)
+    for R_j in params.R:
+        q, weights = _step(q, keys, values, R_j, initial if params.anchor_mode == "initial" else q)
         attentions.append(weights)
     return MultiHopResult(q, tuple(attentions))
 
@@ -191,7 +214,7 @@ def substitute_kg_words(
     """
     if len(distribution) != slab.size:
         raise KernelError("distribution length must match memory size")
-    objects = np.fromiter((t.object for t in slab.provenance), np.int64, slab.size)
+    objects = slab.provenance.ids[:, 2]
     entities, rows = np.unique(objects, return_inverse=True)
     # bincount adds each entity's rows in row order, starting from 0.0
     mass = np.bincount(rows, weights=distribution, minlength=len(entities))

@@ -3,11 +3,12 @@
 import logging
 import random
 
+import numpy as np
 import pytest
 
 from conftest import REPO, make_random_store
 from kgdialog import kg_store
-from kgdialog.kg_store import KgError, KgStore, LoadError, Tuple, UnknownIdError
+from kgdialog.kg_store import KgError, KgStore, LoadError, Tuple, TupleRows, UnknownIdError
 
 
 def test_load_counts_match_fixture(store):
@@ -135,33 +136,78 @@ def test_unknown_ids_raise(store):
         store.entity_id("Atlantis")
 
 
+def _pool(s, e):
+    """The tuples containing ``e``, read through the dense tuple index."""
+    return tuple(TupleRows(s.tuple_index().ids[s.tuple_ids_containing(e)]))
+
+
 @pytest.mark.parametrize("seed", [0, 1])
-def test_sorted_tuples_containing_is_the_sorted_fanout_cached_per_store(seed):
-    s = make_random_store(seed, n_tuples=300)
+def test_tuple_ids_containing_is_the_sorted_fanout_cached_per_store(seed):
+    s = make_random_store(seed, n_tuples=300, n_entities=40)  # self-loops included
+    assert any(t.subject == t.object for t in s.tuples)
+    index = s.tuple_index()
+    assert index is s.tuple_index()
+    assert TupleRows(index.ids) == sorted(s.tuples)
     for e in range(s.n_entities):
-        assert s.sorted_tuples_containing(e) == tuple(sorted(s.tuples_containing(e)))
-        assert s.sorted_tuples_containing(e) is s.sorted_tuples_containing(e)
+        pool = s.tuple_ids_containing(e)
+        assert _pool(s, e) == tuple(sorted(s.tuples_containing(e)))
+        # every pool is a view into the one cached index
+        assert np.shares_memory(pool, index.positions)
+        assert not pool.flags.writeable
 
 
-def test_sorted_tuples_containing_an_unknown_id_caches_nothing():
+def test_tuple_ids_containing_an_unknown_id_caches_nothing():
     s = make_random_store(0, n_tuples=50)
-    s.sorted_tuples_containing(0)
+    assert s._derived == {}  # the index is built on first use, not with the store
+    for bad in (s.n_entities, -1):
+        with pytest.raises(UnknownIdError):
+            s.tuple_ids_containing(bad)
+    assert s._derived == {}
+    s.tuple_ids_containing(0)
     cached = dict(s._derived)
     for bad in (s.n_entities, -1):
         with pytest.raises(UnknownIdError):
-            s.sorted_tuples_containing(bad)
+            s.tuple_ids_containing(bad)
     assert s._derived == cached
 
 
 def test_filtered_store_sorts_its_own_fanouts():
     s = make_random_store(1, n_tuples=300)
     hub = max(range(s.n_entities), key=lambda e: len(s.tuples_containing(e)))
-    full = s.sorted_tuples_containing(hub)
+    full = _pool(s, hub)
+    index = s.tuple_index()
     filtered = kg_store.filter_relations(s, {0})
-    own = filtered.sorted_tuples_containing(hub)
+    own = _pool(filtered, hub)
     assert own == tuple(t for t in full if t.relation == 0)
     assert own != full
-    assert s.sorted_tuples_containing(hub) is full
+    assert filtered.tuple_index() is not index
+    assert s.tuple_index() is index and _pool(s, hub) == full
+
+
+def test_tuple_rows_is_a_read_only_sequence_of_tuples():
+    tuples = [Tuple(0, 1, 2), Tuple(1, 2, 2), Tuple(0, 0, 1)]
+    rows = TupleRows.of(tuples)
+    assert TupleRows.of(rows) is rows
+    assert len(rows) == 3 and rows and not TupleRows.of(())
+    assert rows[1] == Tuple(1, 2, 2) and type(rows[-1]) is Tuple
+    assert all(type(v) is int for v in rows[0])
+    assert list(rows) == tuples and rows[1:] == tuples[1:]
+    assert rows == tuples and rows == tuple(tuples) and tuple(tuples) == rows
+    assert rows != tuples[:2] and rows != tuples[::-1] and rows != {*tuples}
+    assert rows + rows[:1] == tuples + tuples[:1]
+    assert Tuple(0, 0, 1) in rows and rows.index(Tuple(0, 0, 1)) == 2
+    with pytest.raises(ValueError):
+        rows.ids[0, 0] = 7
+    with pytest.raises(TypeError):
+        hash(rows)
+
+
+def test_tuple_rows_length_and_truth_make_no_tuples(monkeypatch):
+    rows = TupleRows.of([Tuple(0, 1, 2), Tuple(1, 2, 2)])
+    monkeypatch.setattr(kg_store, "Tuple", None)  # making a Tuple now raises
+    assert len(rows) == 2 and rows and not rows[2:]
+    with pytest.raises(TypeError):
+        rows[0]
 
 
 def test_filter_relations_keeps_exactly_allowlisted(store, ids):

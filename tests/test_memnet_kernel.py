@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import KERNEL_VECTORS
-from kgdialog import kg_embed, memnet_kernel as mk
+from kgdialog import entity_linker as el, kg_embed, memnet_kernel as mk
 from kgdialog.entity_linker import CandidateSet
 from kgdialog.kg_store import Tuple, UnknownIdError
 
@@ -77,6 +77,28 @@ def test_build_memory_names_the_first_bad_id_in_candidate_order():
     # within a row the relation is checked before the subject and the object
     with pytest.raises(UnknownIdError, match="^relation id 4 not embedded$"):
         mk.build_memory([Tuple(4, 8, 9)], table)
+
+
+def test_build_memory_of_a_candidate_set_equals_that_of_its_tuples(store):
+    table = kg_embed.init_table(store.n_entities, store.n_relations, kg_embed.TrainConfig(dim=4, seed=1))
+    candidates = el.candidate_tuples(store, range(store.n_entities), cap=7)
+    tuples = list(candidates.tuples)
+    assert len(tuples) == 7 and candidates.truncated
+    from_set, from_list = mk.build_memory(candidates, table), mk.build_memory(tuples, table)
+    assert np.array_equal(from_set.keys, from_list.keys)
+    assert np.array_equal(from_set.values, from_list.values)
+    assert from_set.provenance == from_list.provenance == tuples
+    # the slab keeps the candidates' id rows rather than rebuilding them
+    assert from_set.provenance is candidates.tuples
+
+
+def test_build_memory_of_a_candidate_set_names_its_first_bad_id():
+    table = _seeded_table()
+    candidates = CandidateSet((), [Tuple(0, 0, 1), Tuple(0, 1, 7), Tuple(3, 0, 0), Tuple(0, 6, 0)], False)
+    with pytest.raises(UnknownIdError, match="^entity id 7 not embedded$"):
+        mk.build_memory(candidates, table)
+    with pytest.raises(UnknownIdError, match="^relation id 3 not embedded$"):
+        mk.build_memory(CandidateSet((), candidates.tuples[2:], False), table)
 
 
 def test_build_memory_of_no_candidates_is_an_empty_float64_slab():
@@ -228,6 +250,25 @@ def test_h1_equals_single_hop_call():
     direct_q, direct_w = mk.hop(q1, slab, A, R1, q1)
     assert np.allclose(via_multi.q_final, direct_q)
     assert np.allclose(via_multi.attentions[0], direct_w)
+
+
+@pytest.mark.parametrize("anchor_mode", ["current", "initial"])
+@pytest.mark.parametrize("with_value_map", [False, True])
+def test_multi_hop_equals_chained_hop_calls_bit_for_bit(anchor_mode, with_value_map):
+    rng = np.random.default_rng(14)
+    for n, hops in ((1, 1), (7, 2), (40, 3)):
+        slab = small_slab(rng, n, 3)
+        p = rand_params(rng, 4, 3, hops)
+        value_map = rng.standard_normal((4, 3)) if with_value_map else None
+        params = mk.HopParams(p.A, p.R, p.B, value_map=value_map, anchor_mode=anchor_mode)
+        q1 = rng.standard_normal(4)
+        out = mk.multi_hop(q1, slab, params)
+        q = q1
+        assert len(out.attentions) == hops
+        for R_j, got in zip(params.R, out.attentions):
+            q, weights = mk.hop(q, slab, params.A, R_j, q1 if anchor_mode == "initial" else q, value_map)
+            assert np.array_equal(got, weights)
+        assert np.array_equal(out.q_final, q)
 
 
 def test_duplicating_memory_rows_preserves_final_query():
