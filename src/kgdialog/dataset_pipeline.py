@@ -191,6 +191,9 @@ def answer_from_obj(obj: dict | None) -> qa.AnswerSet | None:
 
 
 def dialog_to_obj(dialog: Dialog, store: KgStore) -> dict:
+    """The corpus line of a dialog.  A question's user and answer turns
+    share one plan object, which is printed once."""
+    texts: dict[int, str] = {}  # by id(plan); the dialog keeps its plans alive
     return {
         "dialog_id": dialog.dialog_id,
         "seed": dialog.seed,
@@ -200,12 +203,21 @@ def dialog_to_obj(dialog: Dialog, store: KgStore) -> dict:
                 "state": t.state.value,
                 "utterance": t.utterance,
                 "entities": list(t.entities),
-                "plan": plan_text.print_plan(t.plan, store) if t.plan is not None else None,
+                "plan": _plan_text(t.plan, store, texts),
                 "answer": answer_to_obj(t.answer),
             }
             for t in dialog.turns
         ],
     }
+
+
+def _plan_text(plan: qa.QueryPlan | None, store: KgStore, texts: dict[int, str]) -> str | None:
+    if plan is None:
+        return None
+    text = texts.get(id(plan))
+    if text is None:
+        text = texts[id(plan)] = plan_text.print_plan(plan, store)
+    return text
 
 
 def dialog_from_obj(obj: dict, store: KgStore) -> Dialog:
@@ -269,17 +281,6 @@ def _part_of(spec: SplitSpec, t: Tuple) -> str:
     u = _tuple_unit(spec.seed, t)
     train, valid, _ = spec.fractions
     return "train" if u < train else "valid" if u < train + valid else "test"
-
-
-def partition_tuples(
-    tuples: Iterable[Tuple], spec: SplitSpec
-) -> dict[str, frozenset[Tuple]]:
-    """Deterministically partition tuples into train/valid/test by seeded hash."""
-    spec.validate()
-    out: dict[str, set[Tuple]] = {"train": set(), "valid": set(), "test": set()}
-    for t in tuples:
-        out[_part_of(spec, t)].add(t)
-    return {k: frozenset(v) for k, v in out.items()}
 
 
 def split_corpus(corpus: Corpus, spec: SplitSpec) -> SplitResult:

@@ -53,6 +53,24 @@ def test_serialization_round_trip_and_byte_identity(store, templates, corpus, tm
     assert p1.read_bytes() == p3.read_bytes()
 
 
+def test_dialog_to_obj_prints_each_plan_object_once(store, corpus, monkeypatch):
+    from kgdialog import plan_text
+
+    def per_turn(dialog):
+        return [plan_text.print_plan(t.plan, store) if t.plan is not None else None for t in dialog.turns]
+
+    expected = [per_turn(d) for d in corpus.dialogs]
+    printed = []
+    real = plan_text.print_plan
+    monkeypatch.setattr(plan_text, "print_plan", lambda plan, s: printed.append(plan) or real(plan, s))
+    for d, texts in zip(corpus.dialogs, expected):
+        printed.clear()
+        assert [t["plan"] for t in pipe.dialog_to_obj(d, store)["turns"]] == texts
+        plans = [t.plan for t in d.turns if t.plan is not None]
+        top = [p for p in printed if any(p is q for q in plans)]  # print_plan recurses
+        assert len(top) == len({id(p) for p in plans}) < len(plans)
+
+
 def _rewrite_lines(src, dst, edit):
     with open(src, encoding="utf-8") as fh, open(dst, "w", encoding="utf-8") as out:
         for line in fh:
@@ -170,8 +188,7 @@ def test_straddling_dialog_is_discarded():
     # find a seed whose hash puts t1 and t2 into different partitions
     for seed in range(200):
         spec = pipe.SplitSpec((0.5, 0.25, 0.25), seed=seed)
-        parts = pipe.partition_tuples({t1, t2}, spec)
-        owners = {name for name, part in parts.items() if part}
+        owners = {pipe._part_of(spec, t1), pipe._part_of(spec, t2)}
         if len(owners) == 2:
             result = pipe.split_corpus(corpus, spec)
             assert [d.dialog_id for d in result.discarded] == ["both"]
