@@ -1,12 +1,14 @@
 """Embedding training, scoring, gradients and link-prediction metrics."""
 
+import hashlib
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import make_random_store
-from kgdialog import kg_embed
+from conftest import KG_T_DIR, make_random_store
+from kgdialog import kg_embed, kg_store
 from kgdialog.kg_embed import EmbeddingTable, TrainConfig
 from kgdialog.kg_store import KgStore, Tuple, UnknownIdError
 
@@ -141,6 +143,82 @@ def test_inactive_margin_has_zero_gradient():
     if kg_embed.margin_loss(table, pos, neg, margin) == 0.0:
         loss, grads = kg_embed.margin_loss_grads(table, pos, neg, margin)
         assert loss == 0.0 and grads == {}
+
+
+# -- pinned bits ------------------------------------------------------------------------
+#
+# Each case trains one table and evaluates filtered link prediction on every
+# fifth of its sorted tuples.  TRAIN_SHA256 pins the table's float64 entity
+# and relation bytes followed by its epoch losses as float64; LINK_SHA256
+# pins the report's sorted-key json.
+
+PIN_CASES = {
+    "fixture": (lambda: kg_store.load_dir(KG_T_DIR), TrainConfig(dim=8, epochs=40, seed=3)),
+    "random-300": (lambda: make_random_store(11, n_tuples=300), TrainConfig(dim=16, epochs=6, seed=1)),
+    "random-3000": (
+        lambda: make_random_store(12, n_tuples=3000, n_relations=6, n_entities=600),
+        TrainConfig(dim=32, epochs=2, seed=5),
+    ),
+    "negatives-3": (lambda: make_random_store(13, n_tuples=400), TrainConfig(dim=8, epochs=4, negatives=3, seed=2)),
+}
+TRAIN_SHA256 = {
+    "fixture": "0ca6cdd751ff1e938ec1c84c3098583817d7efc4b2a33698111a8228966e8c85",
+    "random-300": "2223a3dbb906a0cccd6e24cb0f8cb6217b327208e8b99cd982ebf52ebc525267",
+    "random-3000": "e8380379c7240ce889544da5437b29dc1af4d5a31db9b6850d8ad213538f24fe",
+    "negatives-3": "59cb6a1d887c427a005589abd378e29061066b0553e05af52c992b96f56f727e",
+}
+LINK_SHA256 = {
+    "fixture": "3ab9bc5e93ce03e4ab5285281539d0e590ea021e6ebc399a0b6f936e647d3795",
+    "random-300": "8c8f87a4bb3ba40d821db2c1022f3ac0a99c77145586f8a2aa2afba6f1acee4f",
+    "random-3000": "6b13ea90c1d453c820c11bec1e857f696664ccf1443309560f00c3168c5c1671",
+    "negatives-3": "5cdd3a5fcfebe3acd1fa6d7dc153868c069f242a9adc91e2ee1e894e28e4d5ae",
+}
+
+
+def table_digest(table: EmbeddingTable) -> str:
+    digest = hashlib.sha256(table.entity_vecs.astype(np.float64).tobytes())
+    digest.update(table.relation_vecs.astype(np.float64).tobytes())
+    digest.update(np.array(table.epoch_losses, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def link_digest(table: EmbeddingTable, store: KgStore) -> str:
+    report = kg_embed.link_prediction_eval(table, sorted(store.tuples)[::5], all_tuples=store.tuples)
+    return hashlib.sha256(json.dumps(report.as_dict(), sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", PIN_CASES)
+def test_training_and_link_report_match_their_pins(case):
+    make, config = PIN_CASES[case]
+    store = make()
+    table = kg_embed.train(store, config)
+    assert table_digest(table) == TRAIN_SHA256[case]
+    assert link_digest(table, store) == LINK_SHA256[case]
+
+
+def row_wise_step(E, R, pos, neg, margin, lr):
+    """The SGD step as first written, kept as the reference: one row-wise
+    ``np.add.at`` per table and tuple end, then ``np.unique`` of the
+    touched entities."""
+    loss, g = kg_embed._batch_grads(E, R, pos, neg, margin)
+    pairs = np.stack([pos, neg])
+    np.add.at(E, pairs[..., 1], -lr * g)
+    np.add.at(R, pairs[..., 0], -lr * g)
+    np.add.at(E, pairs[..., 2], lr * g)
+    touched = np.unique(pairs[..., 1:])
+    rows = E[touched]
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    E[touched] = np.divide(rows, norms, out=rows, where=norms > 0)
+    return float(loss.sum())
+
+
+@pytest.mark.parametrize("case", PIN_CASES)
+def test_training_equals_the_row_wise_step_bit_for_bit(case, monkeypatch):
+    make, config = PIN_CASES[case]
+    store = make()
+    got = kg_embed.train(store, config)
+    monkeypatch.setattr(kg_embed, "_step", row_wise_step)
+    assert table_digest(got) == table_digest(kg_embed.train(store, config))
 
 
 # -- link prediction --------------------------------------------------------------------
