@@ -242,7 +242,9 @@ def recall_report(
             if not gold:
                 continue
             candidates = link_and_retrieve(store, gazetteer, turn.utterance, cap, context)
-            got = gold & set(candidates.tuples)
+            # plain tuples of the id rows hash and compare as Tuples do,
+            # without making a Tuple per candidate
+            got = gold.intersection(map(tuple, candidates.tuples.ids.tolist()))
             n_with_gold += 1
             hit_total += len(got)
             gold_total += len(gold)

@@ -9,6 +9,12 @@ driven by a seeded generator, so a seed pins the whole table.  Link
 prediction ranks all entities for blocks of held-out tuples at once: a
 matrix-product screen, then exact norms for the near ties it cannot
 order, so ranks equal those of comparing every exact score.
+
+A step scatters its gradients with ``np.add.at`` on each table's flat
+view (numpy's fast 1-D path), where every element receives its additions
+in the order the row-wise scatter gave them, so a seed pins the same
+bits.  Positives are the store's cached ``tuple_index().ids``; rivals for
+filtered ranks are joined from the id rows of ``all_tuples``.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .kg_store import KgStore, Tuple, UnknownIdError
+from .kg_store import KgStore, Tuple, TupleRows, UnknownIdError
 
 _MAGIC = b"KGE1"
 BLOCK = 128  # (positive, corrupted) pairs per SGD step
@@ -207,8 +213,8 @@ def train(store: KgStore, config: TrainConfig | None = None) -> EmbeddingTable:
     table = init_table(store.n_entities, store.n_relations, config)
     E, R, lr = table.entity_vecs, table.relation_vecs, config.learning_rate
     rng = np.random.default_rng(config.seed + 1)
-    positives = np.array(sorted(store.tuples), dtype=np.int64)
-    known = _keys(positives, store.n_entities)  # sorted, as the tuples are
+    positives = store.tuple_index().ids  # sorted Tuple order
+    known = _keys(positives, store.n_entities)  # so sorted too
     losses: list[float] = []
     for _ in range(config.epochs):
         pos = np.repeat(positives[rng.permutation(len(positives))], config.negatives, axis=0)
@@ -222,18 +228,35 @@ def train(store: KgStore, config: TrainConfig | None = None) -> EmbeddingTable:
 
 
 def _step(E: np.ndarray, R: np.ndarray, pos: np.ndarray, neg: np.ndarray, margin: float, lr: float):
-    """One SGD step in place: the summed :func:`_batch_grads` of a block,
-    then the entities it touched back to unit L2.  Returns the summed loss."""
+    """One SGD step in place on C-contiguous ``E`` and ``R``: the summed
+    :func:`_batch_grads` of a block, then the entities it touched back to
+    unit L2.  Returns the summed loss."""
     loss, g = _batch_grads(E, R, pos, neg, margin)
     pairs = np.stack([pos, neg])
-    np.add.at(E, pairs[..., 1], -lr * g)
-    np.add.at(R, pairs[..., 0], -lr * g)
-    np.add.at(E, pairs[..., 2], lr * g)
-    touched = np.unique(pairs[..., 1:])
+    _add_rows(E, np.concatenate([pairs[..., 1], pairs[..., 2]]), np.concatenate([-lr * g, lr * g]))
+    _add_rows(R, pairs[..., 0], -lr * g)
+    touched = _distinct(pairs[..., 1:])
     rows = E[touched]
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     E[touched] = np.divide(rows, norms, out=rows, where=norms > 0)
     return float(loss.sum())
+
+
+def _add_rows(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``np.add.at(table, rows, values)`` through the flat view of a
+    C-contiguous ``table`` (numpy's fast 1-D path): each element gets the
+    same additions in the same order, so the same bits."""
+    d = table.shape[1]
+    np.add.at(table.reshape(-1), (rows[..., None] * d + np.arange(d)).ravel(), values.ravel())
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` by one sort and a neighbour comparison, which
+    is several times faster on short int arrays."""
+    values = np.sort(values, axis=None)
+    first = np.ones(len(values), bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
 
 
 def _keys(tuples: np.ndarray, n_entities: int) -> np.ndarray:
@@ -313,47 +336,65 @@ def link_prediction_eval(
     """
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise EmbedError(f"k must be an integer >= 1, got {k!r}")
-    held = sorted(held_out)
-    if not held:
-        raise EmbedError("link prediction needs at least one held-out tuple")
-    for t in held:
-        try:
-            table.entity(t.subject), table.relation(t.relation), table.entity(t.object)
-        except UnknownIdError as exc:
-            raise UnknownIdError(f"held-out tuple {tuple(t)}: {exc}") from None
-    # per held-out tuple: the objects, and the subjects, of the true tuples
-    # that share its (relation, subject), and its (relation, object)
-    obj_rivals = subj_rivals = None
-    if all_tuples is not None:
-        def rival(t: Tuple, e: int) -> int:
-            try:
-                table.entity(e)
-            except UnknownIdError as exc:
-                raise UnknownIdError(f"tuple {tuple(t)} of all_tuples: {exc}") from None
-            return e
-
-        by_subject = {(t.relation, t.subject): set() for t in held}
-        by_object = {(t.relation, t.object): set() for t in held}
-        for t in all_tuples:
-            if (t.relation, t.subject) in by_subject:
-                by_subject[t.relation, t.subject].add(rival(t, t.object))
-            if (t.relation, t.object) in by_object:
-                by_object[t.relation, t.object].add(rival(t, t.subject))
-        obj_rivals = [by_subject[t.relation, t.subject] for t in held]
-        subj_rivals = [by_object[t.relation, t.object] for t in held]
     E, R = table.entity_vecs, table.relation_vecs
-    rel, subj, obj = np.array(held, dtype=np.int64).T
+    n = len(E)
+    held = TupleRows.of(held_out).ids
+    held = held[np.lexsort(held.T[::-1])]  # sorted Tuple order
+    if not len(held):
+        raise EmbedError("link prediction needs at least one held-out tuple")
+    _check_rows(table, held, np.arange(len(held)), "held-out tuple {}")
+    rival_keys = [np.zeros(0, np.int64)] * 2  # object side, subject side
+    if all_tuples is not None:
+        ids = TupleRows.of(all_tuples).ids
+        rivals = [_rivals(held, ids, anchor, len(R), n) for anchor in (1, 2)]
+        _check_rows(table, ids, np.concatenate([source for _, source in rivals]), "tuple {} of all_tuples")
+        rival_keys = [keys for keys, _ in rivals]
+    rel, subj, obj = held.T
 
-    def report(target: np.ndarray, true_id: np.ndarray, rivals: list[set[int]] | None) -> DirectionReport:
-        pairs = [(i, e) for i, others in enumerate(rivals or []) for e in others]
-        raw, filtered = _ranks(E, target, true_id, *np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
-        if rivals is None:
+    def report(target: np.ndarray, true_id: np.ndarray, keys: np.ndarray) -> DirectionReport:
+        raw, filtered = _ranks(E, target, true_id, *np.divmod(keys, n))
+        if all_tuples is None:
             return DirectionReport(*_summary(raw, k))
         return DirectionReport(*_summary(raw, k), *_summary(filtered, k))
 
     return LinkPredictionReport(
-        k, report(E[subj] + R[rel], obj, obj_rivals), report(E[obj] - R[rel], subj, subj_rivals)
+        k, report(E[subj] + R[rel], obj, rival_keys[0]), report(E[obj] - R[rel], subj, rival_keys[1])
     )
+
+
+def _check_rows(table: EmbeddingTable, ids: np.ndarray, rows: np.ndarray, label: str) -> None:
+    """Of ``rows`` (indices into the (N, 3) ``ids``), the lowest holding an
+    id the table lacks raises the :class:`UnknownIdError` that
+    :func:`score` would, its message led by ``label`` naming the tuple."""
+    limits = (len(table.relation_vecs), len(table.entity_vecs), len(table.entity_vecs))
+    bad = rows[((ids[rows] < 0) | (ids[rows] >= limits)).any(axis=1)]
+    if bad.size:
+        t = Tuple(*ids[bad.min()].tolist())
+        try:
+            score(table, t)
+        except UnknownIdError as exc:
+            raise UnknownIdError(f"{label.format(tuple(t))}: {exc}") from None
+
+
+def _rivals(held: np.ndarray, ids: np.ndarray, anchor: int, n_relations: int, n: int):
+    """Rivals of the held-out rows: the other ends of the ``ids`` rows that
+    share a held row's relation and ``anchor`` column (1 subject, 2 object).
+    Returns a key ``held row * n + rival`` per distinct pair, ascending,
+    and the indices of the ``ids`` rows they came from.  A row of ``ids``
+    with a relation or anchor outside the table matches no held row, whose
+    ids are checked, so it is dropped before keying ``relation * n +
+    anchor``; the keys of the rest are then unique."""
+    ends = ids[:, [0, anchor]]
+    kept = np.flatnonzero(((ends >= 0) & (ends < (n_relations, n))).all(axis=1))
+    keys = ends[kept, 0] * n + ends[kept, 1]
+    order = np.argsort(keys)
+    keys, kept = keys[order], kept[order]
+    held_keys = held[:, 0] * n + held[:, anchor]
+    lo = np.searchsorted(keys, held_keys, "left")
+    counts = np.searchsorted(keys, held_keys, "right") - lo
+    rows = np.repeat(np.arange(len(held)), counts)  # pair j of row i reads keys[lo[i] + j]
+    source = kept[lo[rows] + np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]]
+    return _distinct(rows * n + ids[source, 3 - anchor]), source
 
 
 def _summary(ranks: np.ndarray, k: int) -> tuple[float, float]:
@@ -397,8 +438,9 @@ def _ranks(
         better = gap < -tol[block, None]
         near = np.abs(gap, out=gap) <= tol[block, None]
         near[np.arange(len(T)), true_id[block]] = False
-        rows, ents = np.nonzero(near)
-        better[rows, ents] = np.linalg.norm(E[ents] - T[rows], axis=1) < true_score[block][rows]
+        if near.any():
+            rows, ents = np.nonzero(near)
+            better[rows, ents] = np.linalg.norm(E[ents] - T[rows], axis=1) < true_score[block][rows]
         raw[block] += np.count_nonzero(better, axis=1)
         first, last = np.searchsorted(rival_rows, [lo, lo + step])
         rows, ents = rival_rows[first:last] - lo, rival_ents[first:last]
@@ -433,12 +475,25 @@ def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
+    """Read a table :func:`save_embeddings` wrote.  A file whose header,
+    entity rows or relation rows are short, or with bytes after them,
+    raises :class:`EmbedError` naming the path and the part."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise EmbedError(f"{path}: bad magic {magic!r}")
-        d, n_e, n_r = struct.unpack("<III", fh.read(12))
-        ents = np.frombuffer(fh.read(4 * n_e * d), dtype="<f4").reshape(n_e, d)
-        rels = np.frombuffer(fh.read(4 * n_r * d), dtype="<f4").reshape(n_r, d)
+        d, n_e, n_r = struct.unpack("<III", _read(fh, 12, path, "header"))
+        ents = np.frombuffer(_read(fh, 4 * n_e * d, path, "entity rows"), dtype="<f4").reshape(n_e, d)
+        rels = np.frombuffer(_read(fh, 4 * n_r * d, path, "relation rows"), dtype="<f4").reshape(n_r, d)
+        extra = len(fh.read())
+    if extra:
+        raise EmbedError(f"{path}: {extra} trailing bytes after the relation rows")
     return EmbeddingTable(ents.astype(np.float64), rels.astype(np.float64))
+
+
+def _read(fh, size: int, path: Path, part: str) -> bytes:
+    data = fh.read(size)
+    if len(data) < size:
+        raise EmbedError(f"{path}: {part} short, {len(data)} of {size} bytes")
+    return data

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -474,6 +475,97 @@ def test_tuples_that_rival_no_held_out_tuple_are_not_checked():
     assert report == kg_embed.link_prediction_eval(table, [held], all_tuples=[held])
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_rival_rows_outside_the_table_are_neither_counted_nor_checked(n):
+    """Keyed naively as relation * n + anchor, each stray row would collide
+    with the held-out tuple's key on one side, and name a closer rival or
+    one outside the table."""
+    table = EmbeddingTable(np.arange(float(n)).reshape(n, 1), np.zeros((1, 1)))
+    held = Tuple(0, 0, 3)
+    strays = [Tuple(-1, n, 1), Tuple(-1, n, -7), Tuple(1, -n, 1), Tuple(-1, 2, n + 3), Tuple(-1, 9, n + 3)]
+    report = kg_embed.link_prediction_eval(table, [held], all_tuples=[held, *strays])
+    assert report == kg_embed.link_prediction_eval(table, [held], all_tuples=[held])
+
+
+def dict_built_report(table, held_out, k, all_tuples) -> dict:
+    """Filtered link prediction with its checks and rival sets built as
+    first written, from dicts keyed by each held-out tuple's (relation,
+    subject) and (relation, object), kept as the reference."""
+    held = sorted(held_out)
+    for t in held:
+        try:
+            table.entity(t.subject), table.relation(t.relation), table.entity(t.object)
+        except UnknownIdError as exc:
+            raise UnknownIdError(f"held-out tuple {tuple(t)}: {exc}") from None
+
+    def rival(t, e):
+        try:
+            table.entity(e)
+        except UnknownIdError as exc:
+            raise UnknownIdError(f"tuple {tuple(t)} of all_tuples: {exc}") from None
+        return e
+
+    by_subject = {(t.relation, t.subject): set() for t in held}
+    by_object = {(t.relation, t.object): set() for t in held}
+    for t in all_tuples:
+        if (t.relation, t.subject) in by_subject:
+            by_subject[t.relation, t.subject].add(rival(t, t.object))
+        if (t.relation, t.object) in by_object:
+            by_object[t.relation, t.object].add(rival(t, t.subject))
+    E, R = table.entity_vecs, table.relation_vecs
+    rel, subj, obj = np.array(held, dtype=np.int64).T
+
+    def report(target, true_id, rivals):
+        pairs = [(i, e) for i, others in enumerate(rivals) for e in others]
+        raw, filtered = kg_embed._ranks(E, target, true_id, *np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
+        return kg_embed.DirectionReport(*kg_embed._summary(raw, k), *kg_embed._summary(filtered, k))
+
+    obj_rivals = [by_subject[t.relation, t.subject] for t in held]
+    subj_rivals = [by_object[t.relation, t.object] for t in held]
+    return kg_embed.LinkPredictionReport(
+        k, report(E[subj] + R[rel], obj, obj_rivals), report(E[obj] - R[rel], subj, subj_rivals)
+    ).as_dict()
+
+
+def outcome(evaluate, *args):
+    try:
+        return evaluate(*args)
+    except UnknownIdError as exc:
+        return f"UnknownIdError: {exc}"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_array_rivals_equal_the_dict_built_ones_on_random_stores(seed):
+    """Held-out tuples in and out of the store, repeated; all_tuples with
+    repeats and rows outside the table, and then with rivals outside it."""
+    store = make_random_store(seed, n_tuples=300, n_relations=3, n_entities=40)
+    rng = np.random.default_rng(seed)
+    n, tuples = store.n_entities, sorted(store.tuples)
+    table = EmbeddingTable(rng.standard_normal((n, 4)), rng.standard_normal((store.n_relations, 4)))
+    held = [tuples[i] for i in rng.integers(len(tuples), size=40)]
+    held += [Tuple(int(rng.integers(3)), int(rng.integers(n)), int(rng.integers(n))) for _ in range(10)]
+    known = tuples + tuples[:30]
+    known += [Tuple(int(r), int(s), int(o)) for r, s, o in rng.integers(-3, n + 3, size=(60, 3)) if not 0 <= r < 3]
+    rng.shuffle(known)
+    for all_tuples in (known, store.tuples):
+        got = kg_embed.link_prediction_eval(table, held, k=3, all_tuples=all_tuples).as_dict()
+        assert got == dict_built_report(table, held, 3, all_tuples)
+    # held-out tuples outside the table: the lowest is named, and its
+    # subject is checked before its relation
+    bad_held = held + [Tuple(7, -1, 2), Tuple(3, n, 0)]
+    got = outcome(lambda: kg_embed.link_prediction_eval(table, bad_held, k=3, all_tuples=known).as_dict())
+    assert got == outcome(dict_built_report, table, bad_held, 3, known) == (
+        f"UnknownIdError: held-out tuple (3, {n}, 0): entity id {n} not embedded"
+    )
+    # rivals outside the table; which one is named depends on the order
+    for t in held[:3]:
+        known.insert(int(rng.integers(len(known))), Tuple(t.relation, t.subject, n + int(rng.integers(3))))
+        known.insert(int(rng.integers(len(known))), Tuple(t.relation, -1 - int(rng.integers(3)), t.object))
+        got = outcome(lambda: kg_embed.link_prediction_eval(table, held, k=3, all_tuples=known).as_dict())
+        assert got.startswith("UnknownIdError: tuple (")
+        assert got == outcome(dict_built_report, table, held, 3, known)
+
+
 @pytest.mark.parametrize(
     "setting, value",
     [
@@ -559,6 +651,40 @@ def test_save_load_round_trip(store, tmp_path):
     assert manifest["dim"] == 8
     assert manifest["entities"] == list(range(store.n_entities))
     assert manifest["relations"] == list(range(store.n_relations))
+
+
+@pytest.fixture
+def saved_10x4(tmp_path):
+    """The bytes of a saved 10-entity, 3-relation, D = 4 table, and a path."""
+    table = EmbeddingTable(np.arange(40.0).reshape(10, 4), np.arange(12.0).reshape(3, 4))
+    kg_embed.save_embeddings(table, tmp_path / "table.bin")
+    return (tmp_path / "table.bin").read_bytes(), tmp_path / "damaged.bin"
+
+
+def assert_load_fails(path, data, message):
+    path.write_bytes(data)
+    with pytest.raises(kg_embed.EmbedError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        kg_embed.load_embeddings(path)
+
+
+def test_load_names_truncated_entity_rows(saved_10x4):
+    data, path = saved_10x4
+    assert_load_fails(path, data[: 16 + 4 * 38], "entity rows short, 152 of 160 bytes")
+
+
+def test_load_names_truncated_relation_rows(saved_10x4):
+    data, path = saved_10x4
+    assert_load_fails(path, data[:-3], "relation rows short, 45 of 48 bytes")
+
+
+def test_load_names_a_header_fragment(saved_10x4):
+    data, path = saved_10x4
+    assert_load_fails(path, data[:9], "header short, 5 of 12 bytes")
+
+
+def test_load_names_trailing_bytes(saved_10x4):
+    data, path = saved_10x4
+    assert_load_fails(path, data + b"\x00\x00", "2 trailing bytes after the relation rows")
 
 
 def test_load_rejects_bad_magic(tmp_path):

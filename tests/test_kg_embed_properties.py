@@ -45,3 +45,32 @@ def test_blocked_ranking_equals_the_per_row_loop(case):
         for all_tuples in (None, known):
             got = kg_embed.link_prediction_eval(table, held, k=2, all_tuples=all_tuples)
             assert got.as_dict() == reference_report(table, held, k=2, all_tuples=all_tuples)
+
+
+@st.composite
+def scatter_cases(draw):
+    n_rows = draw(st.integers(1, 5))
+    dim = draw(st.integers(1, 4))
+    n_index = draw(st.integers(0, 30))
+    # few rows and many indices: most rows are hit several times, and the
+    # mixed magnitudes make the order of the additions show in the bits
+    rows = np.array(draw(st.lists(st.integers(0, n_rows - 1), min_size=2 * n_index, max_size=2 * n_index)), dtype=np.int64)
+    floats = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+    table = np.array(draw(st.lists(floats, min_size=n_rows * dim, max_size=n_rows * dim)), dtype=float)
+    values = np.array(draw(st.lists(floats, min_size=2 * n_index * dim, max_size=2 * n_index * dim)), dtype=float)
+    scales = 10.0 ** np.array(draw(st.lists(st.integers(-8, 8), min_size=values.size, max_size=values.size)))
+    return (
+        table.reshape(n_rows, dim),
+        rows.reshape(2, n_index),
+        (values * scales).reshape(2, n_index, dim),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(scatter_cases())
+def test_flat_scatter_equals_row_wise_add_at_bit_for_bit(case):
+    table, rows, values = case
+    want, got = table.copy(), table.copy()
+    np.add.at(want, rows, values)
+    kg_embed._add_rows(got, rows, values)
+    assert got.tobytes() == want.tobytes()
