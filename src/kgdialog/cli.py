@@ -175,7 +175,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_generate(args: argparse.Namespace) -> int:
     config = _config(args)
     store = kg_store.load_dir(args.kg)
-    templates = tpl.load_templates(args.templates or Path(args.kg) / "templates.jsonl")
+    templates = tpl.load_templates(args.templates or Path(args.kg) / "templates.jsonl", store)
     out = Path(args.out)
     corpus = pipeline.run_generate(store, templates, args.n, config, out)
     if corpus.shortfall:

@@ -75,11 +75,17 @@ class TupleRows(Sequence):
 
     @classmethod
     def of(cls, tuples: Iterable[Tuple]) -> TupleRows:
-        """The rows of ``tuples``; a ``TupleRows`` is returned as it is."""
+        """The rows of ``tuples``; a ``TupleRows`` is returned as it is.  An
+        id outside int64 raises :class:`UnknownIdError` naming its tuple."""
         if isinstance(tuples, TupleRows):
             return tuples
         tuples = tuple(tuples)
-        return cls(np.fromiter(chain.from_iterable(tuples), np.int64, 3 * len(tuples)).reshape(-1, 3))
+        try:
+            ids = np.fromiter(chain.from_iterable(tuples), np.int64, 3 * len(tuples))
+        except OverflowError:
+            bad = next(t for t in tuples if not all(-(2**63) <= i < 2**63 for i in t))
+            raise UnknownIdError(f"tuple {tuple(bad)} holds an id outside int64") from None
+        return cls(ids.reshape(-1, 3))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -157,9 +163,10 @@ class KgStore:
     """Tuple set plus lookup indices, entity types, and labels.
 
     Instances are created by :func:`load` (or internally by the filter
-    operations) and treated as immutable afterwards.  Relation and type
-    labels are unique (the constructor checks); entity labels may repeat.
-    Each instance owns a cache of values derived from it (see
+    operations) and treated as immutable afterwards.  The one per-entity
+    index is the CSR of :meth:`tuple_index`, built on first use.  Relation
+    and type labels are unique (the constructor checks); entity labels may
+    repeat.  Each instance owns a cache of values derived from it (see
     :meth:`derived`); a filtered store is a new instance and starts with an
     empty cache.
     """
@@ -178,28 +185,19 @@ class KgStore:
         self.type_labels = list(type_labels)
         self.entity_types: dict[int, frozenset[int]] = dict(entity_types)
 
-        self.by_rel_subj: dict[tuple[int, int], frozenset[int]] = {}
-        self.by_rel_obj: dict[tuple[int, int], frozenset[int]] = {}
-        self.by_entity: dict[int, frozenset[Tuple]] = {}
-        self.type_members: dict[int, frozenset[int]] = {}
-
         rs: dict[tuple[int, int], set[int]] = {}
         ro: dict[tuple[int, int], set[int]] = {}
-        ent: dict[int, set[Tuple]] = {}
         for t in self.tuples:
             rs.setdefault((t.relation, t.subject), set()).add(t.object)
             ro.setdefault((t.relation, t.object), set()).add(t.subject)
-            ent.setdefault(t.subject, set()).add(t)
-            ent.setdefault(t.object, set()).add(t)
-        self.by_rel_subj = {k: frozenset(v) for k, v in rs.items()}
-        self.by_rel_obj = {k: frozenset(v) for k, v in ro.items()}
-        self.by_entity = {k: frozenset(v) for k, v in ent.items()}
+        self.by_rel_subj: dict[tuple[int, int], frozenset[int]] = {k: frozenset(v) for k, v in rs.items()}
+        self.by_rel_obj: dict[tuple[int, int], frozenset[int]] = {k: frozenset(v) for k, v in ro.items()}
 
         members: dict[int, set[int]] = {}
         for e, types in self.entity_types.items():
             for ty in types:
                 members.setdefault(ty, set()).add(e)
-        self.type_members = {k: frozenset(v) for k, v in members.items()}
+        self.type_members: dict[int, frozenset[int]] = {k: frozenset(v) for k, v in members.items()}
 
         self._entity_ids_by_label: dict[str, list[int]] = {}
         for i, lab in enumerate(self.entity_labels):
@@ -300,8 +298,9 @@ class KgStore:
         )
 
     def tuples_containing(self, entity: int) -> frozenset[Tuple]:
-        self._check_entity(entity)
-        return self.by_entity.get(entity, frozenset())
+        """The tuples containing ``entity``, read from :meth:`tuple_index`."""
+        positions = self.tuple_ids_containing(entity)
+        return frozenset(TupleRows(self.tuple_index().ids[positions]))
 
     def tuple_index(self) -> TupleIndex:
         """Every tuple by dense id, built on first use and cached."""
@@ -570,13 +569,13 @@ def filter_types(store: KgStore, coverage_fraction: float) -> tuple[KgStore, fro
 def stats(store: KgStore) -> StoreStats:
     """Counts over the store, read from its indices; fanout is the number of
     tuples containing an entity."""
-    fanouts = [len(store.by_entity.get(e, ())) for e in range(store.n_entities)]
+    fanouts = np.diff(store.tuple_index().starts).tolist()
     group_sizes = [len(objects) for objects in store.by_rel_subj.values()]
     return StoreStats(
         n_tuples=len(store.tuples),
         n_entities=store.n_entities,
         n_relations=store.n_relations,
-        n_entities_in_tuples=len(store.by_entity),
+        n_entities_in_tuples=len(fanouts) - fanouts.count(0),
         fanout_histogram=dict(Counter(fanouts)),
         n_fanout_ge3=sum(1 for f in fanouts if f >= 3),
         n_one_one=group_sizes.count(1),

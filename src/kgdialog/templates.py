@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from . import plan_text, query_algebra as qa
-from .kg_store import KgStore, json_field, read_json_lines
+from .kg_store import KgStore, UnknownIdError, json_field, read_json_lines
 from .plan_text import SLOT_CLOSE, SLOT_OPEN, SNode, Slot
 from .text import pluralize
 
@@ -113,14 +113,15 @@ class Rejection:
 # -- loading / validation --------------------------------------------------------
 
 
-def load_templates(path: str | Path) -> list[QuestionTemplate]:
-    """Read a json-lines template file; validates every record."""
-    out = read_json_lines(path, lambda record, _: template_from_record(record), TemplateError)
+def load_templates(path: str | Path, store: KgStore | None = None) -> list[QuestionTemplate]:
+    """Read a json-lines template file; validates every record and, given a
+    ``store``, checks each relation and type label in ``fixed`` against it."""
+    out = read_json_lines(path, lambda record, _: template_from_record(record, store), TemplateError)
     out.sort(key=lambda t: t.id)
     return out
 
 
-def template_from_record(record: Mapping) -> QuestionTemplate:
+def template_from_record(record: Mapping, store: KgStore | None = None) -> QuestionTemplate:
     def optional(name: str, kind: type, default):
         return json_field(record, name, kind) if name in record else default
 
@@ -140,6 +141,15 @@ def template_from_record(record: Mapping) -> QuestionTemplate:
     except TypeError as exc:
         raise TemplateError(str(exc)) from None
     validate_template(template)
+    if store is not None:
+        resolvers = {"relation": store.relation_id, "type": store.type_id}
+        for name, label in template.fixed.items():
+            try:
+                resolve = resolvers.get(slot_kind(name))  # entity and number slots name no label
+                if resolve is not None:
+                    resolve(label)
+            except (TemplateError, UnknownIdError) as exc:
+                raise TemplateError(f"field 'fixed': {exc}") from None
     return template
 
 

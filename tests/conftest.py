@@ -42,6 +42,11 @@ def ids(store):
     return Ids()
 
 
+def brute_fanout(store: KgStore, e: int) -> set[Tuple]:
+    """The tuples containing entity ``e``, found by scanning every tuple."""
+    return {t for t in store.tuples if e in (t.subject, t.object)}
+
+
 def make_random_store(
     seed: int,
     n_tuples: int = 500,

@@ -4,10 +4,10 @@ import dataclasses
 
 import pytest
 
-from conftest import make_random_store
+from conftest import brute_fanout, make_random_store
 from kgdialog import dataset_pipeline as pipe, entity_linker as el
 from kgdialog.config import RunConfig
-from kgdialog.kg_store import KgStore, Tuple
+from kgdialog.kg_store import KgStore, Tuple, UnknownIdError
 
 
 def test_gazetteer_indexes_every_entity_label(store):
@@ -65,7 +65,7 @@ def test_candidate_tuples_for_india(store, ids):
     cands = el.candidate_tuples(store, [ids["India"]], cap=10000)
     assert len(cands.tuples) == 4
     assert not cands.truncated
-    assert set(cands.tuples) == store.tuples_containing(ids["India"])
+    assert set(cands.tuples) == brute_fanout(store, ids["India"])
 
 
 def test_candidate_cap_truncates_round_robin(store, ids):
@@ -87,6 +87,11 @@ def test_rare_entities_survive_truncation():
     cands = el.candidate_tuples(s, [0, 1], cap=4)
     assert cands.truncated
     assert Tuple(0, 1, 52) in cands.tuples
+
+
+def test_candidate_set_with_an_id_outside_int64_names_the_tuple():
+    with pytest.raises(UnknownIdError, match=r"^tuple \(0, 9223372036854775808, 3\) holds an id outside int64$"):
+        el.CandidateSet((), [Tuple(0, 2**63, 3)], False)
 
 
 def test_empty_match_list(store):
@@ -112,7 +117,7 @@ def sort_per_call_candidates(store, matched, cap):
     """candidate_tuples as it was before fanouts were cached: each call
     sorts every matched entity's whole fanout."""
     entities = list(dict.fromkeys(matched))
-    pools = {e: sorted(store.tuples_containing(e)) for e in entities}
+    pools = {e: sorted(brute_fanout(store, e)) for e in entities}
     order = sorted(entities, key=lambda e: (len(pools[e]), e))
     pending = [iter(pools[e]) for e in order]
     chosen, seen = [], set()

@@ -468,6 +468,15 @@ def test_rival_ids_are_checked_before_ranking(bad):
         kg_embed.link_prediction_eval(table, [held], all_tuples=[held, bad])
 
 
+@pytest.mark.parametrize("side", ["held_out", "all_tuples"])
+def test_an_id_outside_int64_names_the_tuple(side):
+    table = EmbeddingTable(np.arange(5.0).reshape(5, 1), np.zeros((1, 1)))
+    held, bad = Tuple(0, 0, 3), Tuple(0, 2**63, 3)
+    held_out, all_tuples = ([held, bad], [held]) if side == "held_out" else ([held], [held, bad])
+    with pytest.raises(UnknownIdError, match=r"^tuple \(0, 9223372036854775808, 3\) holds an id outside int64$"):
+        kg_embed.link_prediction_eval(table, held_out, all_tuples=all_tuples)
+
+
 def test_tuples_that_rival_no_held_out_tuple_are_not_checked():
     table = EmbeddingTable(np.arange(5.0).reshape(5, 1), np.zeros((1, 1)))
     held = Tuple(0, 0, 3)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import KERNEL_VECTORS
+from conftest import KERNEL_VECTORS, brute_fanout
 from kgdialog import entity_linker as el, kg_embed, memnet_kernel as mk
 from kgdialog.entity_linker import CandidateSet
 from kgdialog.kg_store import Tuple, UnknownIdError
@@ -33,7 +33,7 @@ def rand_params(rng, d, d_emb, hops=2):
 
 def test_build_memory_shapes_and_provenance(store, ids):
     table = kg_embed.init_table(store.n_entities, store.n_relations, kg_embed.TrainConfig(dim=8, seed=0))
-    india = sorted(store.tuples_containing(ids["India"]))
+    india = sorted(brute_fanout(store, ids["India"]))
     slab = mk.build_memory(CandidateSet((), tuple(india), False), table)
     assert slab.keys.shape == (4, 16)
     assert slab.values.shape == (4, 8)
@@ -67,6 +67,11 @@ def test_build_memory_rejects_an_id_the_table_lacks(bad, message):
     table = _seeded_table()
     with pytest.raises(UnknownIdError, match=f"^{message}$"):
         mk.build_memory([Tuple(0, 0, 1), bad, Tuple(1, 4, 4)], table)
+
+
+def test_build_memory_with_an_id_outside_int64_names_the_tuple():
+    with pytest.raises(UnknownIdError, match=r"^tuple \(0, 9223372036854775808, 1\) holds an id outside int64$"):
+        mk.build_memory([Tuple(0, 0, 1), Tuple(0, 2**63, 1)], _seeded_table())
 
 
 def test_build_memory_names_the_first_bad_id_in_candidate_order():
@@ -429,7 +434,7 @@ def test_kg_word_substitution_orders_by_probability():
     assert out == ["answer:", "ent7", "ent3", "and", "ent5"]
 
 
-def test_kg_word_ties_break_by_entity_id():
+def test_kg_word_ties_break_on_the_lower_entity_id():
     slab = mk.MemorySlab(
         np.zeros((2, 2)), np.zeros((2, 1)), (Tuple(0, 0, 9), Tuple(0, 0, 4))
     )
