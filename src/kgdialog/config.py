@@ -20,21 +20,6 @@ from . import kg_embed
 
 ENV_PREFIX = "KGDIALOG_"
 
-# question kinds a dialog turn can take, in the order the dialog machine
-# offers them; ``transition_weights`` keys must be among these
-TRANSFORM_KINDS = (
-    "direct",
-    "coreference",
-    "ellipsis",
-    "logical",
-    "count",
-    "argopt",
-    "threshold",
-    "comparative",
-    "boolean",
-)
-
-
 # embedding fields and the kg_embed.TrainConfig settings they feed
 EMBED_SETTINGS = {
     "embed_dim": "dim",
@@ -96,10 +81,20 @@ class RunConfig:
 
         Each error names the offending field.
         """
-        for name in ("min_questions", "max_questions", "display_limit", "sample_size"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        from .dialog_machine import TRANSFORM_KINDS  # dialog_machine imports this module
+
+        for name, setting in EMBED_SETTINGS.items():
+            problem = kg_embed.setting_problem(setting, getattr(self, name))
+            if problem:
+                raise ConfigError(f"{name} {problem}")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("int", int) and type(value) is not int:
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if f.type in ("bool", bool) and type(value) is not bool:
+                raise ConfigError(f"{f.name} must be true or false, got {value!r}")
+        if self.memory_cap < 1:
+            raise ConfigError(f"memory_cap must be >= 1, got {self.memory_cap}")
         if self.min_questions > self.max_questions:
             raise ConfigError(
                 f"min_questions ({self.min_questions}) must not exceed "
@@ -112,8 +107,6 @@ class RunConfig:
                 f"sample_size ({self.sample_size}) must not exceed "
                 f"display_limit ({self.display_limit})"
             )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if not _is_real(self.ambiguity_rate) or not 0 <= self.ambiguity_rate <= 1:
             raise ConfigError(f"ambiguity_rate must be in [0, 1], got {self.ambiguity_rate!r}")
         if not isinstance(self.transition_weights, Mapping):
@@ -127,13 +120,17 @@ class RunConfig:
                 raise ConfigError(
                     f"transition_weights[{kind!r}] must be a finite number >= 0, got {weight!r}"
                 )
+        relations = self.generic_relations
+        if not _is_string_list(relations):
+            raise ConfigError(f"generic_relations must be a list of strings, got {relations!r}")
+        pairs = self.peer_type_blocklist
+        if not isinstance(pairs, (list, tuple)) or not all(
+            _is_string_list(p) and len(p) == 2 for p in pairs
+        ):
+            raise ConfigError(f"peer_type_blocklist must be a list of string pairs, got {pairs!r}")
         problem = split_fractions_problem(self.split_fractions)
         if problem:
             raise ConfigError(f"split_fractions: {problem}")
-        for name, setting in EMBED_SETTINGS.items():
-            problem = kg_embed.setting_problem(setting, getattr(self, name))
-            if problem:
-                raise ConfigError(f"{name} {problem}")
 
 
 def split_fractions_problem(fractions) -> str | None:
@@ -152,6 +149,10 @@ def split_fractions_problem(fractions) -> str | None:
 
 def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_string_list(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
 
 
 def load_config(

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from . import query_algebra as qa, templates as tpl
-from .config import TRANSFORM_KINDS, RunConfig
+from .config import RunConfig
 from .kg_store import KgStore
 from .text import number_words, pluralize
 
@@ -42,21 +42,6 @@ class TurnState(str, Enum):
     LARGE_ANSWER_NEGOTIATION = "LargeAnswerNegotiation"
     RESPONSE = "Response"
 
-
-QUESTION_STATES = frozenset(
-    {
-        TurnState.SIMPLE_Q,
-        TurnState.COREFERENCE_Q,
-        TurnState.ELLIPSIS_Q,
-        TurnState.LOGICAL_Q,
-        TurnState.QUANTITATIVE_COUNT_Q,
-        TurnState.QUANTITATIVE_ARGOPT_Q,
-        TurnState.QUANTITATIVE_THRESHOLD_Q,
-        TurnState.COMPARATIVE_Q,
-        TurnState.COMPARATIVE_COUNT_Q,
-        TurnState.BOOLEAN_Q,
-    }
-)
 
 _ELLIPSIS_BANK = (
     "And what about {entity}?",
@@ -338,12 +323,12 @@ def next_turn(
     # a kind of weight 0 is never picked; keeping it would leave only zero
     # weights once the positive kinds have failed
     kinds = [
-        k for k in TRANSFORM_KINDS if weight_of(k, 1.0) > 0 and _applicable(k, context, templates)
+        k for k in QUESTION_KINDS if weight_of(k.name, 1.0) > 0 and k.applicable(context, templates)
     ]
     while kinds:
-        weights = [weight_of(k, 1.0) for k in kinds]
+        weights = [weight_of(k.name, 1.0) for k in kinds]
         kind = rng.choices(kinds, weights=weights, k=1)[0]
-        question = _BUILDERS[kind](store, templates, context, rng, config)
+        question = kind.build(store, templates, context, rng, config)
         if question is None:
             kinds.remove(kind)
             continue
@@ -433,22 +418,6 @@ def generate_dialog(
             new_turns, context = clarification_exchange(store, context, None, rng, config)
             turns.extend(new_turns)
     return turns
-
-
-# -- kind applicability -----------------------------------------------------------------
-
-
-def _applicable(kind: str, context: DialogContext, templates) -> bool:
-    if kind == "direct":
-        return True
-    if kind in ("coreference",):
-        return bool(context.salience)
-    if kind == "boolean":
-        return any(t.kind == "Verify" for t in templates)
-    if kind == "ellipsis":
-        return context.last_template is not None
-    # the remaining builders read last_retrieve_template without a check
-    return context.last_retrieve_template is not None
 
 
 # -- candidate sampling -------------------------------------------------------------------
@@ -770,19 +739,6 @@ def _build_boolean(store, templates, context, rng, config):
     return _first(rng, [(None, [t for t in templates if t.kind == "Verify"])], attempt)
 
 
-_BUILDERS = {
-    "direct": _build_direct,
-    "coreference": _build_coreference,
-    "ellipsis": _build_ellipsis,
-    "logical": _build_logical,
-    "count": _build_count,
-    "argopt": _build_argopt,
-    "threshold": _build_threshold,
-    "comparative": _build_comparative,
-    "boolean": _build_boolean,
-}
-
-
 def _untaken(rng: random.Random, pool: Sequence[int], taken: set[int]) -> int:
     """A uniform draw from ``pool`` minus ``taken``, or from all of ``pool``
     when nothing is left."""
@@ -797,3 +753,45 @@ def _template_relation(store: KgStore, t: tpl.QuestionTemplate) -> int | None:
     if value is None:
         return None
     return value if isinstance(value, int) else store.relation_id(value)
+
+
+# -- question kinds -----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class QuestionKind:
+    """A follow-up question kind: its ``transition_weights`` name, whether a
+    context admits it, its builder, and the turn states its questions take."""
+
+    name: str
+    applicable: Callable[[DialogContext, Sequence[tpl.QuestionTemplate]], bool]
+    build: Callable[..., _Question | None]
+    states: frozenset[TurnState]
+
+
+def _has_base(context: DialogContext, templates) -> bool:
+    # the builders of these kinds read last_retrieve_template, their base, unchecked
+    return context.last_retrieve_template is not None
+
+
+_S = TurnState
+# next_turn offers the kinds to its seeded draw in this order, so reordering
+# the rows changes every generated corpus
+QUESTION_KINDS = tuple(
+    QuestionKind(name, applicable, build, frozenset(states))
+    for name, applicable, build, states in (
+        ("direct", lambda c, _: True, _build_direct, {_S.SIMPLE_Q}),
+        ("coreference", lambda c, _: bool(c.salience), _build_coreference, {_S.COREFERENCE_Q}),
+        ("ellipsis", lambda c, _: c.last_template is not None, _build_ellipsis, {_S.ELLIPSIS_Q}),
+        ("logical", _has_base, _build_logical, {_S.LOGICAL_Q}),
+        ("count", _has_base, _build_count, {_S.QUANTITATIVE_COUNT_Q}),
+        ("argopt", _has_base, _build_argopt, {_S.QUANTITATIVE_ARGOPT_Q}),
+        ("threshold", _has_base, _build_threshold, {_S.QUANTITATIVE_THRESHOLD_Q}),
+        ("comparative", _has_base, _build_comparative, {_S.COMPARATIVE_Q, _S.COMPARATIVE_COUNT_Q}),
+        ("boolean", lambda _, ts: "Verify" in {t.kind for t in ts}, _build_boolean, {_S.BOOLEAN_Q}),
+    )
+)
+
+# the ``transition_weights`` keys, and the states of the user turns that ask a question
+TRANSFORM_KINDS = tuple(k.name for k in QUESTION_KINDS)
+QUESTION_STATES = frozenset().union(*(k.states for k in QUESTION_KINDS))

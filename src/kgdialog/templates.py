@@ -115,7 +115,8 @@ class Rejection:
 
 def load_templates(path: str | Path, store: KgStore | None = None) -> list[QuestionTemplate]:
     """Read a json-lines template file; validates every record and, given a
-    ``store``, checks each relation and type label in ``fixed`` against it."""
+    ``store``, checks each relation and type label in ``fixed`` and
+    ``slot_types`` against it."""
     out = read_json_lines(path, lambda record, _: template_from_record(record, store), TemplateError)
     out.sort(key=lambda t: t.id)
     return out
@@ -150,6 +151,13 @@ def template_from_record(record: Mapping, store: KgStore | None = None) -> Quest
                     resolve(label)
             except (TemplateError, UnknownIdError) as exc:
                 raise TemplateError(f"field 'fixed': {exc}") from None
+        for ref in template.slot_types.values():
+            # a type label, or the name of a type slot that ``fixed`` binds
+            if ref not in template.fixed or slot_kind(ref) != "type":
+                try:
+                    store.type_id(ref)
+                except UnknownIdError as exc:
+                    raise TemplateError(f"field 'slot_types': {exc}") from None
     return template
 
 
@@ -276,7 +284,7 @@ def _resolve_type(store: KgStore, type_ref: str, merged: Mapping[str, int | str]
         return value if isinstance(value, int) else store.type_id(value)
     try:
         return store.type_id(type_ref)
-    except Exception:
+    except UnknownIdError:
         return None
 
 

@@ -636,17 +636,24 @@ def test_template_field_of_the_wrong_type_names_the_line_and_field(
 
 @pytest.mark.parametrize(
     "slot, shown",
-    [("relation", "unknown relation label 'nope'"), ("object_type", "unknown type label 'nope'")],
+    [
+        ("relation", "unknown relation label 'nope'"),
+        ("object_type", "unknown type label 'nope'"),
+        ("entity:1", "unknown type label 'nope'"),
+    ],
 )
 def test_template_naming_an_unknown_label_fails_at_load(slot, shown, tmp_path, capsys):
+    # ``fixed`` binds a relation or type slot to a label; ``slot_types``
+    # names the type of an entity slot
+    field = "slot_types" if slot.startswith("entity") else "fixed"
     lines = (KG_T_DIR / "templates.jsonl").read_text(encoding="utf-8").splitlines()
     record = json.loads(lines[1])
     templates = tmp_path / "templates.jsonl"
-    fixed = {**record["fixed"], slot: "nope"}
-    templates.write_text(lines[0] + "\n" + json.dumps({**record, "fixed": fixed}) + "\n")
+    labels = {**record.get(field, {}), slot: "nope"}
+    templates.write_text(lines[0] + "\n" + json.dumps({**record, field: labels}) + "\n")
     out = tmp_path / "g"
     argv = ["generate", "--kg", str(KG_T_DIR), "--templates", str(templates), "--n", "1"]
     code, _, err = run(capsys, *argv, "--out", str(out))
-    assert_one_error_line(code, err, f"{templates}:2", f"field 'fixed': {shown}")
-    assert err == f"error: {templates}:2: field 'fixed': {shown}\n"
+    assert_one_error_line(code, err, f"{templates}:2", f"field '{field}': {shown}")
+    assert err == f"error: {templates}:2: field '{field}': {shown}\n"
     assert not out.exists()

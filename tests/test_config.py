@@ -3,11 +3,13 @@ validation at load time."""
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
-from kgdialog.config import TRANSFORM_KINDS, ConfigError, RunConfig, load_config, split_fractions_problem
+from kgdialog.config import ConfigError, RunConfig, load_config, split_fractions_problem
 from kgdialog.dataset_pipeline import PipelineError, SplitSpec
+from kgdialog.dialog_machine import TRANSFORM_KINDS
 
 
 def test_defaults_validate():
@@ -133,3 +135,41 @@ def test_embedding_setting_that_trains_nothing_or_backwards_names_the_field(fiel
 
 def test_zero_embedding_epochs_are_accepted():
     assert load_config(env={}, overrides={"embed_epochs": 0}).embed_epochs == 0
+
+
+@pytest.mark.parametrize(
+    "field, value, shown",
+    [
+        ("link_use_context", "false", "link_use_context must be true or false, got 'false'"),
+        ("number_words", "yes", "number_words must be true or false, got 'yes'"),
+        ("include_zero_groups", "no", "include_zero_groups must be true or false, got 'no'"),
+        ("answer_cap", 10.5, "answer_cap must be an integer, got 10.5"),
+        ("vocab_threshold", "5", "vocab_threshold must be an integer, got '5'"),
+        ("hops", "x", "hops must be an integer, got 'x'"),
+        ("memory_cap", 0, "memory_cap must be >= 1, got 0"),
+        ("generic_relations", "capital", "generic_relations must be a list of strings, got 'capital'"),
+        (
+            "peer_type_blocklist",
+            [["religion"]],
+            "peer_type_blocklist must be a list of string pairs, got [['religion']]",
+        ),
+    ],
+)
+def test_config_value_that_looks_legal_fails_at_load_naming_the_field(field, value, shown, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({field: value}))
+    with pytest.raises(ConfigError, match=re.escape(shown)):
+        load_config(path, env={})
+
+
+def test_boolean_env_values_still_parse_as_booleans():
+    config = load_config(env={"KGDIALOG_LINK_USE_CONTEXT": "false", "KGDIALOG_NUMBER_WORDS": "yes"})
+    assert (config.link_use_context, config.number_words) == (False, True)
+
+
+def test_readme_lists_the_question_kinds_in_offer_order():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = " ".join(readme.read_text(encoding="utf-8").split())
+    listed = re.search(r"`transition_weights` keys must be question kinds \(([^)]*)\)", text)
+    assert listed, "README's configuration paragraph no longer lists the question kinds"
+    assert tuple(re.findall(r"`(\w+)`", listed.group(1))) == TRANSFORM_KINDS

@@ -399,12 +399,27 @@ def test_transition_weights_steer_question_mix(store, templates):
     assert boolean_share > 0.9
 
 
+# written out by hand, in the order next_turn offers the kinds, as the
+# reference for dm.QUESTION_KINDS
 _KIND_STATES = {
+    "direct": {dm.TurnState.SIMPLE_Q},
+    "coreference": {dm.TurnState.COREFERENCE_Q},
+    "ellipsis": {dm.TurnState.ELLIPSIS_Q},
+    "logical": {dm.TurnState.LOGICAL_Q},
     "count": {dm.TurnState.QUANTITATIVE_COUNT_Q},
+    "argopt": {dm.TurnState.QUANTITATIVE_ARGOPT_Q},
     "threshold": {dm.TurnState.QUANTITATIVE_THRESHOLD_Q},
     "comparative": {dm.TurnState.COMPARATIVE_Q, dm.TurnState.COMPARATIVE_COUNT_Q},
+    "boolean": {dm.TurnState.BOOLEAN_Q},
     None: set(),
 }
+
+
+def test_question_kinds_ask_in_their_states_in_offer_order():
+    rows = [(k.name, set(k.states)) for k in dm.QUESTION_KINDS]
+    assert rows == [(k, v) for k, v in _KIND_STATES.items() if k is not None]
+    assert dm.TRANSFORM_KINDS == tuple(k for k in _KIND_STATES if k is not None)
+    assert dm.QUESTION_STATES == frozenset().union(*_KIND_STATES.values())
 
 
 @pytest.mark.parametrize("only", list(_KIND_STATES))
@@ -414,10 +429,13 @@ def test_zero_weight_kinds_are_never_tried_and_never_crash(store, templates, onl
     weights = {k: (1.0 if k == only else 0.0) for k in dm.TRANSFORM_KINDS}
     config = RunConfig(transition_weights=weights)
     allowed = _KIND_STATES[only]
+    asked = set()
     for seed in range(100):
         turns = dm.generate_dialog(store, templates, seed, config)
         later = [t.state for t in question_turns(turns)][1:]
         assert set(later) <= allowed, (seed, later)
+        asked.update(later)
+    assert bool(asked) == bool(allowed)
 
 
 def _wide_linked_store(n_hubs=3, n_leaves=40, per_hub=25, seed=0):

@@ -107,6 +107,27 @@ def test_surface_accepts_array_form(store):
     assert inst.question == "Which rivers flow through India ?"
 
 
+@pytest.mark.parametrize(
+    "ref, accepted",
+    [("country", True), ("subject_type", True), ("object_type", False), ("relation", False)],
+)
+def test_slot_type_is_a_store_type_or_a_type_slot_that_fixed_binds(store, ref, accepted):
+    record = {
+        "id": "typed_anchor",
+        "direction": "object_based",
+        "surface": {"singular": "Which ⟨object_type⟩ flows through ⟨entity:1⟩ ?"},
+        "plan_schema": "Retrieve(Lookup(obj, ⟨relation⟩, ⟨entity:1⟩, ⟨object_type⟩))",
+        "fixed": {"relation": "flows_through", "subject_type": "country"},
+        "slot_types": {"entity:1": ref},
+    }
+    assert template_from_record(record).slot_types == {"entity:1": ref}
+    if accepted:
+        assert tpl.anchor_type(store, template_from_record(record, store)) == store.type_id("country")
+    else:
+        with pytest.raises(TemplateError, match=f"field 'slot_types': unknown type label '{ref}'"):
+            template_from_record(record, store)
+
+
 # -- instantiation --------------------------------------------------------------------
 
 
