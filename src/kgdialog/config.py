@@ -93,8 +93,13 @@ class RunConfig:
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
             if f.type in ("bool", bool) and type(value) is not bool:
                 raise ConfigError(f"{f.name} must be true or false, got {value!r}")
-        if self.memory_cap < 1:
-            raise ConfigError(f"memory_cap must be >= 1, got {self.memory_cap}")
+        # below these a run yields nothing: an entity answer has at least one
+        # member and is refused at answer_cap members, a sampled response of
+        # no members is an empty utterance, and every dialog opens with a question
+        bounds = (("answer_cap", 2), ("sample_size", 1), ("min_questions", 1), ("memory_cap", 1))
+        for name, least in bounds:
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.min_questions > self.max_questions:
             raise ConfigError(
                 f"min_questions ({self.min_questions}) must not exceed "

@@ -168,8 +168,6 @@ def bleu4(reference: str, candidate: str, smoothing: bool = False) -> float:
             matched = 1e-9
         if total == 0:
             # candidate shorter than n tokens: nothing to score at this order
-            if not smoothing:
-                return 0.0
             total = 1
         log_sum += math.log(matched / total) / BLEU_MAX_N
     if len(cand) > len(ref):

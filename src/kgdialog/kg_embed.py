@@ -49,7 +49,7 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        for name in ("dim", "margin", "learning_rate", "epochs", "negatives"):
+        for name in ("dim", "margin", "learning_rate", "epochs", "negatives", "seed"):
             problem = setting_problem(name, getattr(self, name))
             if problem:
                 raise EmbedError(f"{name} {problem}")
@@ -58,13 +58,13 @@ class TrainConfig:
 def setting_problem(name: str, value) -> str | None:
     """Why ``value`` cannot be the :class:`TrainConfig` setting ``name``, or
     None: ``margin`` and ``learning_rate`` are finite numbers > 0, ``dim``
-    and ``negatives`` integers >= 1, ``epochs`` an integer >= 0."""
+    and ``negatives`` integers >= 1, ``epochs`` and ``seed`` integers >= 0."""
     if name in ("margin", "learning_rate"):
         real = isinstance(value, (int, float)) and not isinstance(value, bool)
         if real and math.isfinite(value) and value > 0:
             return None
         return f"must be a finite number > 0, got {value!r}"
-    least = 0 if name == "epochs" else 1
+    least = 0 if name in ("epochs", "seed") else 1
     if isinstance(value, int) and not isinstance(value, bool) and value >= least:
         return None
     return f"must be an integer >= {least}, got {value!r}"

@@ -7,9 +7,10 @@ The text form is a function-call tree using store labels, e.g.::
     Verify((flows_through, India, Ganga), (flows_through, India, Mekong))
 
 Labels that are not plain identifiers are double-quoted.  Parsing happens
-in two steps: the text becomes a symbolic node tree (``SNode``), which is
-then bound against a store.  Symbolic trees may contain slot markers such
-as ``⟨entity:1⟩``; these are what question templates store and rewrite.
+in two steps: the text becomes a symbolic plan, made of the plan classes
+with its labels, keywords, numbers and slot markers (``⟨entity:1⟩``) still
+unresolved, which is then bound against a store.  Symbolic plans are what
+question templates store and rewrite.
 ``parse_plan(print_plan(p, store), store) == p`` holds for every plan.
 """
 
@@ -54,19 +55,11 @@ class Slot:
 Atom = TUnion[str, int, Slot]
 
 
-@dataclass(frozen=True)
-class SNode:
-    """Symbolic plan node: a call name plus atom/child arguments."""
-
-    name: str
-    args: tuple["SNode | Atom | tuple[Atom, ...]", ...]
-
-
 # Node table.  Each node name maps to its plan class and to the kinds of
 # its arguments, which follow the order of the class's dataclass fields.
 # An atom kind ("keyword", "number", "relation", "entity", "type") is
 # resolved in its namespace; a subtree kind ("expr", "lookup", "leg",
-# "group") names what the subtree must bind to (see _SUBTREE_KINDS); "fact"
+# "group") names what the subtree must parse to (see _SUBTREE_KINDS); "fact"
 # is a (relation, subject, object) triple.  A last kind "*x" takes the
 # remaining arguments into one tuple-valued field.
 _SIGNATURES: dict[str, tuple[str, ...]] = {
@@ -95,12 +88,15 @@ _LAYOUT: dict[type, tuple[str, tuple[tuple[str, str], ...]]] = {
     cls: (name, tuple(zip((f.name for f in fields(cls)), _SIGNATURES[name])))
     for name, cls in _CLASSES.items()
 }
+# what a subtree or fact argument must parse to, and its name in errors
 _SUBTREE_KINDS: dict[str, tuple[tuple[type, ...], str]] = {
     "expr": (get_args(qa.SetExpr), "set expression"),
     "lookup": ((qa.Lookup,), "Lookup(...)"),
     "leg": ((qa.Counted,), "By(...)"),
     "group": ((qa.GroupSpec,), "Group(...)"),
+    "fact": ((tuple,), "(rel, subj, obj) fact"),
 }
+_ATOM = (get_args(Atom), "label, number or slot marker")
 _PLAN_CLASSES = get_args(qa.QueryPlan)
 
 
@@ -145,7 +141,7 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse_node(self) -> SNode:
+    def parse_node(self):
         kind, name = self.take("atom")
         if name not in _SIGNATURES:
             raise PlanTextError(f"unknown plan node {name!r} in {self.text!r}")
@@ -157,7 +153,7 @@ class _Parser:
                 self.take(",")
                 args.append(self.parse_arg())
         self.take(")")
-        return SNode(name, tuple(args))
+        return _build(name, args)
 
     def parse_arg(self):
         tok = self.peek()
@@ -192,33 +188,51 @@ class _Parser:
         raise PlanTextError(f"unexpected token {value!r} in {self.text!r}")
 
 
-def parse_symbolic(text: str) -> SNode:
-    """Parse plan text into a symbolic tree, slot markers allowed."""
+def _build(name: str, args: list):
+    """The plan-class node ``name`` of parsed arguments, once their count and
+    classes are checked; a starred kind's arguments become one tuple."""
+    sig = _SIGNATURES[name]
+    star = sig[-1][0] == "*"
+    n_fixed = len(sig) - star
+    if not star and len(args) != n_fixed:
+        raise PlanTextError(f"{name} takes {n_fixed} arguments, got {len(args)}")
+    if len(args) < n_fixed:
+        raise PlanTextError(f"{name} takes at least {n_fixed} arguments")
+    for i, arg in enumerate(args):
+        classes, what = _SUBTREE_KINDS.get(sig[min(i, n_fixed)].lstrip("*"), _ATOM)
+        if not isinstance(arg, classes):
+            raise PlanTextError(f"{name} argument {i + 1} must be a {what}")
+    if star:
+        args[n_fixed:] = [tuple(args[n_fixed:])]
+    return _CLASSES[name](*args)
+
+
+def parse_symbolic(text: str) -> qa.QueryPlan:
+    """Parse plan text into a symbolic plan, slot markers allowed."""
     parser = _Parser(_tokenize(text), text)
-    node = parser.parse_node()
+    plan = parser.parse_node()
     if parser.peek() is not None:
         raise PlanTextError(f"trailing tokens after plan in {text!r}")
-    return node
+    if not isinstance(plan, _PLAN_CLASSES):
+        raise PlanTextError(f"{_LAYOUT[type(plan)][0]} is not a top-level plan")
+    return plan
 
 
-# -- binding a symbolic tree against a store -------------------------------------
+# -- binding a symbolic plan against a store -------------------------------------
 
 
 def bind(
-    node: SNode,
+    plan: qa.QueryPlan,
     store: KgStore,
     bindings: Mapping[str, int | str] | None = None,
 ) -> qa.QueryPlan:
-    """Turn a symbolic tree into an executable plan.
+    """Turn a symbolic plan into an executable one.
 
     Slot markers are looked up in ``bindings``; a bound value may be an id
     (used as-is) or a label (resolved in the slot position's namespace).
     Unresolved slots raise :class:`PlanTextError` naming the slot.
     """
-    plan = _bind_node(node, store, bindings or {})
-    if not isinstance(plan, _PLAN_CLASSES):
-        raise PlanTextError(f"{node.name} is not a top-level plan")
-    return plan
+    return _bind_node(plan, store, bindings or {})
 
 
 def parse_plan(text: str, store: KgStore, bindings: Mapping[str, int | str] | None = None) -> qa.QueryPlan:
@@ -252,41 +266,24 @@ def _atom_value(atom, store: KgStore, kind: str, bindings: Mapping[str, int | st
     raise PlanTextError(f"unknown atom kind {kind!r}")
 
 
-def _bind_node(node: SNode, store: KgStore, bindings: Mapping[str, int | str]):
-    sig = _SIGNATURES[node.name]
-    star = sig[-1].startswith("*")
-    n_fixed = len(sig) - star
-    if not star and len(node.args) != n_fixed:
-        raise PlanTextError(f"{node.name} takes {n_fixed} arguments, got {len(node.args)}")
-    if star and len(node.args) < n_fixed:
-        raise PlanTextError(f"{node.name} takes at least {n_fixed} arguments")
-    values = [_bind_arg(node, i, sig[i], store, bindings) for i in range(n_fixed)]
-    if star:
-        kind = sig[-1][1:]
-        values.append(
-            tuple(_bind_arg(node, i, kind, store, bindings) for i in range(n_fixed, len(node.args)))
-        )
-    return _CLASSES[node.name](*values)
+def _bind_node(node, store: KgStore, bindings: Mapping[str, int | str]):
+    values = []
+    for field_name, kind in _LAYOUT[type(node)][1]:
+        value = getattr(node, field_name)
+        if kind[0] == "*":
+            values.append(tuple(_bind_value(v, kind[1:], store, bindings) for v in value))
+        else:
+            values.append(_bind_value(value, kind, store, bindings))
+    return type(node)(*values)
 
 
-def _bind_arg(node: SNode, i: int, kind: str, store: KgStore, bindings: Mapping[str, int | str]):
-    arg = node.args[i]
+def _bind_value(value, kind: str, store: KgStore, bindings: Mapping[str, int | str]):
     if kind == "fact":
-        if not isinstance(arg, tuple):
-            raise PlanTextError(f"{node.name} argument {i + 1} must be a (rel, subj, obj) fact")
-        r = _atom_value(arg[0], store, "relation", bindings)
-        s = _atom_value(arg[1], store, "entity", bindings)
-        o = _atom_value(arg[2], store, "entity", bindings)
-        return Tuple(r, s, o)
-    if kind not in _SUBTREE_KINDS:
-        return _atom_value(arg, store, kind, bindings)
-    if not isinstance(arg, SNode):
-        raise PlanTextError(f"{node.name} argument {i + 1} must be a subtree")
-    value = _bind_node(arg, store, bindings)
-    classes, what = _SUBTREE_KINDS[kind]
-    if not isinstance(value, classes):
-        raise PlanTextError(f"{node.name} argument {i + 1} must be a {what}")
-    return value
+        kinds = ("relation", "entity", "entity")
+        return Tuple(*(_atom_value(a, store, k, bindings) for a, k in zip(value, kinds)))
+    if kind in _SUBTREE_KINDS:
+        return _bind_node(value, store, bindings)
+    return _atom_value(value, store, kind, bindings)
 
 
 # -- printing ------------------------------------------------------------------
@@ -332,32 +329,32 @@ def _print_arg(value, kind: str, store: KgStore) -> str:
     return str(value)
 
 
-def slots_of(node: SNode) -> frozenset[str]:
-    """Names of all slot markers in a symbolic tree."""
+def slots_of(plan) -> frozenset[str]:
+    """Names of all slot markers in a symbolic plan."""
     out: set[str] = set()
 
     def walk(n) -> None:
-        if isinstance(n, SNode):
-            for a in n.args:
-                walk(a)
+        if isinstance(n, Slot):
+            out.add(n.name)
         elif isinstance(n, tuple):
             for a in n:
                 walk(a)
-        elif isinstance(n, Slot):
-            out.add(n.name)
+        elif type(n) in _LAYOUT:
+            for field_name, _ in _LAYOUT[type(n)][1]:
+                walk(getattr(n, field_name))
 
-    walk(node)
+    walk(plan)
     return frozenset(out)
 
 
-def rewrite_atoms(node: SNode, fn) -> SNode:
-    """Structurally copy a symbolic tree, mapping every atom through ``fn``."""
+def rewrite_atoms(plan, fn):
+    """Structurally copy a symbolic plan, mapping every atom through ``fn``."""
 
     def walk(n):
-        if isinstance(n, SNode):
-            return SNode(n.name, tuple(walk(a) for a in n.args))
         if isinstance(n, tuple):
-            return tuple(fn(a) for a in n)
+            return tuple(walk(a) for a in n)
+        if type(n) in _LAYOUT:
+            return type(n)(*(walk(getattr(n, f)) for f, _ in _LAYOUT[type(n)][1]))
         return fn(n)
 
-    return walk(node)
+    return walk(plan)

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 
 from . import plan_text, query_algebra as qa
 from .kg_store import KgStore, UnknownIdError, json_field, read_json_lines
-from .plan_text import SLOT_CLOSE, SLOT_OPEN, SNode, Slot
+from .plan_text import SLOT_CLOSE, SLOT_OPEN, Slot
 from .text import pluralize
 
 OBJECT_BASED = "object_based"
@@ -30,7 +30,12 @@ SUBJECT_BASED = "subject_based"
 _MARKER = re.compile(re.escape(SLOT_OPEN) + r"([^" + SLOT_CLOSE + r"]+)" + re.escape(SLOT_CLOSE))
 
 _CONJUNCTIONS = {"and": "and", "or": "or", "but_not": "but not"}
-_LOGICAL_NODES = {"and": "Intersection", "or": "Union", "but_not": "Difference"}
+_LOGICAL_NODES = {"and": qa.Intersection, "or": qa.Union, "but_not": qa.Difference}
+_COUNTING = {  # each counting plan class has the fields of the class it counts
+    qa.Retrieve: qa.Count,
+    qa.ThresholdFilter: qa.CountOverThreshold,
+    qa.Comparative: qa.CountOverComparative,
+}
 _COMPARATOR_PHRASES = {
     "atleast": "atleast",
     "atmost": "atmost",
@@ -62,13 +67,14 @@ class QuestionTemplate:
     direction: str
     paraphrase_group: str
     surface: Mapping[str, str]  # "singular" required, "plural" optional
-    plan_schema: SNode
+    # a symbolic plan: the plan classes, with labels, keywords and slots unresolved
+    plan_schema: qa.QueryPlan
     fixed: Mapping[str, int | str] = field(default_factory=dict)
     slot_types: Mapping[str, str] = field(default_factory=dict)
 
     @property
     def kind(self) -> str:
-        return self.plan_schema.name
+        return type(self.plan_schema).__name__
 
     def surface_variant(self, number: str) -> str:
         return self.surface.get(number) or self.surface["singular"]
@@ -83,14 +89,10 @@ class QuestionTemplate:
     def anchor_slot(self) -> str | None:
         """Slot name anchoring the root lookup, if there is one."""
         expr = _root_expr(self.plan_schema)
-        if expr is None:
-            return None
-        if expr.name == "Lookup" and isinstance(expr.args[2], Slot):
-            return expr.args[2].name
-        if expr.name == "TypeUnion":
-            first = expr.args[0]
-            if isinstance(first, SNode) and isinstance(first.args[2], Slot):
-                return first.args[2].name
+        if isinstance(expr, qa.TypeUnion) and expr.branches:
+            expr = expr.branches[0]
+        if isinstance(expr, qa.Lookup) and isinstance(expr.anchor, Slot):
+            return expr.anchor.name
         return None
 
 
@@ -141,6 +143,8 @@ def template_from_record(record: Mapping, store: KgStore | None = None) -> Quest
         raise TemplateError(f"missing field {exc}") from None
     except TypeError as exc:
         raise TemplateError(str(exc)) from None
+    except plan_text.PlanTextError as exc:
+        raise TemplateError(f"field 'plan_schema': {exc}") from None
     validate_template(template)
     if store is not None:
         resolvers = {"relation": store.relation_id, "type": store.type_id}
@@ -199,11 +203,11 @@ def validate_template(t: QuestionTemplate) -> None:
                     f"{ctx}: surface slot {SLOT_OPEN}{name}{SLOT_CLOSE} not in plan schema"
                 )
     expr = _root_expr(t.plan_schema)
-    if expr is not None and expr.name == "Lookup" and isinstance(expr.args[0], str):
+    if isinstance(expr, qa.Lookup) and isinstance(expr.direction, str):
         want = qa.OBJ if t.direction == OBJECT_BASED else qa.SUBJ
-        if expr.args[0] != want:
+        if expr.direction != want:
             raise TemplateError(
-                f"{ctx}: direction {t.direction} conflicts with lookup direction {expr.args[0]}"
+                f"{ctx}: direction {t.direction} conflicts with lookup direction {expr.direction}"
             )
 
 
@@ -212,10 +216,8 @@ def surface_slots(text_: str) -> list[str]:
     return [m.split("+", 1)[0] for m in _MARKER.findall(text_)]
 
 
-def _root_expr(schema: SNode) -> SNode | None:
-    if schema.name in ("Retrieve", "Count") and isinstance(schema.args[0], SNode):
-        return schema.args[0]
-    return None
+def _root_expr(schema: qa.QueryPlan) -> qa.SetExpr | None:
+    return schema.expr if isinstance(schema, (qa.Retrieve, qa.Count)) else None
 
 
 # -- instantiation ----------------------------------------------------------------
@@ -375,15 +377,14 @@ def transform_to_count(template: QuestionTemplate) -> QuestionTemplate:
     if not base.startswith("Which "):
         raise TemplateError(f"template {template.id}: counting transform needs a Which-question")
     schema = template.plan_schema
-    wrap = {"Retrieve": "Count", "ThresholdFilter": "CountOverThreshold", "Comparative": "CountOverComparative"}
-    if schema.name not in wrap:
-        raise TemplateError(f"template {template.id}: cannot count a {schema.name} plan")
+    if type(schema) not in _COUNTING:
+        raise TemplateError(f"template {template.id}: cannot count a {template.kind} plan")
     return replace(
         template,
         id=template.id + "#count",
         paraphrase_group=template.paraphrase_group + "#count",
         surface={"singular": "How many " + base[len("Which ") :]},
-        plan_schema=SNode(wrap[schema.name], schema.args),
+        plan_schema=_COUNTING[type(schema)](**vars(schema)),
     )
 
 
@@ -398,8 +399,7 @@ def transform_logical(
     if anchor is None:
         raise TemplateError(f"template {template.id}: logical transform needs a slot anchor")
     new_slot = _next_entity_slot(template)
-    second = SNode("Lookup", (lookup.args[0], lookup.args[1], Slot(new_slot), lookup.args[3]))
-    new_expr = SNode(_LOGICAL_NODES[op], (lookup, second))
+    new_expr = _LOGICAL_NODES[op](lookup, replace(lookup, anchor=Slot(new_slot)))
 
     marker = f"{SLOT_OPEN}{anchor}{SLOT_CLOSE}"
     addition = f"{marker} {_CONJUNCTIONS[op]} {SLOT_OPEN}{new_slot}{SLOT_CLOSE}"
@@ -419,7 +419,7 @@ def transform_logical(
         id=f"{template.id}#{op}",
         paraphrase_group=f"{template.paraphrase_group}#{op}",
         surface=surface,
-        plan_schema=SNode("Retrieve", (new_expr,)),
+        plan_schema=qa.Retrieve(new_expr),
         fixed={**template.fixed, new_slot: extra_binding},
         slot_types=slot_types,
     )
@@ -433,8 +433,7 @@ def transform_add_type(
     lookup = _require_lookup(template)
     type_slot = _result_type_slot(template)
     rel2, type2 = "relation2", type_slot + "2"
-    second = SNode("Lookup", (lookup.args[0], Slot(rel2), lookup.args[2], Slot(type2)))
-    new_expr = SNode("TypeUnion", (lookup, second))
+    new_expr = qa.TypeUnion((lookup, replace(lookup, relation=Slot(rel2), result_type=Slot(type2))))
 
     marker = f"{SLOT_OPEN}{type_slot}{SLOT_CLOSE}"
     marker_pl = f"{SLOT_OPEN}{type_slot}+pl{SLOT_CLOSE}"
@@ -453,7 +452,7 @@ def transform_add_type(
         id=template.id + "#multitype",
         paraphrase_group=template.paraphrase_group + "#multitype",
         surface=surface,
-        plan_schema=SNode("Retrieve", (new_expr,)),
+        plan_schema=qa.Retrieve(new_expr),
         fixed={**template.fixed, rel2: extra_relation, type2: extra_type},
     )
 
@@ -480,7 +479,7 @@ def transform_threshold(template: QuestionTemplate, comparator: str, n: int) -> 
         id=f"{template.id}#th_{comparator}_{n}",
         paraphrase_group=f"{template.paraphrase_group}#th_{comparator}",
         surface={"singular": surface},
-        plan_schema=SNode("ThresholdFilter", (group, comparator, Slot("n"))),
+        plan_schema=qa.ThresholdFilter(group, comparator, Slot("n")),
         fixed={**template.fixed, "n": n},
     )
 
@@ -504,7 +503,7 @@ def transform_argopt(template: QuestionTemplate, direction: str) -> QuestionTemp
         id=f"{template.id}#argopt_{direction}",
         paraphrase_group=f"{template.paraphrase_group}#argopt_{direction}",
         surface={"singular": surface},
-        plan_schema=SNode("ArgOpt", (group, direction)),
+        plan_schema=qa.ArgOpt(group, direction),
     )
 
 
@@ -534,7 +533,7 @@ def transform_comparative(
         id=f"{template.id}#cmp_{direction}",
         paraphrase_group=f"{template.paraphrase_group}#cmp_{direction}",
         surface={"singular": surface},
-        plan_schema=SNode("Comparative", (group, Slot(ref_slot), direction)),
+        plan_schema=qa.Comparative(group, Slot(ref_slot), direction),
         fixed={**template.fixed, ref_slot: reference},
         slot_types=slot_types,
     )
@@ -564,7 +563,7 @@ def transform_multi_relation(
     lookup_b = plan_text.rewrite_atoms(
         lookup_b, lambda a: Slot(rename(a.name)) if isinstance(a, Slot) else a
     )
-    new_expr = SNode(_LOGICAL_NODES[op], (lookup_a, lookup_b))
+    new_expr = _LOGICAL_NODES[op](lookup_a, lookup_b)
 
     b_text = template_b.surface_variant("plural")
     type_slot_b = _result_type_slot(template_b)
@@ -600,19 +599,19 @@ def transform_multi_relation(
         direction=template_a.direction,
         paraphrase_group=f"{template_a.paraphrase_group}+{template_b.paraphrase_group}#{op}",
         surface={"singular": surface},
-        plan_schema=SNode("Retrieve", (new_expr,)),
+        plan_schema=qa.Retrieve(new_expr),
         fixed=fixed,
         slot_types=slot_types,
     )
 
 
-def _require_lookup(template: QuestionTemplate) -> SNode:
-    expr = _root_expr(template.plan_schema)
-    if expr is None or expr.name != "Lookup" or template.plan_schema.name != "Retrieve":
+def _require_lookup(template: QuestionTemplate) -> qa.Lookup:
+    schema = template.plan_schema
+    if not isinstance(schema, qa.Retrieve) or not isinstance(schema.expr, qa.Lookup):
         raise TemplateError(
             f"template {template.id}: transform needs a Retrieve(Lookup(...)) schema"
         )
-    return expr
+    return schema.expr
 
 
 def _next_entity_slot(template: QuestionTemplate) -> str:
@@ -640,36 +639,31 @@ def _surface_token(atom, plural: bool) -> str:
     return pluralize(str(atom)) if plural else str(atom)
 
 
-def _derive_group(template: QuestionTemplate) -> tuple[SNode, dict]:
+def _derive_group(template: QuestionTemplate) -> tuple[qa.GroupSpec, dict]:
     """Group schema for threshold/argopt/comparative transforms.
 
     Single-lookup templates group over the result type and count anchors;
     multi-type templates group over the anchor's type and count the union
     of the branch types.
     """
-    expr = _root_expr(template.plan_schema)
-    if expr is None or template.plan_schema.name != "Retrieve":
+    if not isinstance(template.plan_schema, qa.Retrieve):
         raise TemplateError(f"template {template.id}: group transform needs a Retrieve schema")
+    expr = template.plan_schema.expr
     anchor_type_atom = _anchor_type_atom(template)
 
-    if expr.name == "Lookup":
-        direction, rel, _anchor, result_type = expr.args
-        flipped = qa.SUBJ if direction == qa.OBJ else qa.OBJ
-        group = SNode("Group", (result_type, SNode("By", (rel, flipped, anchor_type_atom))))
+    if isinstance(expr, qa.Lookup):
+        flipped = qa.SUBJ if expr.direction == qa.OBJ else qa.OBJ
+        group = qa.GroupSpec(expr.result_type, (qa.Counted(expr.relation, flipped, anchor_type_atom),))
         return group, {
             "multi": False,
             "counted_pl": _surface_token(anchor_type_atom, plural=True),
             "counted_sg": _surface_token(anchor_type_atom, plural=False),
-            "group_type_ref": _type_ref(result_type),
+            "group_type_ref": _type_ref(expr.result_type),
         }
-    if expr.name == "TypeUnion":
-        legs = []
-        counted_tokens = []
-        for branch in expr.args:
-            direction, rel, _anchor, result_type = branch.args
-            legs.append(SNode("By", (rel, direction, result_type)))
-            counted_tokens.append(_surface_token(result_type, plural=True))
-        group = SNode("Group", (anchor_type_atom, *legs))
+    if isinstance(expr, qa.TypeUnion):
+        legs = tuple(qa.Counted(b.relation, b.direction, b.result_type) for b in expr.branches)
+        counted_tokens = [_surface_token(b.result_type, plural=True) for b in expr.branches]
+        group = qa.GroupSpec(anchor_type_atom, legs)
         listing = (
             " and ".join(counted_tokens)
             if len(counted_tokens) <= 2

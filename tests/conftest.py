@@ -11,6 +11,17 @@ from kgdialog import kg_store
 from kgdialog.kg_store import KgStore, Tuple
 from kgdialog.templates import load_templates
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # properties that name no example count take it from the profile: a
+    # small one in tier-1, ten times as many with --hypothesis-profile=heavy
+    settings.register_profile("tier1", max_examples=25, deadline=None)
+    settings.register_profile("heavy", max_examples=250, deadline=None)
+    settings.load_profile("tier1")
+
 REPO = Path(__file__).resolve().parent.parent
 KG_T_DIR = REPO / "fixtures" / "kg_t"
 KERNEL_VECTORS = REPO / "fixtures" / "kernel_vectors.jsonl"

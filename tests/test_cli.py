@@ -260,6 +260,14 @@ def test_embed_with_zero_dim_is_an_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_embed_with_a_negative_seed_fails_before_training(tmp_path, capsys):
+    out = tmp_path / "emb.bin"
+    code, _, err = run(capsys, "embed", "--kg", str(KG_T_DIR), "--seed", "-1", "--out", str(out))
+    assert code == 1
+    assert err.splitlines() == ["error: seed must be an integer >= 0, got -1"]
+    assert not out.exists()
+
+
 def test_kernel_check_passes(capsys):
     code, out, _ = run(capsys, "kernel-check", "--vectors", str(KERNEL_VECTORS))
     assert code == 0
@@ -656,4 +664,26 @@ def test_template_naming_an_unknown_label_fails_at_load(slot, shown, tmp_path, c
     code, _, err = run(capsys, *argv, "--out", str(out))
     assert_one_error_line(code, err, f"{templates}:2", f"field '{field}': {shown}")
     assert err == f"error: {templates}:2: field '{field}': {shown}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "schema, shown",
+    [
+        ("Retrieve(Lookup(obj, ⟨relation⟩, ⟨entity:1⟩))", "Lookup takes 4 arguments, got 3"),
+        ("Retrieve(⟨object_type⟩)", "Retrieve argument 1 must be a set expression"),
+        ("Count(Group(river, By(flows_through, subj, country)))", "Count argument 1 must be a set expression"),
+    ],
+)
+def test_malformed_plan_schema_fails_at_load_naming_the_field(schema, shown, tmp_path, capsys):
+    # the surface names no entity slot, so the schema is the record's only fault
+    lines = (KG_T_DIR / "templates.jsonl").read_text(encoding="utf-8").splitlines()
+    record = {**json.loads(lines[0]), "plan_schema": schema, "surface": "Which ⟨object_type⟩ is it ?"}
+    templates = tmp_path / "templates.jsonl"
+    templates.write_text("\n".join([json.dumps(record), *lines[1:]]) + "\n", encoding="utf-8")
+    out = tmp_path / "g"
+    argv = ["generate", "--kg", str(KG_T_DIR), "--templates", str(templates), "--n", "3"]
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert_one_error_line(code, err, f"{templates}:1", shown)
+    assert err == f"error: {templates}:1: field 'plan_schema': {shown}\n"
     assert not out.exists()

@@ -147,6 +147,10 @@ def test_zero_embedding_epochs_are_accepted():
         ("vocab_threshold", "5", "vocab_threshold must be an integer, got '5'"),
         ("hops", "x", "hops must be an integer, got 'x'"),
         ("memory_cap", 0, "memory_cap must be >= 1, got 0"),
+        ("answer_cap", 0, "answer_cap must be >= 2, got 0"),
+        ("answer_cap", 1, "answer_cap must be >= 2, got 1"),
+        ("sample_size", 0, "sample_size must be >= 1, got 0"),
+        ("min_questions", 0, "min_questions must be >= 1, got 0"),
         ("generic_relations", "capital", "generic_relations must be a list of strings, got 'capital'"),
         (
             "peer_type_blocklist",

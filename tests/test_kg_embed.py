@@ -585,6 +585,7 @@ def test_array_rivals_equal_the_dict_built_ones_on_random_stores(seed):
         ("learning_rate", float("inf")),
         ("margin", float("nan")),
         ("margin", -1.0),
+        ("seed", -1),
     ],
 )
 def test_settings_that_train_nothing_or_backwards_are_rejected(store, setting, value):

@@ -217,3 +217,59 @@ def test_rewrite_atoms_renames_slots():
         node, lambda a: Slot(a.name + "_b") if isinstance(a, Slot) else a
     )
     assert plan_text.slots_of(renamed) == frozenset({"relation_b", "entity:1_b"})
+
+
+def test_symbolic_plan_is_made_of_the_plan_classes():
+    plan = plan_text.parse_symbolic("Retrieve(Lookup(obj, ⟨relation⟩, ⟨entity:1⟩, river))")
+    assert plan == qa.Retrieve(qa.Lookup("obj", Slot("relation"), Slot("entity:1"), "river"))
+
+
+def test_symbolic_plan_keeps_numbers_facts_and_repeated_arguments():
+    plan = plan_text.parse_symbolic(
+        'ThresholdFilter(Group(river, By(flows_through, subj, ⟨type⟩), By(capital, obj, city)), atleast, 2)'
+    )
+    legs = (qa.Counted("flows_through", "subj", Slot("type")), qa.Counted("capital", "obj", "city"))
+    assert plan == qa.ThresholdFilter(qa.GroupSpec("river", legs), "atleast", 2)
+    plan = plan_text.parse_symbolic('Verify((capital, India, "New Delhi"), (⟨relation⟩, 7, ⟨entity:2⟩))')
+    assert plan == qa.Verify((("capital", "India", "New Delhi"), (Slot("relation"), 7, Slot("entity:2"))))
+
+
+@pytest.mark.parametrize(
+    "text, shown",
+    [
+        ("Retrieve(Lookup(obj, ⟨relation⟩, ⟨entity:1⟩))", "Lookup takes 4 arguments, got 3"),
+        ("Retrieve(Lookup(obj, a, b, c), Lookup(obj, a, b, c))", "Retrieve takes 1 arguments, got 2"),
+        ("ArgOpt()", "ArgOpt takes 2 arguments, got 0"),
+        ("Group()", "Group takes at least 1 arguments"),
+        ("Retrieve(⟨object_type⟩)", "Retrieve argument 1 must be a set expression"),
+        ("Count(Group(river, By(flows_through, subj, country)))", "Count argument 1 must be a set expression"),
+        ("Retrieve(TypeUnion(Lookup(obj, a, b, c), By(a, obj, c)))", "TypeUnion argument 2 must be a Lookup(...)"),
+        ("ArgOpt(Group(c, Lookup(obj, a, b, c)), max)", "Group argument 2 must be a By(...)"),
+        ("ArgOpt(Lookup(obj, a, b, c), max)", "ArgOpt argument 1 must be a Group(...)"),
+        ("Verify(India)", "Verify argument 1 must be a (rel, subj, obj) fact"),
+        ("Retrieve(Lookup(obj, Lookup(obj, a, b, c), b, c))", "Lookup argument 2 must be a label, number or slot marker"),
+        ("Lookup(obj, flows_through, India, river)", "Lookup is not a top-level plan"),
+    ],
+)
+def test_malformed_symbolic_plans_fail_at_parse_naming_the_node(text, shown):
+    with pytest.raises(PlanTextError, match=f"^{re.escape(shown)}$"):
+        plan_text.parse_symbolic(text)
+
+
+def test_fixture_template_schemas_parse_into_the_plan_classes(templates):
+    lookup = {
+        direction: qa.Lookup(direction, Slot("relation"), Slot("entity:1"), Slot(f"{side}_type"))
+        for direction, side in (("obj", "object"), ("subj", "subject"))
+    }
+    fact = (Slot("relation"), Slot("entity:2"), Slot("entity:1"))
+    expected = {
+        "capital_city": qa.Retrieve(lookup["obj"]),
+        "capital_country": qa.Retrieve(lookup["subj"]),
+        "country_of_river": qa.Retrieve(lookup["subj"]),
+        "river_flows": qa.Retrieve(lookup["obj"]),
+        "river_flows_p2": qa.Retrieve(lookup["obj"]),
+        "verify_flows": qa.Verify((fact,)),
+        "verify_flows_2": qa.Verify((fact, (Slot("relation"), Slot("entity:2"), Slot("entity:3")))),
+    }
+    assert {t.id: t.plan_schema for t in templates} == expected
+    assert [t.kind for t in templates] == [type(expected[t.id]).__name__ for t in templates]
