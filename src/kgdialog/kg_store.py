@@ -2,17 +2,22 @@
 
 The store is built once from three tab-separated files (tuples, labels,
 types) and never mutated afterwards, so concurrent readers need no locking.
-Values derived from it (sorted type members, the dense tuple index, grouped
-counts, grouped provenance) are cached on the store instance; readers racing
-on a cold key compute the same value twice, which is harmless.  Entities,
-relations and types live in separate dense integer id spaces assigned in
-label-file order.
+Values derived from it (relation lookups, sorted type members, the
+per-entity index, grouped counts, grouped provenance) are cached on the
+store instance; readers racing on a cold key compute the same value twice,
+which is harmless.  Entities, relations and types live in separate dense
+integer id spaces assigned in label-file order.
 
-A tuple's dense id is its position in the sorted array of all the store's
-tuples (:class:`TupleIndex`, built on first use).  Readers that gather many
-tuples, such as the entity linker and the memory kernel, pass ``(N, 3)`` id
-rows around and show them as :class:`TupleRows`, a sequence of
-:class:`Tuple` made only when an element is read.
+The constructor turns the tuples into one ``(T, 3)`` int64 id array, sorted
+in :class:`Tuple` order, and the two relation indexes are runs of it: the
+objects of each (relation, subject) pair are one contiguous run of the
+sorted rows, and one more stable sort gives the subject runs of each
+(relation, object) pair.  A lookup freezes its run on the key's first read
+and keeps the frozenset.  A tuple's dense id is its row in that array, and
+the per-entity CSR over it (:class:`TupleIndex`) is built on first use.
+Readers that gather many tuples, such as the entity linker and the memory
+kernel, pass ``(N, 3)`` id rows around and show them as :class:`TupleRows`,
+a sequence of :class:`Tuple` made only when an element is read.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import logging
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice, repeat
 from pathlib import Path
 from types import NoneType
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, TypeVar
@@ -130,9 +135,9 @@ class TupleIndex:
     positions: np.ndarray  # one entry per (tuple, distinct end)
 
     @classmethod
-    def build(cls, tuples: Iterable[Tuple], n_entities: int) -> TupleIndex:
-        ids = TupleRows.of(tuples).ids
-        ids = ids[np.lexsort(ids.T[::-1])]  # by relation, then subject, then object
+    def build(cls, ids: np.ndarray, n_entities: int) -> TupleIndex:
+        """The index over ``ids``, read-only id rows already in sorted
+        ``Tuple`` order (as :class:`KgStore` keeps them)."""
         rows = np.arange(len(ids))
         other = ids[:, 1] != ids[:, 2]
         ends = np.concatenate([ids[:, 1], ids[other, 2]])
@@ -140,7 +145,7 @@ class TupleIndex:
         positions = owners[np.lexsort((owners, ends))]
         starts = np.zeros(n_entities + 1, np.int64)
         np.cumsum(np.bincount(ends, minlength=n_entities), out=starts[1:])
-        for array in (ids, starts, positions):
+        for array in (starts, positions):
             array.flags.writeable = False
         return cls(ids, starts, positions)
 
@@ -164,11 +169,11 @@ class KgStore:
 
     Instances are created by :func:`load` (or internally by the filter
     operations) and treated as immutable afterwards.  The one per-entity
-    index is the CSR of :meth:`tuple_index`, built on first use.  Relation
-    and type labels are unique (the constructor checks); entity labels may
-    repeat.  Each instance owns a cache of values derived from it (see
-    :meth:`derived`); a filtered store is a new instance and starts with an
-    empty cache.
+    index is the CSR of :meth:`tuple_index`, built on first use.  Tuple ids
+    must lie within the label lists, and relation and type labels are unique
+    (the constructor checks both); entity labels may repeat.  Each instance
+    owns a cache of values derived from it (see :meth:`derived`); a
+    filtered store is a new instance and starts with an empty cache.
     """
 
     def __init__(
@@ -185,13 +190,15 @@ class KgStore:
         self.type_labels = list(type_labels)
         self.entity_types: dict[int, frozenset[int]] = dict(entity_types)
 
-        rs: dict[tuple[int, int], set[int]] = {}
-        ro: dict[tuple[int, int], set[int]] = {}
-        for t in self.tuples:
-            rs.setdefault((t.relation, t.subject), set()).add(t.object)
-            ro.setdefault((t.relation, t.object), set()).add(t.subject)
-        self.by_rel_subj: dict[tuple[int, int], frozenset[int]] = {k: frozenset(v) for k, v in rs.items()}
-        self.by_rel_obj: dict[tuple[int, int], frozenset[int]] = {k: frozenset(v) for k, v in ro.items()}
+        n = len(self.entity_labels)
+        self._rows = _sorted_rows(self.tuples, len(self.relation_labels), n)
+        relation, subject, obj = self._rows.T
+        self._objects = _RelationIndex(relation * n + subject, obj)
+        key = relation * n + obj
+        # stable, so each run's subjects stay ascending and the frozensets
+        # made from them do not depend on the sort algorithm
+        order = np.argsort(key, kind="stable")
+        self._subjects = _RelationIndex(key[order], subject[order])
 
         members: dict[int, set[int]] = {}
         for e, types in self.entity_types.items():
@@ -279,13 +286,13 @@ class KgStore:
         """Objects o with (relation, subject, o) in the store."""
         self._check_relation(relation)
         self._check_entity(subject)
-        return self.by_rel_subj.get((relation, subject), frozenset())
+        return self._objects[relation * len(self.entity_labels) + subject]
 
     def subjects_of(self, relation: int, obj: int) -> frozenset[int]:
         """Subjects s with (relation, s, obj) in the store."""
         self._check_relation(relation)
         self._check_entity(obj)
-        return self.by_rel_obj.get((relation, obj), frozenset())
+        return self._subjects[relation * len(self.entity_labels) + obj]
 
     def entities_of_type(self, ty: int) -> frozenset[int]:
         self._check_type(ty)
@@ -304,7 +311,7 @@ class KgStore:
 
     def tuple_index(self) -> TupleIndex:
         """Every tuple by dense id, built on first use and cached."""
-        return self.derived("tuple_index", lambda: TupleIndex.build(self.tuples, self.n_entities))
+        return self.derived("tuple_index", lambda: TupleIndex.build(self._rows, self.n_entities))
 
     def tuple_ids_containing(self, entity: int) -> np.ndarray:
         """Dense ids of the tuples containing ``entity``, ascending (so in
@@ -331,6 +338,57 @@ class KgStore:
     def _check_type(self, ty: int) -> None:
         if not isinstance(ty, int) or not 0 <= ty < len(self.type_labels):
             raise UnknownIdError(f"unknown type id {ty!r}")
+
+
+def _sorted_rows(tuples: Iterable[Tuple], n_relations: int, n_entities: int) -> np.ndarray:
+    """The read-only ``(T, 3)`` id rows of ``tuples`` in sorted ``Tuple`` order.
+
+    An id outside the label lists raises :class:`UnknownIdError` naming the
+    first such tuple in sorted order, before anything is built.
+    """
+    ids = TupleRows.of(tuples).ids
+    limits = (n_relations, n_entities, n_entities)
+    bad = ((ids < 0) | (ids >= limits)).any(axis=1)
+    if bad.any():
+        first = min(map(tuple, ids[bad].tolist()))
+        column = next(c for c in range(3) if not 0 <= first[c] < limits[c])
+        kind = "relation" if column == 0 else "entity"
+        raise UnknownIdError(f"tuple {first}: unknown {kind} id {first[column]}")
+    # ranking the (relation, subject) keys keeps the sort key below T * n_entities
+    _, group = np.unique(ids[:, 0] * n_entities + ids[:, 1], return_inverse=True)
+    ids = ids[np.argsort(group * n_entities + ids[:, 2])]
+    ids.flags.writeable = False
+    return ids
+
+
+class _RelationIndex(dict):
+    """Objects by (relation, subject) key, or subjects by (relation, object)
+    key: each key's values as a frozenset, made on the key's first read and
+    kept.
+
+    ``keys`` (non-decreasing) and ``values`` are two columns of the same id
+    rows, so each distinct key spans one run of rows; ``runs`` holds the
+    values of each run as a tuple.  A key with no rows reads as the empty
+    set and is not kept.
+    """
+
+    __slots__ = ("runs",)
+
+    def __init__(self, keys: np.ndarray, values: np.ndarray):
+        super().__init__()
+        heads = np.ones(len(keys), bool)
+        heads[1:] = keys[1:] != keys[:-1]
+        starts = np.flatnonzero(heads)
+        lengths = np.diff(starts, append=len(keys)).tolist()
+        column = iter(values.tolist())  # each run takes its length off the front
+        self.runs = dict(zip(keys[starts].tolist(), map(tuple, map(islice, repeat(column), lengths))))
+
+    def __missing__(self, key: int) -> frozenset[int]:
+        run = self.runs.get(key)
+        if run is None:
+            return frozenset()
+        value = self[key] = frozenset(run)
+        return value
 
 
 # -- loading ----------------------------------------------------------------
@@ -570,7 +628,7 @@ def stats(store: KgStore) -> StoreStats:
     """Counts over the store, read from its indices; fanout is the number of
     tuples containing an entity."""
     fanouts = np.diff(store.tuple_index().starts).tolist()
-    group_sizes = [len(objects) for objects in store.by_rel_subj.values()]
+    group_sizes = list(map(len, store._objects.runs.values()))
     return StoreStats(
         n_tuples=len(store.tuples),
         n_entities=store.n_entities,

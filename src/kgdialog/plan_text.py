@@ -61,7 +61,7 @@ Atom = TUnion[str, int, Slot]
 # resolved in its namespace; a subtree kind ("expr", "lookup", "leg",
 # "group") names what the subtree must parse to (see _SUBTREE_KINDS); "fact"
 # is a (relation, subject, object) triple.  A last kind "*x" takes the
-# remaining arguments into one tuple-valued field.
+# remaining arguments, at least one, into one tuple-valued field.
 _SIGNATURES: dict[str, tuple[str, ...]] = {
     "Lookup": ("keyword", "relation", "entity", "type"),
     "Union": ("expr", "expr"),
@@ -190,14 +190,16 @@ class _Parser:
 
 def _build(name: str, args: list):
     """The plan-class node ``name`` of parsed arguments, once their count and
-    classes are checked; a starred kind's arguments become one tuple."""
+    classes are checked; a starred kind takes one or more arguments, which
+    become one tuple."""
     sig = _SIGNATURES[name]
     star = sig[-1][0] == "*"
     n_fixed = len(sig) - star
     if not star and len(args) != n_fixed:
         raise PlanTextError(f"{name} takes {n_fixed} arguments, got {len(args)}")
-    if len(args) < n_fixed:
-        raise PlanTextError(f"{name} takes at least {n_fixed} arguments")
+    if len(args) < len(sig):
+        plural = "s" * (len(sig) > 1)
+        raise PlanTextError(f"{name} takes at least {len(sig)} argument{plural}")
     for i, arg in enumerate(args):
         classes, what = _SUBTREE_KINDS.get(sig[min(i, n_fixed)].lstrip("*"), _ATOM)
         if not isinstance(arg, classes):

@@ -673,6 +673,9 @@ def test_template_naming_an_unknown_label_fails_at_load(slot, shown, tmp_path, c
         ("Retrieve(Lookup(obj, ⟨relation⟩, ⟨entity:1⟩))", "Lookup takes 4 arguments, got 3"),
         ("Retrieve(⟨object_type⟩)", "Retrieve argument 1 must be a set expression"),
         ("Count(Group(river, By(flows_through, subj, country)))", "Count argument 1 must be a set expression"),
+        ("Verify()", "Verify takes at least 1 argument"),
+        ("Retrieve(TypeUnion())", "TypeUnion takes at least 1 argument"),
+        ("ThresholdFilter(Group(river), atleast, 2)", "Group takes at least 2 arguments"),
     ],
 )
 def test_malformed_plan_schema_fails_at_load_naming_the_field(schema, shown, tmp_path, capsys):

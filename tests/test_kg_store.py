@@ -113,6 +113,26 @@ def test_constructor_rejects_a_repeated_relation_or_type_label(relations, types,
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    ("bad", "message"),
+    [
+        ([Tuple(0, 0, 5)], "tuple (0, 0, 5): unknown entity id 5"),
+        ([Tuple(0, -1, 1)], "tuple (0, -1, 1): unknown entity id -1"),
+        ([Tuple(3, 0, 1)], "tuple (3, 0, 1): unknown relation id 3"),
+        # the first bad tuple in sorted order, and its relation before its ends
+        ([Tuple(0, 1, 7), Tuple(3, 5, 1), Tuple(0, 0, 9)], "tuple (0, 0, 9): unknown entity id 9"),
+        ([Tuple(3, 5, 1)], "tuple (3, 5, 1): unknown relation id 3"),
+    ],
+)
+def test_constructor_rejects_a_tuple_id_outside_the_label_lists(bad, message):
+    """Stores built without `load` (the filters, synthetic graphs, tests)
+    are checked before any index is built."""
+    entity_types = {0: frozenset({0}), 1: frozenset({0})}
+    with pytest.raises(KgError) as err:
+        KgStore([Tuple(0, 0, 1), *bad], ["A", "B"], ["rel"], ["ty"], entity_types)
+    assert str(err.value) == message
+
+
 def test_lookups_match_fixture(store, ids):
     assert store.objects_of(ids["flows_through"], ids["India"]) == frozenset(
         {ids["Ganga"], ids["Yamuna"], ids["Brahmaputra"]}
@@ -419,17 +439,20 @@ def test_stats_equal_brute_force_on_synthetic_graphs(n_tuples, fanout, expected,
 
 
 # retained bytes per tuple of a store built from a 28,493-tuple uniform graph;
-# 512 when measured, 722 while the store also kept a per-entity dict of
-# tuple sets (Python 3.11)
-STORE_BYTES_PER_TUPLE = 540
+# 412.7 when measured, 512 while the relation indexes were dicts of
+# frozensets, 722 while the store also kept a per-entity dict of tuple sets
+# (Python 3.11)
+STORE_BYTES_PER_TUPLE = 435
+# the same at 110,884 tuples: 391.0 when measured, 488 with the frozenset dicts
+STORE_BYTES_PER_TUPLE_AT_110K = 410
 
 
-def test_store_bytes_per_tuple_are_bounded(monkeypatch):
-    monkeypatch.syspath_prepend(str(REPO / "bench"))
+def _retained_bytes_per_tuple(n_tuples: int, expected: int) -> float:
     import graphgen
 
-    s = graphgen.make_graph(1, 28000, "uniform")
+    s = graphgen.make_graph(1, n_tuples, "uniform")
     args = (list(s.tuples), s.entity_labels, s.relation_labels, s.type_labels, s.entity_types)
+    del s
     gc.collect()
     tracemalloc.start()
     try:
@@ -439,23 +462,26 @@ def test_store_bytes_per_tuple_are_bounded(monkeypatch):
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(built.tuples) == 28493
-    assert retained / len(built.tuples) <= STORE_BYTES_PER_TUPLE
+    assert len(built.tuples) == expected
+    return retained / len(built.tuples)
+
+
+def test_store_bytes_per_tuple_are_bounded(monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    assert _retained_bytes_per_tuple(28000, 28493) <= STORE_BYTES_PER_TUPLE
+
+
+def test_store_bytes_per_tuple_are_bounded_at_110k_tuples(monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    assert _retained_bytes_per_tuple(110000, 110884) <= STORE_BYTES_PER_TUPLE_AT_110K
 
 
 @pytest.mark.parametrize("seed", [3, 4])
 def test_index_round_trip_on_random_stores(seed):
     s = make_random_store(seed, n_tuples=300)
-    from_rel_subj = {
-        Tuple(r, subj, o)
-        for (r, subj), objs in s.by_rel_subj.items()
-        for o in objs
-    }
-    from_rel_obj = {
-        Tuple(r, subj, o)
-        for (r, o), subjs in s.by_rel_obj.items()
-        for subj in subjs
-    }
+    pairs = [(r, e) for r in range(s.n_relations) for e in range(s.n_entities)]
+    from_rel_subj = {Tuple(r, subj, o) for r, subj in pairs for o in s.objects_of(r, subj)}
+    from_rel_obj = {Tuple(r, subj, o) for r, o in pairs for subj in s.subjects_of(r, o)}
     from_entity = set()
     for e in range(s.n_entities):
         assert s.tuples_containing(e) == brute_fanout(s, e)
@@ -463,6 +489,56 @@ def test_index_round_trip_on_random_stores(seed):
     assert from_rel_subj == s.tuples
     assert from_rel_obj == s.tuples
     assert from_entity == s.tuples
+
+
+def _assert_lookups_equal_a_scan(s: KgStore) -> None:
+    """objects_of and subjects_of of every (relation, entity) pair, read
+    twice (the first read freezes a run, the second reads it back), equal a
+    scan of the tuples; unknown ids raise."""
+    objects: dict[tuple[int, int], set[int]] = {}
+    subjects: dict[tuple[int, int], set[int]] = {}
+    for t in s.tuples:
+        objects.setdefault((t.relation, t.subject), set()).add(t.object)
+        subjects.setdefault((t.relation, t.object), set()).add(t.subject)
+    for _ in range(2):
+        for r in range(s.n_relations):
+            for e in range(s.n_entities):
+                for lookup, scan in ((s.objects_of, objects), (s.subjects_of, subjects)):
+                    got = lookup(r, e)
+                    assert type(got) is frozenset and got == scan.get((r, e), set()), (lookup, r, e)
+                    assert all(type(v) is int for v in got)
+    for lookup in (s.objects_of, s.subjects_of):
+        for r, e in ((s.n_relations, 0), (-1, 0), (0, s.n_entities), (0, -1)):
+            with pytest.raises(UnknownIdError):
+                lookup(r, e)
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_lookups_equal_a_scan_on_random_stores_with_gaps(seed):
+    """Self-loops, entities without tuples and a relation without tuples."""
+    base = make_random_store(seed, n_tuples=250, n_relations=3, n_entities=60)
+    rng = random.Random(seed)
+    loops = {Tuple(rng.randrange(3), e, e) for e in rng.sample(range(base.n_entities), 6)}
+    n = base.n_entities + 5
+    s = KgStore(
+        base.tuples | loops,
+        base.entity_labels + [f"lonely{i}" for i in range(5)],
+        base.relation_labels + ["unused"],
+        base.type_labels,
+        {**base.entity_types, **{e: frozenset({0}) for e in range(base.n_entities, n)}},
+    )
+    assert any(t.subject == t.object for t in s.tuples)
+    assert not any(t.relation == 3 for t in s.tuples)
+    assert kg_store.stats(s).n_entities_in_tuples < s.n_entities
+    _assert_lookups_equal_a_scan(s)
+
+
+@pytest.mark.parametrize(("n_tuples", "fanout"), [(1600, "heavy"), (6000, "uniform")])
+def test_lookups_equal_a_scan_on_synthetic_graphs(n_tuples, fanout, monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    import graphgen
+
+    _assert_lookups_equal_a_scan(graphgen.make_graph(1, n_tuples, fanout))
 
 
 @pytest.mark.parametrize("seed", [5, 6])

@@ -240,7 +240,10 @@ def test_symbolic_plan_keeps_numbers_facts_and_repeated_arguments():
         ("Retrieve(Lookup(obj, ⟨relation⟩, ⟨entity:1⟩))", "Lookup takes 4 arguments, got 3"),
         ("Retrieve(Lookup(obj, a, b, c), Lookup(obj, a, b, c))", "Retrieve takes 1 arguments, got 2"),
         ("ArgOpt()", "ArgOpt takes 2 arguments, got 0"),
-        ("Group()", "Group takes at least 1 arguments"),
+        ("Group()", "Group takes at least 2 arguments"),
+        ("Verify()", "Verify takes at least 1 argument"),
+        ("Retrieve(TypeUnion())", "TypeUnion takes at least 1 argument"),
+        ("ThresholdFilter(Group(river), atleast, 2)", "Group takes at least 2 arguments"),
         ("Retrieve(⟨object_type⟩)", "Retrieve argument 1 must be a set expression"),
         ("Count(Group(river, By(flows_through, subj, country)))", "Count argument 1 must be a set expression"),
         ("Retrieve(TypeUnion(Lookup(obj, a, b, c), By(a, obj, c)))", "TypeUnion argument 2 must be a Lookup(...)"),

@@ -536,7 +536,7 @@ def test_oracle_touches_no_index_or_cache(ids):
 
     for name in ("objects_of", "subjects_of", "has_type", "sorted_members", "entities_of_type", "derived"):
         setattr(blind, name, refuse)
-    for name in ("by_rel_subj", "by_rel_obj", "type_members"):
+    for name in ("_objects", "_subjects", "_rows", "type_members"):
         setattr(blind, name, None)
     for plan in _every_plan_kind(ids):
         for include_zero in (True, False):
