@@ -518,7 +518,7 @@ def _simple_question(store, config, t, anchor):
 def _simple_templates(store, templates):
     out = []
     for t in templates:
-        if t.kind != "Retrieve" or t.free_slots() != [t.anchor_slot()]:
+        if t.kind != "Retrieve" or t.free_slots() != (t.anchor_slot(),):
             continue
         ty = tpl.anchor_type(store, t)
         if ty is not None:

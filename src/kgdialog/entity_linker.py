@@ -14,22 +14,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .kg_store import KgStore, LoadError, TupleRows, read_tsv
-from .text import normalize
+from .text import normalize, normalize_lines
 
 
 @dataclass(frozen=True)
 class Gazetteer:
-    entries: dict[str, frozenset[int]]
+    entries: dict[str, tuple[int, ...]]  # normalized text -> its entity ids, ascending
     max_len: int  # longest entry, in tokens
 
     def lookup(self, phrase: str) -> frozenset[int]:
-        return self.entries.get(" ".join(normalize(phrase)), frozenset())
+        return frozenset(self.entries.get(" ".join(normalize(phrase)), ()))
 
 
 @dataclass(frozen=True)
@@ -51,22 +52,25 @@ class CandidateSet:
 
 
 def build_gazetteer(store: KgStore, aliases: Iterable[tuple[int, str]] = ()) -> Gazetteer:
-    """Index every entity label (and optional aliases) after normalization."""
-    entries: dict[str, set[int]] = {}
-    max_len = 1
-    for e in range(store.n_entities):
-        tokens = normalize(store.entity_label(e))
-        if not tokens:
-            continue
-        entries.setdefault(" ".join(tokens), set()).add(e)
-        max_len = max(max_len, len(tokens))
-    for ent, alias in aliases:
-        tokens = normalize(alias)
-        if not tokens:
-            continue
-        entries.setdefault(" ".join(tokens), set()).add(ent)
-        max_len = max(max_len, len(tokens))
-    return Gazetteer({k: frozenset(v) for k, v in entries.items()}, max_len)
+    """Index every entity label (and optional aliases) after normalization.
+
+    All texts are normalized in one pass, joined by newlines.  A newline
+    inside an alias normalizes like a space, so it becomes one first; the
+    store's labels hold none.
+    """
+    aliases = list(aliases)
+    keys = normalize_lines(
+        "\n".join(chain(store.entity_labels, (alias.replace("\n", " ") for _, alias in aliases)))
+    )
+    entries: dict[str, tuple[int, ...]] = {}
+    for key, e in zip(keys, chain(range(store.n_entities), (e for e, _ in aliases))):
+        entries[key] = entries.get(key, ()) + (e,)
+    entries.pop("", None)
+    for key, ids in entries.items():
+        if len(ids) > 1:
+            entries[key] = tuple(sorted(set(ids)))
+    max_len = 1 + max(map(str.count, entries, repeat(" ")), default=0)
+    return Gazetteer(entries, max_len)
 
 
 def load_aliases(path: str | Path, store: KgStore) -> list[tuple[int, str]]:
@@ -92,7 +96,7 @@ def link(gazetteer: Gazetteer, utterance: str) -> list[Match]:
             key = " ".join(tokens[i : i + size])
             ids = gazetteer.entries.get(key)
             if ids:
-                found = Match(i, i + size, key, tuple(sorted(ids)))
+                found = Match(i, i + size, key, ids)
                 break
         if found is None:
             i += 1

@@ -12,9 +12,15 @@ The constructor turns the tuples into one ``(T, 3)`` int64 id array, sorted
 in :class:`Tuple` order, and the two relation indexes are runs of it: the
 objects of each (relation, subject) pair are one contiguous run of the
 sorted rows, and one more stable sort gives the subject runs of each
-(relation, object) pair.  A lookup freezes its run on the key's first read
-and keeps the frozenset.  A tuple's dense id is its row in that array, and
-the per-entity CSR over it (:class:`TupleIndex`) is built on first use.
+(relation, object) pair.  Each index keeps three arrays (the distinct keys,
+where their runs start, the values); a lookup finds its key's run by
+bisection on the key's first read, freezes it and keeps the frozenset.  A
+tuple's dense id is its row in that array, and the per-entity CSR over it
+(:class:`TupleIndex`) is built on first use.  The rest of the store holds no
+Python container per entity or per key either: labels resolve through one
+label -> id dict (plus a map of the few labels that repeat), each distinct
+set of entity types is one shared frozenset, and each type's members are
+one ascending tuple.
 Readers that gather many tuples, such as the entity linker and the memory
 kernel, pass ``(N, 3)`` id rows around and show them as :class:`TupleRows`,
 a sequence of :class:`Tuple` made only when an element is read.
@@ -27,7 +33,7 @@ import logging
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain
 from pathlib import Path
 from types import NoneType
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, TypeVar
@@ -40,6 +46,8 @@ ENTITY = "E"
 RELATION = "R"
 TYPE = "T"
 _KINDS = (ENTITY, RELATION, TYPE)
+_UNWRITABLE = "\t\r\n"  # each would break a labels.tsv line
+_EMPTY: frozenset[int] = frozenset()
 
 
 T = TypeVar("T")
@@ -170,10 +178,12 @@ class KgStore:
     Instances are created by :func:`load` (or internally by the filter
     operations) and treated as immutable afterwards.  The one per-entity
     index is the CSR of :meth:`tuple_index`, built on first use.  Tuple ids
-    must lie within the label lists, and relation and type labels are unique
-    (the constructor checks both); entity labels may repeat.  Each instance
-    owns a cache of values derived from it (see :meth:`derived`); a
-    filtered store is a new instance and starts with an empty cache.
+    must lie within the label lists, relation and type labels are unique,
+    and no label holds a tab, ``\\r`` or ``\\n`` (which :func:`save_dir`
+    could not write); the constructor checks all three.  Entity labels may
+    repeat.  Each instance owns a cache of values derived from it (see
+    :meth:`derived`); a filtered store is a new instance and starts with an
+    empty cache.
     """
 
     def __init__(
@@ -188,7 +198,14 @@ class KgStore:
         self.entity_labels = list(entity_labels)
         self.relation_labels = list(relation_labels)
         self.type_labels = list(type_labels)
-        self.entity_types: dict[int, frozenset[int]] = dict(entity_types)
+        for kind, labels in (
+            ("entity", self.entity_labels),
+            ("relation", self.relation_labels),
+            ("type", self.type_labels),
+        ):
+            if _unwritable("".join(labels)):
+                i = next(i for i, label in enumerate(labels) if _unwritable(label))
+                raise KgError(f"{kind} label {i} holds a tab, '\\r' or '\\n': {labels[i]!r}")
 
         n = len(self.entity_labels)
         self._rows = _sorted_rows(self.tuples, len(self.relation_labels), n)
@@ -200,24 +217,16 @@ class KgStore:
         order = np.argsort(key, kind="stable")
         self._subjects = _RelationIndex(key[order], subject[order])
 
-        members: dict[int, set[int]] = {}
-        for e, types in self.entity_types.items():
-            for ty in types:
-                members.setdefault(ty, set()).add(e)
-        self.type_members: dict[int, frozenset[int]] = {k: frozenset(v) for k, v in members.items()}
+        self.entity_types, self._type_members = _type_index(entity_types)
 
-        self._entity_ids_by_label: dict[str, list[int]] = {}
-        for i, lab in enumerate(self.entity_labels):
-            self._entity_ids_by_label.setdefault(lab, []).append(i)
-        self._relation_id_by_label = {lab: i for i, lab in enumerate(self.relation_labels)}
-        self._type_id_by_label = {lab: i for i, lab in enumerate(self.type_labels)}
-        for kind, labels, ids in (
-            ("relation", self.relation_labels, self._relation_id_by_label),
-            ("type", self.type_labels, self._type_id_by_label),
-        ):
-            if len(ids) < len(labels):
-                repeated = next(lab for i, lab in enumerate(labels) if ids[lab] != i)
-                raise KgError(f"duplicate {kind} label {repeated!r}")
+        self._entity_id_by_label, self._entity_ids_by_repeated_label = _label_index(
+            self.entity_labels
+        )
+        self._relation_id_by_label, repeated_relations = _label_index(self.relation_labels)
+        self._type_id_by_label, repeated_types = _label_index(self.type_labels)
+        for kind, repeated in (("relation", repeated_relations), ("type", repeated_types)):
+            if repeated:
+                raise KgError(f"duplicate {kind} label {next(iter(repeated))!r}")
         self._derived: dict[Hashable, object] = {}
 
     def derived(self, key: Hashable, compute: Callable[[], T]) -> T:
@@ -261,12 +270,17 @@ class KgStore:
         return self.type_labels[ty]
 
     def entity_id(self, label: str) -> int:
-        ids = self._entity_ids_by_label.get(label, [])
-        if not ids:
-            raise UnknownIdError(f"unknown entity label {label!r}")
-        if len(ids) > 1:
+        ids = self._entity_ids_by_repeated_label.get(label)
+        if ids:
             raise KgError(f"ambiguous entity label {label!r}: ids {ids}")
-        return ids[0]
+        try:
+            return self._entity_id_by_label[label]
+        except KeyError:
+            raise UnknownIdError(f"unknown entity label {label!r}") from None
+
+    def label_repeats(self, e: int) -> bool:
+        """Whether another entity has the label of ``e``."""
+        return self.entity_label(e) in self._entity_ids_by_repeated_label
 
     def relation_id(self, label: str) -> int:
         try:
@@ -295,14 +309,14 @@ class KgStore:
         return self._subjects[relation * len(self.entity_labels) + obj]
 
     def entities_of_type(self, ty: int) -> frozenset[int]:
-        self._check_type(ty)
-        return self.type_members.get(ty, frozenset())
+        """Members of ``ty``, frozen on the type's first read and cached."""
+        members = self.sorted_members(ty)
+        return self.derived(("entities_of_type", ty), lambda: frozenset(members))
 
     def sorted_members(self, ty: int) -> tuple[int, ...]:
-        """Members of ``ty`` in ascending id order, sorted once per store."""
-        return self.derived(
-            ("sorted_members", ty), lambda: tuple(sorted(self.entities_of_type(ty)))
-        )
+        """Members of ``ty`` in ascending id order."""
+        self._check_type(ty)
+        return self._type_members.get(ty, ())
 
     def tuples_containing(self, entity: int) -> frozenset[Tuple]:
         """The tuples containing ``entity``, read from :meth:`tuple_index`."""
@@ -340,6 +354,38 @@ class KgStore:
             raise UnknownIdError(f"unknown type id {ty!r}")
 
 
+def _unwritable(text: str) -> bool:
+    return any(c in text for c in _UNWRITABLE)
+
+
+def _label_index(labels: list[str]) -> tuple[dict[str, int], dict[str, list[int]]]:
+    """Each label's id, and the ascending ids of each label that repeats (the
+    first map keeps a repeated label's last id)."""
+    ids = dict(zip(labels, range(len(labels))))
+    repeated: dict[str, list[int]] = {}
+    if len(ids) < len(labels):
+        for i, label in enumerate(labels):
+            if ids[label] != i or label in repeated:
+                repeated.setdefault(label, []).append(i)
+    return ids, repeated
+
+
+def _type_index(
+    entity_types: Mapping[int, frozenset[int]],
+) -> tuple[dict[int, frozenset[int]], dict[int, tuple[int, ...]]]:
+    """``entity_types`` in ascending entity order with one frozenset per
+    distinct type set, and each type's members in ascending order."""
+    interned: dict[frozenset[int], frozenset[int]] = {}
+    types: dict[int, frozenset[int]] = {}
+    members: dict[int, list[int]] = {}
+    for e in sorted(entity_types):
+        type_set = entity_types[e]
+        types[e] = type_set = interned.setdefault(type_set, type_set)
+        for ty in type_set:
+            members.setdefault(ty, []).append(e)
+    return types, {ty: tuple(ids) for ty, ids in members.items()}
+
+
 def _sorted_rows(tuples: Iterable[Tuple], n_relations: int, n_entities: int) -> np.ndarray:
     """The read-only ``(T, 3)`` id rows of ``tuples`` in sorted ``Tuple`` order.
 
@@ -367,27 +413,31 @@ class _RelationIndex(dict):
     kept.
 
     ``keys`` (non-decreasing) and ``values`` are two columns of the same id
-    rows, so each distinct key spans one run of rows; ``runs`` holds the
-    values of each run as a tuple.  A key with no rows reads as the empty
-    set and is not kept.
+    rows, so each distinct key spans one run of rows.  The index keeps three
+    arrays: the distinct keys ascending (``heads``), where each run starts
+    (``starts``, with the row count appended) and ``values``.  A first read
+    finds its key's run by bisection.  A key with no rows reads as the empty
+    set, which is kept as well: it is one shared frozenset, and a later read
+    of the key is then a dict hit instead of another bisection.
     """
 
-    __slots__ = ("runs",)
+    __slots__ = ("heads", "starts", "values")
 
     def __init__(self, keys: np.ndarray, values: np.ndarray):
         super().__init__()
-        heads = np.ones(len(keys), bool)
-        heads[1:] = keys[1:] != keys[:-1]
-        starts = np.flatnonzero(heads)
-        lengths = np.diff(starts, append=len(keys)).tolist()
-        column = iter(values.tolist())  # each run takes its length off the front
-        self.runs = dict(zip(keys[starts].tolist(), map(tuple, map(islice, repeat(column), lengths))))
+        first = np.ones(len(keys), bool)
+        first[1:] = keys[1:] != keys[:-1]
+        self.heads = keys[first]
+        self.starts = np.append(np.flatnonzero(first), len(keys))
+        self.values = values
 
     def __missing__(self, key: int) -> frozenset[int]:
-        run = self.runs.get(key)
-        if run is None:
-            return frozenset()
-        value = self[key] = frozenset(run)
+        i = self.heads.searchsorted(key)
+        if i < len(self.heads) and self.heads[i] == key:
+            value = frozenset(self.values[self.starts[i] : self.starts[i + 1]].tolist())
+        else:
+            value = _EMPTY
+        self[key] = value
         return value
 
 
@@ -628,7 +678,7 @@ def stats(store: KgStore) -> StoreStats:
     """Counts over the store, read from its indices; fanout is the number of
     tuples containing an entity."""
     fanouts = np.diff(store.tuple_index().starts).tolist()
-    group_sizes = list(map(len, store._objects.runs.values()))
+    group_sizes = np.diff(store._objects.starts)
     return StoreStats(
         n_tuples=len(store.tuples),
         n_entities=store.n_entities,
@@ -636,6 +686,6 @@ def stats(store: KgStore) -> StoreStats:
         n_entities_in_tuples=len(fanouts) - fanouts.count(0),
         fanout_histogram=dict(Counter(fanouts)),
         n_fanout_ge3=sum(1 for f in fanouts if f >= 3),
-        n_one_one=group_sizes.count(1),
-        n_one_many=sum(n for n in group_sizes if n > 1),
+        n_one_one=int((group_sizes == 1).sum()),
+        n_one_many=int(group_sizes[group_sizes > 1].sum()),
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -80,20 +81,26 @@ class QuestionTemplate:
         return self.surface.get(number) or self.surface["singular"]
 
     def plan_slots(self) -> frozenset[str]:
-        return plan_text.slots_of(self.plan_schema)
+        return self._slot_facts[0]
 
-    def free_slots(self) -> list[str]:
+    def free_slots(self) -> tuple[str, ...]:
         """Plan slots not pre-bound, in sorted order."""
-        return sorted(self.plan_slots() - set(self.fixed))
+        return self._slot_facts[1]
 
     def anchor_slot(self) -> str | None:
         """Slot name anchoring the root lookup, if there is one."""
+        return self._slot_facts[2]
+
+    @cached_property
+    def _slot_facts(self) -> tuple[frozenset[str], tuple[str, ...], str | None]:
+        """The plan slots, the free ones and the anchor, worked out on the
+        template's first read (the template is frozen)."""
+        slots = plan_text.slots_of(self.plan_schema)
         expr = _root_expr(self.plan_schema)
         if isinstance(expr, qa.TypeUnion) and expr.branches:
             expr = expr.branches[0]
-        if isinstance(expr, qa.Lookup) and isinstance(expr.anchor, Slot):
-            return expr.anchor.name
-        return None
+        anchor = expr.anchor.name if isinstance(expr, qa.Lookup) and isinstance(expr.anchor, Slot) else None
+        return slots, tuple(sorted(slots - set(self.fixed))), anchor
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 
 _NORM = re.compile(r"[^0-9a-z]+")
+_NORM_LINES = re.compile(r"[^0-9a-z\n]+")
 
 _ONES = (
     "zero one two three four five six seven eight nine ten eleven twelve "
@@ -16,6 +17,13 @@ _TENS = "  twenty thirty forty fifty sixty seventy eighty ninety".split(" ")
 def normalize(text: str) -> list[str]:
     """Lowercase, strip punctuation and collapse whitespace; returns tokens."""
     return [t for t in _NORM.sub(" ", text.lower()).split() if t]
+
+
+def normalize_lines(text: str) -> list[str]:
+    """``" ".join(normalize(line))`` of each line of ``text``, split on
+    newlines only; the whole text is normalized in one pass."""
+    spaced = _NORM_LINES.sub(" ", text.lower())  # no two spaces in a row
+    return spaced.replace(" \n", "\n").replace("\n ", "\n").strip(" ").split("\n")
 
 
 def pluralize(noun: str) -> str:

@@ -1,12 +1,13 @@
 """CLI subcommands, exit codes and output determinism."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from conftest import KERNEL_VECTORS, KG_T_DIR
-from kgdialog import kg_embed
+from kgdialog import dataset_pipeline as pipe, kg_embed, kg_store, query_algebra as qa
 from kgdialog.cli import dispatch
 
 
@@ -150,6 +151,29 @@ def test_stats_subcommand_prints_the_stats_of_generate(tmp_path, capsys):
     generated = json.loads((corpus_dir / "stats.json").read_text())
     assert generated.pop("shortfall") == 0
     assert json.loads(out) == generated
+
+
+def test_a_corpus_naming_a_repeated_entity_label_reads_back(tmp_path, capsys):
+    """Plans print an entity whose label repeats as its id."""
+    kg = tmp_path / "kg"
+    shutil.copytree(KG_T_DIR, kg)
+    labels = kg / "labels.tsv"
+    labels.write_text(labels.read_text().replace("\tYamuna\n", "\tGanga\n"))
+    corpus_dir = tmp_path / "corpus"
+    code, _, err = run(capsys, "generate", "--kg", str(kg), "--n", "20", "--seed", "7", "--out", str(corpus_dir))
+    assert code == 0, err
+    corpus = corpus_dir / "dialogs.jsonl"
+    code, out, err = run(capsys, "stats", "--kg", str(kg), "--corpus", str(corpus))
+    assert code == 0, err
+    assert json.loads(out)["stats"]["n_dialogs"] == 20
+    store = kg_store.load_dir(kg)
+    ganga = {e for e in range(store.n_entities) if store.entity_label(e) == "Ganga"}
+    read = pipe.read_corpus(corpus, store)
+    plans = [t.plan for d in read.dialogs for t in d.turns if t.plan is not None]
+    assert any(qa.plan_entities(plan) & ganga for plan in plans)
+    again = tmp_path / "again.jsonl"
+    pipe.write_corpus(read, store, again)
+    assert again.read_bytes() == corpus.read_bytes()
 
 
 def test_stats_subcommand_reads_corpus(tmp_path, capsys):

@@ -113,6 +113,48 @@ def test_constructor_rejects_a_repeated_relation_or_type_label(relations, types,
     assert str(err.value) == message
 
 
+def test_repeated_entity_labels_keep_their_ids_in_order():
+    entity_types = {e: frozenset({0}) for e in range(5)}
+    s = KgStore([Tuple(0, 0, 1)], ["A", "B", "A", "C", "A"], ["rel"], ["ty"], entity_types)
+    with pytest.raises(KgError, match=r"ambiguous entity label 'A': ids \[0, 2, 4\]"):
+        s.entity_id("A")
+    assert (s.entity_id("B"), s.entity_id("C")) == (1, 3)
+    assert [s.label_repeats(e) for e in range(5)] == [True, False, True, False, True]
+
+
+@pytest.mark.parametrize("char", ["\t", "\r", "\n"])
+@pytest.mark.parametrize(("kind", "position"), [("entity", 1), ("relation", 0), ("type", 0)])
+def test_constructor_rejects_a_label_the_store_files_cannot_hold(char, kind, position):
+    """save_dir would write such a label, and load_dir would then fail on its line."""
+    labels = {"entity": ["A", "B"], "relation": ["rel"], "type": ["ty"]}
+    labels[kind][position] += f"{char}x"
+    entity_types = {0: frozenset({0}), 1: frozenset({0})}
+    with pytest.raises(KgError) as err:
+        KgStore([Tuple(0, 0, 1)], labels["entity"], labels["relation"], labels["type"], entity_types)
+    assert str(err.value) == (
+        f"{kind} label {position} holds a tab, '\\r' or '\\n': {labels[kind][position]!r}"
+    )
+
+
+def test_save_dir_round_trips_labels_with_awkward_characters(tmp_path):
+    """Every label a store accepts survives save_dir and load_dir: quotes,
+    backslashes, edge spaces, the empty label, repeats and line separators
+    other than \\r and \\n."""
+    entity_labels = ["", ' "quoted" ', "back\\slash", "Σίσυφος", "a\u2028b", "form\x0cfeed", "Σίσυφος"]
+    relation_labels = ["rel ", "x\x0by"]
+    type_labels = ["ty\x1c", "\u00a0"]
+    entity_types = {e: frozenset({e % 2}) for e in range(len(entity_labels))}
+    tuples = [Tuple(0, 0, 1), Tuple(1, 2, 3), Tuple(0, 4, 5), Tuple(1, 6, 6)]
+    store = KgStore(tuples, entity_labels, relation_labels, type_labels, entity_types)
+    kg_store.save_dir(store, tmp_path)
+    again = kg_store.load_dir(tmp_path)
+    assert again.entity_labels == entity_labels
+    assert again.relation_labels == relation_labels
+    assert again.type_labels == type_labels
+    assert again.tuples == store.tuples
+    assert again.entity_types == store.entity_types
+
+
 @pytest.mark.parametrize(
     ("bad", "message"),
     [
@@ -438,13 +480,19 @@ def test_stats_equal_brute_force_on_synthetic_graphs(n_tuples, fanout, expected,
     _assert_stats_equal_brute_force(s)
 
 
-# retained bytes per tuple of a store built from a 28,493-tuple uniform graph;
-# 412.7 when measured, 512 while the relation indexes were dicts of
-# frozensets, 722 while the store also kept a per-entity dict of tuple sets
-# (Python 3.11)
-STORE_BYTES_PER_TUPLE = 435
-# the same at 110,884 tuples: 391.0 when measured, 488 with the frozenset dicts
-STORE_BYTES_PER_TUPLE_AT_110K = 410
+# retained bytes per tuple of a store built from a 28,493-tuple uniform graph,
+# with 5% margin: 187.0 when measured, 412.7 while the relation indexes kept a
+# tuple per key, the label index a list per entity and the types a frozenset
+# each, 512 while the relation indexes were dicts of frozensets, 722 while the
+# store also kept a per-entity dict of tuple sets (Python 3.11, numpy 2.4)
+STORE_BYTES_PER_TUPLE = 197
+# the same at 110,884 tuples: 157.5 when measured, 391.0 with a tuple per key
+# and a list per entity, 488 with the frozenset dicts
+STORE_BYTES_PER_TUPLE_AT_110K = 166
+# GC-tracked objects that a store and its gazetteer keep, beyond the Tuples
+# they are built from: 9 when measured at 28,493 tuples, 40,015 with a tuple
+# per relation key, a list per entity label and a frozenset per gazetteer key
+STORE_AND_GAZETTEER_TRACKED_OBJECTS = 25
 
 
 def _retained_bytes_per_tuple(n_tuples: int, expected: int) -> float:
@@ -474,6 +522,26 @@ def test_store_bytes_per_tuple_are_bounded(monkeypatch):
 def test_store_bytes_per_tuple_are_bounded_at_110k_tuples(monkeypatch):
     monkeypatch.syspath_prepend(str(REPO / "bench"))
     assert _retained_bytes_per_tuple(110000, 110884) <= STORE_BYTES_PER_TUPLE_AT_110K
+
+
+def test_store_and_gazetteer_keep_few_tracked_objects(monkeypatch):
+    """So that a store build does not set off full collections over the
+    caller's heap, nor slow the ones that run later."""
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    import graphgen
+    from kgdialog.entity_linker import build_gazetteer
+
+    s = graphgen.make_graph(1, 28000, "uniform")
+    args = (list(s.tuples), s.entity_labels, s.relation_labels, s.type_labels, s.entity_types)
+    del s
+    gc.collect()
+    before = len(gc.get_objects())
+    built = KgStore(*args)
+    gazetteer = build_gazetteer(built)
+    gc.collect()
+    kept = len(gc.get_objects()) - before
+    assert len(built.tuples) == 28493 and len(gazetteer.entries) == built.n_entities
+    assert kept <= STORE_AND_GAZETTEER_TRACKED_OBJECTS
 
 
 @pytest.mark.parametrize("seed", [3, 4])

@@ -536,7 +536,14 @@ def test_oracle_touches_no_index_or_cache(ids):
 
     for name in ("objects_of", "subjects_of", "has_type", "sorted_members", "entities_of_type", "derived"):
         setattr(blind, name, refuse)
-    for name in ("_objects", "_subjects", "_rows", "type_members"):
+    for name in (
+        "_objects",
+        "_subjects",
+        "_rows",
+        "_type_members",
+        "_entity_id_by_label",
+        "_entity_ids_by_repeated_label",
+    ):
         setattr(blind, name, None)
     for plan in _every_plan_kind(ids):
         for include_zero in (True, False):

@@ -55,6 +55,20 @@ def test_fixture_templates_load_and_validate(templates):
     assert river.anchor_slot() == "entity:1"
 
 
+def test_slot_facts_are_worked_out_once_per_template(river, monkeypatch):
+    from kgdialog import plan_text
+
+    walks = []
+    slots_of = plan_text.slots_of
+    monkeypatch.setattr(plan_text, "slots_of", lambda plan: walks.append(plan) or slots_of(plan))
+    derived = transform_to_count(river)
+    for _ in range(3):
+        assert derived.anchor_slot() == "entity:1"
+        assert derived.free_slots() == ("entity:1",)
+        assert derived.plan_slots() >= {"entity:1"}
+    assert walks == [derived.plan_schema]
+
+
 def test_empty_file_loads_empty_set(tmp_path):
     path = tmp_path / "templates.jsonl"
     path.write_text("")
