@@ -17,7 +17,8 @@ question templates store and rewrite.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Union as TUnion, get_args
 
 from . import query_algebra as qa
@@ -55,49 +56,19 @@ class Slot:
 Atom = TUnion[str, int, Slot]
 
 
-# Node table.  Each node name maps to its plan class and to the kinds of
-# its arguments, which follow the order of the class's dataclass fields.
-# An atom kind ("keyword", "number", "relation", "entity", "type") is
-# resolved in its namespace; a subtree kind ("expr", "lookup", "leg",
-# "group") names what the subtree must parse to (see _SUBTREE_KINDS); "fact"
-# is a (relation, subject, object) triple.  A last kind "*x" takes the
-# remaining arguments, at least one, into one tuple-valued field.
-_SIGNATURES: dict[str, tuple[str, ...]] = {
-    "Lookup": ("keyword", "relation", "entity", "type"),
-    "Union": ("expr", "expr"),
-    "Intersection": ("expr", "expr"),
-    "Difference": ("expr", "expr"),
-    "TypeUnion": ("*lookup",),
-    "By": ("relation", "keyword", "type"),
-    "Group": ("type", "*leg"),
-    "Retrieve": ("expr",),
-    "Count": ("expr",),
-    "Verify": ("*fact",),
-    "ArgOpt": ("group", "keyword"),
-    "ThresholdFilter": ("group", "keyword", "number"),
-    "CountOverThreshold": ("group", "keyword", "number"),
-    "Comparative": ("group", "entity", "keyword"),
-    "CountOverComparative": ("group", "entity", "keyword"),
-}
-_CLASSES: dict[str, type] = {
-    name: getattr(qa, name) for name in _SIGNATURES if name not in ("By", "Group")
-}
-_CLASSES.update(By=qa.Counted, Group=qa.GroupSpec)
-# per class: its node name and its (field name, argument kind) pairs
-_LAYOUT: dict[type, tuple[str, tuple[tuple[str, str], ...]]] = {
-    cls: (name, tuple(zip((f.name for f in fields(cls)), _SIGNATURES[name])))
-    for name, cls in _CLASSES.items()
-}
-# what a subtree or fact argument must parse to, and its name in errors
-_SUBTREE_KINDS: dict[str, tuple[tuple[type, ...], str]] = {
-    "expr": (get_args(qa.SetExpr), "set expression"),
-    "lookup": ((qa.Lookup,), "Lookup(...)"),
-    "leg": ((qa.Counted,), "By(...)"),
-    "group": ((qa.GroupSpec,), "Group(...)"),
-    "fact": ((tuple,), "(rel, subj, obj) fact"),
-}
-_ATOM = (get_args(Atom), "label, number or slot marker")
-_PLAN_CLASSES = get_args(qa.QueryPlan)
+def _expects(f: qa.Field) -> tuple[tuple[type, ...], str]:
+    """What an argument for a table field must parse to, and its name in errors."""
+    if f.kind == "fact":
+        return (tuple,), "(rel, subj, obj) fact"
+    if f.kind != "node":
+        return get_args(Atom), "label, number or slot marker"
+    return f.accepts, "set expression" if f.accepts == qa.SET_EXPRS else f"{qa.NODES[f.accepts[0]].name}(...)"
+
+
+# per node name: its class, its row and, per field, (kind, *_expects(field))
+_NODES = {row.name: (cls, row, [(f.kind, *_expects(f)) for f in row.fields]) for cls, row in qa.NODES.items()}
+_WORD_KINDS = frozenset(qa.KEYWORDS) | {"number"}
+_RESOLVERS = {"relation": KgStore.relation_id, "entity": KgStore.entity_id, "type": KgStore.type_id}
 
 
 # -- tokenizing / parsing -------------------------------------------------------
@@ -123,18 +94,18 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+_END = ("end", "")  # closes every token list, so a look ahead never runs off it
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple[str, str]], text: str):
-        self.tokens = tokens
+        self.tokens = [*tokens, _END]
         self.pos = 0
         self.text = text
 
-    def peek(self) -> tuple[str, str] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def take(self, kind: str | None = None) -> tuple[str, str]:
-        tok = self.peek()
-        if tok is None:
+        tok = self.tokens[self.pos]
+        if tok is _END:
             raise PlanTextError(f"unexpected end of plan text: {self.text!r}")
         if kind is not None and tok[0] != kind:
             raise PlanTextError(f"expected {kind!r}, got {tok[1]!r} in {self.text!r}")
@@ -143,36 +114,32 @@ class _Parser:
 
     def parse_node(self):
         kind, name = self.take("atom")
-        if name not in _SIGNATURES:
+        if name not in _NODES:
             raise PlanTextError(f"unknown plan node {name!r} in {self.text!r}")
         self.take("(")
-        args: list = []
-        if self.peek() and self.peek()[0] != ")":
-            args.append(self.parse_arg())
-            while self.peek() and self.peek()[0] == ",":
-                self.take(",")
-                args.append(self.parse_arg())
+        return _build(name, self.parse_list(self.parse_arg))
+
+    def parse_list(self, parse_item) -> list:
+        """Comma-separated items up to a closing parenthesis, which it takes."""
+        items = []
+        if self.tokens[self.pos][0] != ")":
+            items.append(parse_item())
+            while self.tokens[self.pos][0] == ",":
+                self.pos += 1
+                items.append(parse_item())
         self.take(")")
-        return _build(name, args)
+        return items
 
     def parse_arg(self):
-        tok = self.peek()
-        if tok is None:
-            raise PlanTextError(f"unexpected end of plan text: {self.text!r}")
-        if tok[0] == "(":  # a (rel, subj, obj) fact
-            self.take("(")
-            atoms = [self.parse_atom()]
-            while self.peek() and self.peek()[0] == ",":
-                self.take(",")
-                atoms.append(self.parse_atom())
-            self.take(")")
+        kind, value = self.tokens[self.pos]
+        if kind == "(":  # a (rel, subj, obj) fact
+            self.pos += 1
+            atoms = self.parse_list(self.parse_atom)
             if len(atoms) != 3:
                 raise PlanTextError(f"facts need 3 elements, got {len(atoms)}")
-            return tuple(atoms)
-        if tok[0] == "atom" and tok[1] in _SIGNATURES:
-            nxt = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-            if nxt and nxt[0] == "(":
-                return self.parse_node()
+            return Tuple(*atoms)
+        if kind == "atom" and value in _NODES and self.tokens[self.pos + 1][0] == "(":
+            return self.parse_node()
         return self.parse_atom()
 
     def parse_atom(self) -> Atom:
@@ -189,34 +156,40 @@ class _Parser:
 
 
 def _build(name: str, args: list):
-    """The plan-class node ``name`` of parsed arguments, once their count and
-    classes are checked; a starred kind takes one or more arguments, which
-    become one tuple."""
-    sig = _SIGNATURES[name]
-    star = sig[-1][0] == "*"
-    n_fixed = len(sig) - star
+    """The plan-class node ``name`` of parsed arguments, once their count,
+    their classes and any literal keyword or number are checked against the
+    node table; a starred field takes one or more arguments, which become
+    one tuple."""
+    cls, row, expects = _NODES[name]
+    star = row.fields[-1].many
+    n_fixed = len(row.fields) - star
     if not star and len(args) != n_fixed:
         raise PlanTextError(f"{name} takes {n_fixed} arguments, got {len(args)}")
-    if len(args) < len(sig):
-        plural = "s" * (len(sig) > 1)
-        raise PlanTextError(f"{name} takes at least {len(sig)} argument{plural}")
+    if len(args) < len(row.fields):
+        plural = "s" * (len(row.fields) > 1)
+        raise PlanTextError(f"{name} takes at least {len(row.fields)} argument{plural}")
     for i, arg in enumerate(args):
-        classes, what = _SUBTREE_KINDS.get(sig[min(i, n_fixed)].lstrip("*"), _ATOM)
+        kind, classes, what = expects[min(i, n_fixed)]
         if not isinstance(arg, classes):
             raise PlanTextError(f"{name} argument {i + 1} must be a {what}")
+        if kind in _WORD_KINDS and not isinstance(arg, Slot):
+            try:
+                qa.check_word(kind, arg)
+            except qa.PlanError as exc:
+                raise PlanTextError(f"{name} argument {i + 1}: {exc}") from None
     if star:
         args[n_fixed:] = [tuple(args[n_fixed:])]
-    return _CLASSES[name](*args)
+    return cls(*args)
 
 
 def parse_symbolic(text: str) -> qa.QueryPlan:
     """Parse plan text into a symbolic plan, slot markers allowed."""
     parser = _Parser(_tokenize(text), text)
     plan = parser.parse_node()
-    if parser.peek() is not None:
+    if parser.tokens[parser.pos] is not _END:
         raise PlanTextError(f"trailing tokens after plan in {text!r}")
-    if not isinstance(plan, _PLAN_CLASSES):
-        raise PlanTextError(f"{_LAYOUT[type(plan)][0]} is not a top-level plan")
+    if not isinstance(plan, qa.PLAN_CLASSES):
+        raise PlanTextError(f"{qa.NODES[type(plan)].name} is not a top-level plan")
     return plan
 
 
@@ -234,7 +207,7 @@ def bind(
     (used as-is) or a label (resolved in the slot position's namespace).
     Unresolved slots raise :class:`PlanTextError` naming the slot.
     """
-    return _bind_node(plan, store, bindings or {})
+    return qa.map_atoms(plan, partial(bind_atom, store, bindings or {}))
 
 
 def parse_plan(text: str, store: KgStore, bindings: Mapping[str, int | str] | None = None) -> qa.QueryPlan:
@@ -242,50 +215,21 @@ def parse_plan(text: str, store: KgStore, bindings: Mapping[str, int | str] | No
     return bind(parse_symbolic(text), store, bindings)
 
 
-def _atom_value(atom, store: KgStore, kind: str, bindings: Mapping[str, int | str]):
+def bind_atom(store: KgStore, bindings: Mapping[str, int | str], kind: str, atom):
+    """The id, keyword or number an atom stands for; a slot-bound keyword or
+    number is checked here (PlanError), a literal one at parse."""
+    word = kind in _WORD_KINDS
     if isinstance(atom, Slot):
         if atom.name not in bindings:
             raise PlanTextError(f"unresolved slot {atom}")
         atom = bindings[atom.name]
-    if kind == "number":
-        if isinstance(atom, bool) or not isinstance(atom, int):
-            raise PlanTextError(f"expected a number, got {atom!r}")
-        return atom
-    if kind == "keyword":
-        if not isinstance(atom, str):
-            raise PlanTextError(f"expected a keyword, got {atom!r}")
-        return atom
-    if isinstance(atom, int):
+        if word:
+            qa.check_word(kind, atom)
+    if word or isinstance(atom, int):
         return atom
     if not isinstance(atom, str):
         raise PlanTextError(f"expected a label or id, got {atom!r}")
-    if kind == "relation":
-        return store.relation_id(atom)
-    if kind == "entity":
-        return store.entity_id(atom)
-    if kind == "type":
-        return store.type_id(atom)
-    raise PlanTextError(f"unknown atom kind {kind!r}")
-
-
-def _bind_node(node, store: KgStore, bindings: Mapping[str, int | str]):
-    values = []
-    for field_name, kind in _LAYOUT[type(node)][1]:
-        value = getattr(node, field_name)
-        if kind[0] == "*":
-            values.append(tuple(_bind_value(v, kind[1:], store, bindings) for v in value))
-        else:
-            values.append(_bind_value(value, kind, store, bindings))
-    return type(node)(*values)
-
-
-def _bind_value(value, kind: str, store: KgStore, bindings: Mapping[str, int | str]):
-    if kind == "fact":
-        kinds = ("relation", "entity", "entity")
-        return Tuple(*(_atom_value(a, store, k, bindings) for a, k in zip(value, kinds)))
-    if kind in _SUBTREE_KINDS:
-        return _bind_node(value, store, bindings)
-    return _atom_value(value, store, kind, bindings)
+    return _RESOLVERS[kind](store, atom)
 
 
 # -- printing ------------------------------------------------------------------
@@ -302,18 +246,17 @@ def print_plan(plan: qa.QueryPlan, store: KgStore) -> str:
     """Canonical text of an executable plan (or of any node in one), using
     store labels."""
     try:
-        name, layout = _LAYOUT[type(plan)]
+        row = qa.NODES[type(plan)]
     except KeyError:
         raise PlanTextError(f"cannot print {type(plan).__name__}") from None
     parts = []
-    for field_name, kind in layout:
-        value = getattr(plan, field_name)
-        if kind[0] == "*":
-            for v in value:
-                parts.append(_print_arg(v, kind[1:], store))
+    for name, kind, _, many in row.fields:
+        value = getattr(plan, name)
+        if many:
+            parts += [_print_arg(v, kind, store) for v in value]
         else:
             parts.append(_print_arg(value, kind, store))
-    return f"{name}({', '.join(parts)})"
+    return f"{row.name}({', '.join(parts)})"
 
 
 def _print_arg(value, kind: str, store: KgStore) -> str:
@@ -326,7 +269,7 @@ def _print_arg(value, kind: str, store: KgStore) -> str:
     if kind == "fact":
         r, s, o = value
         return f"({_quote(store.relation_label(r))}, {_print_entity(s, store)}, {_print_entity(o, store)})"
-    if kind in _SUBTREE_KINDS:
+    if kind == "node":
         return print_plan(value, store)
     return str(value)
 
@@ -339,30 +282,9 @@ def _print_entity(e: int, store: KgStore) -> str:
 
 def slots_of(plan) -> frozenset[str]:
     """Names of all slot markers in a symbolic plan."""
-    out: set[str] = set()
-
-    def walk(n) -> None:
-        if isinstance(n, Slot):
-            out.add(n.name)
-        elif isinstance(n, tuple):
-            for a in n:
-                walk(a)
-        elif type(n) in _LAYOUT:
-            for field_name, _ in _LAYOUT[type(n)][1]:
-                walk(getattr(n, field_name))
-
-    walk(plan)
-    return frozenset(out)
+    return frozenset(atom.name for _, atom in qa.plan_atoms(plan) if isinstance(atom, Slot))
 
 
 def rewrite_atoms(plan, fn):
     """Structurally copy a symbolic plan, mapping every atom through ``fn``."""
-
-    def walk(n):
-        if isinstance(n, tuple):
-            return tuple(walk(a) for a in n)
-        if type(n) in _LAYOUT:
-            return type(n)(*(walk(getattr(n, f)) for f, _ in _LAYOUT[type(n)][1]))
-        return fn(n)
-
-    return walk(plan)
+    return qa.map_atoms(plan, lambda _, atom: fn(atom))

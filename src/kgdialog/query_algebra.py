@@ -8,15 +8,18 @@ reaching tuples: ``execute`` reaches them through the store indices and its
 per-store caches, while ``brute_force_execute`` scans the raw tuple set and
 raw type assignments, touching no index, and serves as the oracle in
 equivalence tests.  Both share validation, the set-expression recursion and
-the grouped post-processing.  One walker (``plan_lookups``, ``plan_legs``,
-``plan_peer_types``) exposes a plan's parts to everything else that reads
-plans.
+the grouped post-processing.
+
+The node table ``NODES`` gives each plan class's node name and field kinds;
+plan text, validation and the one atom traversal (``plan_atoms``, and
+``map_atoms`` for copies) read it and name no field by hand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Union as TUnion
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Union as TUnion, get_args
 
 from .kg_store import KgStore, Tuple
 
@@ -35,11 +38,18 @@ class PlanError(ValueError):
     """Malformed or type-incompatible plan."""
 
 
+class PlanNode:
+    """Base of the plan classes.  Its slot keeps a plan tree's walk (see
+    ``_walked``); a dict entry would slow every attribute read."""
+
+    __slots__ = ("_walked",)
+
+
 # -- set expressions ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class Lookup:
+class Lookup(PlanNode):
     """Entities in ``result_type`` reachable from ``anchor`` over ``relation``.
 
     ``direction`` names the side of the tuple the result comes from: "obj"
@@ -53,25 +63,25 @@ class Lookup:
 
 
 @dataclass(frozen=True)
-class Union:
+class Union(PlanNode):
     a: "SetExpr"
     b: "SetExpr"
 
 
 @dataclass(frozen=True)
-class Intersection:
+class Intersection(PlanNode):
     a: "SetExpr"
     b: "SetExpr"
 
 
 @dataclass(frozen=True)
-class Difference:
+class Difference(PlanNode):
     a: "SetExpr"
     b: "SetExpr"
 
 
 @dataclass(frozen=True)
-class TypeUnion:
+class TypeUnion(PlanNode):
     """Lookups sharing one anchor but differing in result type."""
 
     branches: tuple[Lookup, ...]
@@ -84,7 +94,7 @@ SetExpr = TUnion[Lookup, Union, Intersection, Difference, TypeUnion]
 
 
 @dataclass(frozen=True)
-class Counted:
+class Counted(PlanNode):
     """One counted leg of a group: entities of ``counted_type`` reached
     from the group member over ``relation`` in ``direction``."""
 
@@ -94,7 +104,7 @@ class Counted:
 
 
 @dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(PlanNode):
     group_type: int
     counted: tuple[Counted, ...]
 
@@ -103,49 +113,49 @@ class GroupSpec:
 
 
 @dataclass(frozen=True)
-class Retrieve:
+class Retrieve(PlanNode):
     expr: SetExpr
 
 
 @dataclass(frozen=True)
-class Verify:
+class Verify(PlanNode):
     facts: tuple[Tuple, ...]
 
 
 @dataclass(frozen=True)
-class Count:
+class Count(PlanNode):
     expr: SetExpr
 
 
 @dataclass(frozen=True)
-class ArgOpt:
+class ArgOpt(PlanNode):
     group: GroupSpec
     direction: str  # min | max
 
 
 @dataclass(frozen=True)
-class ThresholdFilter:
+class ThresholdFilter(PlanNode):
     group: GroupSpec
     comparator: str  # atleast | atmost | equal | approx
     n: int
 
 
 @dataclass(frozen=True)
-class CountOverThreshold:
+class CountOverThreshold(PlanNode):
     group: GroupSpec
     comparator: str
     n: int
 
 
 @dataclass(frozen=True)
-class Comparative:
+class Comparative(PlanNode):
     group: GroupSpec
     reference: int
     direction: str  # more | less
 
 
 @dataclass(frozen=True)
-class CountOverComparative:
+class CountOverComparative(PlanNode):
     group: GroupSpec
     reference: int
     direction: str
@@ -161,6 +171,83 @@ QueryPlan = TUnion[
     Comparative,
     CountOverComparative,
 ]
+PLAN_CLASSES: tuple[type, ...] = get_args(QueryPlan)
+SET_EXPRS: tuple[type, ...] = get_args(SetExpr)
+
+
+# -- the plan-node table ---------------------------------------------------------
+#
+# One row per plan class: its node name in plan text, then the kind of each
+# dataclass field, in field order: an atom kind (a keyword kind of KEYWORDS,
+# "number", "relation", "entity" or "type"), "fact" (a relation, subject,
+# object triple) or the classes a subtree may be; a kind in a one-element
+# list is a non-empty tuple of that kind.  Nothing else declares a plan's
+# shape.
+
+KEYWORDS: dict[str, tuple[str, ...]] = {
+    "direction": DIRECTIONS,
+    "comparator": COMPARATORS,
+    "optimum": OPT_DIRECTIONS,
+    "comparison": CMP_DIRECTIONS,
+}
+FACT_KINDS = ("relation", "entity", "entity")
+
+
+class Field(NamedTuple):
+    name: str  # the dataclass field
+    kind: str  # an atom kind, "fact" or "node"
+    accepts: tuple[type, ...] = ()  # the classes a "node" field may hold
+    many: bool = False  # a non-empty tuple of such values
+
+
+class Row(NamedTuple):
+    name: str  # the node name in plan text
+    fields: tuple[Field, ...]  # in dataclass field order
+    kinds: tuple[str, ...]  # the fields' kinds
+    atoms: Callable | None  # node -> its field values, when all are single atoms
+
+
+def _node_table(*rows) -> dict[type, Row]:
+    table = {}
+    for cls, name, *kinds in rows:
+        fs = []
+        for f, kind in zip(fields(cls), kinds, strict=True):
+            many = isinstance(kind, list)
+            kind = kind[0] if many else kind
+            node = not isinstance(kind, str)
+            fs.append(Field(f.name, "node" if node else kind, kind if node else (), many))
+        leaf = len(fs) > 1 and all(f.kind not in ("node", "fact") and not f.many for f in fs)
+        getter = attrgetter(*(f.name for f in fs)) if leaf else None
+        table[cls] = Row(name, tuple(fs), tuple(f.kind for f in fs), getter)
+    return table
+
+
+NODES: dict[type, Row] = _node_table(
+    (Lookup, "Lookup", "direction", "relation", "entity", "type"),
+    (Union, "Union", SET_EXPRS, SET_EXPRS),
+    (Intersection, "Intersection", SET_EXPRS, SET_EXPRS),
+    (Difference, "Difference", SET_EXPRS, SET_EXPRS),
+    (TypeUnion, "TypeUnion", [(Lookup,)]),
+    (Counted, "By", "relation", "direction", "type"),
+    (GroupSpec, "Group", "type", [(Counted,)]),
+    (Retrieve, "Retrieve", SET_EXPRS),
+    (Verify, "Verify", ["fact"]),
+    (Count, "Count", SET_EXPRS),
+    (ArgOpt, "ArgOpt", (GroupSpec,), "optimum"),
+    (ThresholdFilter, "ThresholdFilter", (GroupSpec,), "comparator", "number"),
+    (CountOverThreshold, "CountOverThreshold", (GroupSpec,), "comparator", "number"),
+    (Comparative, "Comparative", (GroupSpec,), "entity", "comparison"),
+    (CountOverComparative, "CountOverComparative", (GroupSpec,), "entity", "comparison"),
+)
+
+
+def check_word(kind: str, value) -> None:
+    """A keyword must be a word of its kind's vocabulary, a number an int >= 0."""
+    if kind in KEYWORDS:
+        if value not in KEYWORDS[kind]:
+            raise PlanError(f"unknown {kind} {value!r}, expected one of {', '.join(KEYWORDS[kind])}")
+    elif kind == "number" and (isinstance(value, bool) or not isinstance(value, int) or value < 0):
+        raise PlanError(f"expected a number >= 0, got {value!r}")
 
 
 # -- answers -------------------------------------------------------------------
@@ -211,82 +298,42 @@ def _comparator_ok(comparator: str, count: int, n: int) -> bool:
 
 # -- validation shared by both entry points ---------------------------------------
 
-
-def _validate_lookup(store: KgStore, lk: Lookup) -> None:
-    if lk.direction not in DIRECTIONS:
-        raise PlanError(f"unknown lookup direction {lk.direction!r}")
-    store._check_relation(lk.relation)
-    store._check_entity(lk.anchor)
-    store._check_type(lk.result_type)
+_ID_CHECKS = {kind: getattr(KgStore, f"_check_{kind}") for kind in ("relation", "entity", "type")}
 
 
-def _validate_group(store: KgStore, group: GroupSpec) -> None:
-    store._check_type(group.group_type)
-    if not group.counted:
-        raise PlanError("group spec needs at least one counted leg")
-    for c in group.counted:
-        if c.direction not in DIRECTIONS:
-            raise PlanError(f"unknown counted direction {c.direction!r}")
-        store._check_relation(c.relation)
-        store._check_type(c.counted_type)
-
-
-def _validate_plan(store: KgStore, plan: QueryPlan) -> None:
-    if isinstance(plan, (Retrieve, Count)):
-        _validate_expr(store, plan.expr)
-    elif isinstance(plan, Verify):
-        if not plan.facts:
-            raise PlanError("verify plan needs at least one fact")
-        for f in plan.facts:
-            store._check_relation(f.relation)
-            store._check_entity(f.subject)
-            store._check_entity(f.object)
-    elif isinstance(plan, ArgOpt):
-        _validate_group(store, plan.group)
-        if plan.direction not in OPT_DIRECTIONS:
-            raise PlanError(f"unknown opt direction {plan.direction!r}")
-    elif isinstance(plan, (ThresholdFilter, CountOverThreshold)):
-        _validate_group(store, plan.group)
-        if plan.comparator not in COMPARATORS:
-            raise PlanError(f"unknown comparator {plan.comparator!r}")
-        if plan.n < 0:
-            raise PlanError(f"threshold n must be >= 0, got {plan.n}")
-    elif isinstance(plan, (Comparative, CountOverComparative)):
-        _validate_group(store, plan.group)
-        store._check_entity(plan.reference)
-        if plan.direction not in CMP_DIRECTIONS:
-            raise PlanError(f"unknown comparative direction {plan.direction!r}")
-    else:
+def _validate_plan(store: KgStore, plan: QueryPlan, partial: bool = False) -> None:
+    """Check a plan against the node table, the store's ids and the type
+    rules; with ``partial``, a None atom (a slot bound later) passes."""
+    if type(plan) not in PLAN_CLASSES:
         raise PlanError(f"unknown plan kind {type(plan).__name__}")
+    for kind, value in plan_atoms(plan):
+        if value is None and partial:
+            continue
+        check = _ID_CHECKS.get(kind)
+        if check is not None:
+            check(store, value)
+        else:
+            check_word(kind, value)
+    if isinstance(plan, (Retrieve, Count)):
+        _result_types(plan.expr)
 
 
-def _validate_expr(store: KgStore, expr: SetExpr) -> frozenset[int]:
-    """Check ids and type compatibility; returns the expression's result types."""
-    if isinstance(expr, Lookup):
-        _validate_lookup(store, expr)
-        return frozenset({expr.result_type})
-    if isinstance(expr, (Union, Intersection, Difference)):
-        ta = _validate_expr(store, expr.a)
-        tb = _validate_expr(store, expr.b)
-        if ta != tb:
-            raise PlanError(
-                f"type-incompatible branches: {sorted(ta)} vs {sorted(tb)}"
-            )
-        return ta
-    if isinstance(expr, TypeUnion):
-        if not expr.branches:
-            raise PlanError("TypeUnion needs at least one branch")
-        anchors = {b.anchor for b in expr.branches}
-        if len(anchors) != 1:
+def _result_types(expr: SetExpr) -> frozenset:
+    """The result types of a set expression, once its type rules hold (a rule
+    that reads a None, an id not bound yet, passes)."""
+    if type(expr) is Lookup:
+        return frozenset((expr.result_type,))
+    if type(expr) is TypeUnion:
+        if len({b.anchor for b in expr.branches} - {None}) > 1:
             raise PlanError("TypeUnion branches must share one anchor")
-        seen: set[int] = set()
-        for b in expr.branches:
-            _validate_lookup(store, b)
-            if b.result_type in seen:
-                raise PlanError("TypeUnion branches must differ in result type")
-            seen.add(b.result_type)
-        return frozenset(seen)
-    raise PlanError(f"unknown set expression {type(expr).__name__}")
+        types = [b.result_type for b in expr.branches if b.result_type is not None]
+        if len(set(types)) < len(types):
+            raise PlanError("TypeUnion branches must differ in result type")
+        return frozenset(b.result_type for b in expr.branches)
+    ta, tb = _result_types(expr.a), _result_types(expr.b)
+    if ta != tb and None not in ta | tb:
+        raise PlanError(f"type-incompatible branches: {sorted(ta)} vs {sorted(tb)}")
+    return ta
 
 
 # -- evaluation ------------------------------------------------------------------
@@ -452,34 +499,6 @@ def group_counts(store: KgStore, group: GroupSpec, include_zero: bool = True) ->
     )
 
 
-# -- combination helper --------------------------------------------------------------
-
-
-_OP_NODES = {"union": Union, "intersection": Intersection, "difference": Difference}
-
-
-def multi_relation_combine(
-    store: KgStore,
-    plan_a: TUnion[QueryPlan, SetExpr],
-    plan_b: TUnion[QueryPlan, SetExpr],
-    op: str,
-) -> SetExpr:
-    """Combine the set expressions of two retrieve plans under one operator.
-
-    The branches may use different relations; their result types must be
-    comparable (identical type sets).
-    """
-    if op not in _OP_NODES:
-        raise PlanError(f"unknown combine op {op!r}")
-    a = plan_a.expr if isinstance(plan_a, Retrieve) else plan_a
-    b = plan_b.expr if isinstance(plan_b, Retrieve) else plan_b
-    ta = _validate_expr(store, a)
-    tb = _validate_expr(store, b)
-    if ta != tb:
-        raise PlanError(f"type-incompatible branches: {sorted(ta)} vs {sorted(tb)}")
-    return _OP_NODES[op](a, b)
-
-
 # -- provenance --------------------------------------------------------------------
 
 
@@ -529,63 +548,116 @@ def _reach_tuples(store: KgStore, relation: int, direction: str, anchor: int, ty
     return {Tuple(relation, e, anchor) for e in reached}
 
 
-# -- plan walker -------------------------------------------------------------------
+# -- plan walkers -----------------------------------------------------------------
 
 
-def _walk(expr: SetExpr, lookups: list[Lookup], peers: list[tuple[int, ...]]) -> None:
-    """Append every lookup of ``expr`` (TypeUnion branches included) to
-    ``lookups`` and every TypeUnion's branch result types to ``peers``."""
-    if isinstance(expr, Lookup):
-        lookups.append(expr)
-    elif isinstance(expr, TypeUnion):
-        lookups.extend(expr.branches)
-        peers.append(tuple(b.result_type for b in expr.branches))
-    elif isinstance(expr, (Union, Intersection, Difference)):
-        _walk(expr.a, lookups, peers)
-        _walk(expr.b, lookups, peers)
-    else:
-        raise PlanError(f"unknown set expression {type(expr).__name__}")
+def _walk(node, row: Row, kinds: list, values: list, nodes: list, fn=None):
+    """Append every atom of a plan tree to ``kinds`` and ``values`` in print
+    order (a fact as three atoms), and every node to ``nodes``, a node before
+    its subtrees; raise PlanError where the tree breaks the table.  With
+    ``fn``, return a copy with every atom replaced by ``fn(kind, atom)``, and
+    append the copy's atoms and nodes instead."""
+    if row.atoms is not None:
+        atoms = row.atoms(node)
+        if fn is not None:
+            atoms = tuple(map(fn, row.kinds, atoms))
+            node = type(node)(*atoms)
+        kinds += row.kinds
+        values += atoms
+        nodes.append(node)
+        return node
+    at = len(nodes)
+    nodes.append(node)
+    copy = []
+    for name, kind, accepts, many in row.fields:
+        value = getattr(node, name)
+        if many and not value:
+            raise PlanError(f"{row.name} needs at least one entry in {name!r}")
+        items = value if many else (value,)
+        if kind == "node":
+            out = []
+            for child in items:
+                if type(child) not in accepts:
+                    raise PlanError(f"{row.name} cannot hold {type(child).__name__} in {name!r}")
+                out.append(_walk(child, NODES[type(child)], kinds, values, nodes, fn))
+            items = out
+        elif kind == "fact":
+            if fn is not None:
+                items = [Tuple(*map(fn, FACT_KINDS, fact)) for fact in items]
+            for fact in items:
+                kinds += FACT_KINDS
+                values += fact
+        else:
+            if fn is not None:
+                items = [fn(kind, v) for v in items] if many else (fn(kind, value),)
+            kinds += (kind,) * len(items)
+            values += items
+        if fn is not None:
+            copy.append(tuple(items) if many else items[0])
+    if fn is not None:
+        nodes[at] = node = type(node)(*copy)
+    return node
+
+
+def _walked(plan, fn=None):
+    """``_walk`` a plan tree and keep the walk on the tree it returns, which
+    several walkers read between its binding and its provenance.  The root
+    is left out of the nodes kept, so that it holds no cycle to itself."""
+    if type(plan) not in NODES:
+        raise PlanError(f"unknown plan node {type(plan).__name__}")
+    kinds, values, nodes = [], [], []
+    plan = _walk(plan, NODES[type(plan)], kinds, values, nodes, fn)
+    object.__setattr__(plan, "_walked", (tuple(kinds), tuple(values), tuple(nodes[1:])))
+    return plan
+
+
+def _parts(plan) -> tuple[tuple, tuple, tuple]:
+    """The atom kinds and atom values of a plan tree, and the nodes below its
+    root, in tree order."""
+    parts = getattr(plan, "_walked", None)
+    return parts if parts is not None else _walked(plan)._walked
+
+
+def plan_atoms(plan) -> Iterator[tuple[str, object]]:
+    """Every atom of a plan (or of any node in one) as (kind, value), in
+    tree order."""
+    kinds, values, _ = _parts(plan)
+    return zip(kinds, values)
+
+
+def plan_nodes(plan) -> tuple:
+    """Every node of a plan (or of any node in one), in tree order."""
+    return (plan, *_parts(plan)[2])
+
+
+def map_atoms(plan, fn: Callable[[str, object], object]):
+    """A copy of a plan tree (or of any node in one) with every atom replaced
+    by ``fn(kind, atom)``; facts become store tuples."""
+    return _walked(plan, fn)
 
 
 def plan_lookups(plan: QueryPlan) -> list[Lookup]:
-    """Every lookup of a retrieve or count plan, in tree order; none for
-    verify and grouped plans."""
-    lookups: list[Lookup] = []
-    if isinstance(plan, (Retrieve, Count)):
-        _walk(plan.expr, lookups, [])
-    return lookups
-
-
-def plan_legs(plan: QueryPlan) -> tuple[Counted, ...]:
-    """The counted legs of a grouped plan; none for the other kinds."""
-    if isinstance(plan, (Retrieve, Count, Verify)):
-        return ()
-    return plan.group.counted
+    """Every lookup of a plan (TypeUnion branches included), in tree order."""
+    return [node for node in plan_nodes(plan) if type(node) is Lookup]
 
 
 def plan_peer_types(plan: QueryPlan) -> list[tuple[int, ...]]:
     """Type ids combined as peers: the branch result types of every
     TypeUnion, and the counted types of a group's legs."""
-    peers: list[tuple[int, ...]] = []
-    if isinstance(plan, (Retrieve, Count)):
-        _walk(plan.expr, [], peers)
-    elif not isinstance(plan, Verify):
-        peers.append(tuple(c.counted_type for c in plan.group.counted))
-    return peers
+    return [
+        tuple(b.result_type for b in node.branches)
+        if type(node) is TypeUnion
+        else tuple(c.counted_type for c in node.counted)
+        for node in plan_nodes(plan)
+        if type(node) in (TypeUnion, GroupSpec)
+    ]
 
 
 def plan_relations(plan: QueryPlan) -> frozenset[int]:
     """All relation ids a plan mentions."""
-    if isinstance(plan, Verify):
-        return frozenset(f.relation for f in plan.facts)
-    return frozenset([lk.relation for lk in plan_lookups(plan)] + [c.relation for c in plan_legs(plan)])
+    return frozenset([v for kind, v in plan_atoms(plan) if kind == "relation"])
 
 
 def plan_entities(plan: QueryPlan) -> frozenset[int]:
     """All anchor/reference/fact entity ids a plan mentions."""
-    if isinstance(plan, Verify):
-        return frozenset(e for f in plan.facts for e in (f.subject, f.object))
-    out = {lk.anchor for lk in plan_lookups(plan)}
-    if isinstance(plan, (Comparative, CountOverComparative)):
-        out.add(plan.reference)
-    return frozenset(out)
+    return frozenset([v for kind, v in plan_atoms(plan) if kind == "entity"])

@@ -15,13 +15,13 @@ Authored surfaces instead ship explicit singular/plural variants.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from . import plan_text, query_algebra as qa
-from .kg_store import KgStore, UnknownIdError, json_field, read_json_lines
+from .kg_store import KgError, KgStore, UnknownIdError, json_field, read_json_lines
 from .plan_text import SLOT_CLOSE, SLOT_OPEN, Slot
 from .text import pluralize
 
@@ -169,6 +169,16 @@ def template_from_record(record: Mapping, store: KgStore | None = None) -> Quest
                     store.type_id(ref)
                 except UnknownIdError as exc:
                     raise TemplateError(f"field 'slot_types': {exc}") from None
+
+        def known(kind: str, atom):  # a free slot is left to instantiation
+            free = isinstance(atom, Slot) and atom.name not in template.fixed
+            return None if free else plan_text.bind_atom(store, template.fixed, kind, atom)
+
+        try:
+            # the plan rules, as far as ``fixed`` and the labels resolve the schema
+            qa._validate_plan(store, qa.map_atoms(template.plan_schema, known), partial=True)
+        except (qa.PlanError, plan_text.PlanTextError, KgError) as exc:
+            raise TemplateError(f"field 'plan_schema': {exc}") from None
     return template
 
 
@@ -391,7 +401,7 @@ def transform_to_count(template: QuestionTemplate) -> QuestionTemplate:
         id=template.id + "#count",
         paraphrase_group=template.paraphrase_group + "#count",
         surface={"singular": "How many " + base[len("Which ") :]},
-        plan_schema=_COUNTING[type(schema)](**vars(schema)),
+        plan_schema=_COUNTING[type(schema)](*(getattr(schema, f.name) for f in fields(schema))),
     )
 
 
@@ -713,12 +723,7 @@ def _all_surface_and_plan_slots(template: QuestionTemplate) -> set[str]:
 
 def plan_type_labels(store: KgStore, plan: qa.QueryPlan) -> set[str]:
     """Labels of every type a plan mentions."""
-    types = {lk.result_type for lk in qa.plan_lookups(plan)}
-    legs = qa.plan_legs(plan)
-    if legs:
-        types.add(plan.group.group_type)
-        types.update(c.counted_type for c in legs)
-    return {store.type_label(ty) for ty in types}
+    return {store.type_label(ty) for kind, ty in qa.plan_atoms(plan) if kind == "type"}
 
 
 def pathology_filter(

@@ -700,6 +700,23 @@ def test_template_naming_an_unknown_label_fails_at_load(slot, shown, tmp_path, c
         ("Verify()", "Verify takes at least 1 argument"),
         ("Retrieve(TypeUnion())", "TypeUnion takes at least 1 argument"),
         ("ThresholdFilter(Group(river), atleast, 2)", "Group takes at least 2 arguments"),
+        # these parse, but break a plan rule that no instantiation can mend
+        (
+            "Retrieve(Union(Lookup(obj, ⟨relation⟩, ⟨entity:1⟩, ⟨object_type⟩), Lookup(obj, ⟨relation⟩, ⟨entity:1⟩, river)))",
+            "type-incompatible branches: [2] vs [0]",
+        ),
+        (
+            "Retrieve(TypeUnion(Lookup(obj, capital, India, city), Lookup(obj, flows_through, China, river)))",
+            "TypeUnion branches must share one anchor",
+        ),
+        (
+            "Comparative(Group(country, By(flows_through, sideways, river)), ⟨entity:1⟩, more)",
+            "By argument 2: unknown direction 'sideways', expected one of obj, subj",
+        ),
+        (
+            "Comparative(Group(country, By(flows_through, obj, river)), ⟨entity:1⟩, bigger)",
+            "Comparative argument 3: unknown comparison 'bigger', expected one of more, less",
+        ),
     ],
 )
 def test_malformed_plan_schema_fails_at_load_naming_the_field(schema, shown, tmp_path, capsys):

@@ -38,14 +38,25 @@ def test_print_reproduces_canonical_text(store, text):
     assert plan_text.print_plan(plan_text.parse_plan(text, store), store) == text
 
 
-def test_node_table_follows_class_field_order():
+def test_node_table_follows_class_field_order(store):
     from dataclasses import fields
+    from typing import get_args
 
-    for name, kinds in plan_text._SIGNATURES.items():
-        cls = plan_text._CLASSES[name]
-        assert len(fields(cls)) == len(kinds), name
-        assert plan_text._LAYOUT[cls][0] == name
-    assert len(plan_text._LAYOUT) == len(plan_text._SIGNATURES)
+    # one row per class, with one kind per dataclass field
+    classes = {cls for union in (qa.SetExpr, qa.QueryPlan) for cls in get_args(union)}
+    assert set(qa.NODES) == classes | {qa.Counted, qa.GroupSpec}
+    for cls, row in qa.NODES.items():
+        assert [f.name for f in row.fields] == [f.name for f in fields(cls)], cls
+    names = [row.name for row in qa.NODES.values()]
+    assert len(set(names)) == len(names)
+    # every node name round-trips, on a plan that holds it
+    printed = {plan_text.print_plan(plan_text.parse_plan(text, store), store) for text in CASES}
+    assert printed == set(CASES)
+    used = {m for text in CASES for m in re.findall(r"([A-Za-z]+)\(", text)}
+    assert used | {"Union", "Difference"} == set(names)
+    for op in ("Union", "Difference"):
+        text = f"Retrieve({op}(Lookup(obj, flows_through, India, river), Lookup(obj, flows_through, China, river)))"
+        assert plan_text.print_plan(plan_text.parse_plan(text, store), store) == text
 
 
 @pytest.mark.parametrize(
@@ -252,11 +263,31 @@ def test_symbolic_plan_keeps_numbers_facts_and_repeated_arguments():
         ("Verify(India)", "Verify argument 1 must be a (rel, subj, obj) fact"),
         ("Retrieve(Lookup(obj, Lookup(obj, a, b, c), b, c))", "Lookup argument 2 must be a label, number or slot marker"),
         ("Lookup(obj, flows_through, India, river)", "Lookup is not a top-level plan"),
+        ("Retrieve(Lookup(sideways, a, b, c))", "Lookup argument 1: unknown direction 'sideways', expected one of obj, subj"),
+        (
+            "ThresholdFilter(Group(c, By(a, obj, c)), sometimes, 2)",
+            "ThresholdFilter argument 2: unknown comparator 'sometimes', expected one of atleast, atmost, equal, approx",
+        ),
+        ("ThresholdFilter(Group(c, By(a, obj, c)), atleast, -1)", "ThresholdFilter argument 3: expected a number >= 0, got -1"),
+        ("CountOverThreshold(Group(c, By(a, obj, c)), atmost, many)", "CountOverThreshold argument 3: expected a number >= 0, got 'many'"),
+        ("ArgOpt(Group(c, By(a, obj, c)), middle)", "ArgOpt argument 2: unknown optimum 'middle', expected one of min, max"),
+        ("Comparative(Group(c, By(a, obj, c)), b, bigger)", "Comparative argument 3: unknown comparison 'bigger', expected one of more, less"),
     ],
 )
 def test_malformed_symbolic_plans_fail_at_parse_naming_the_node(text, shown):
     with pytest.raises(PlanTextError, match=f"^{re.escape(shown)}$"):
         plan_text.parse_symbolic(text)
+
+
+def test_slot_markers_pass_the_keyword_check_until_bound(store):
+    node = plan_text.parse_symbolic("ArgOpt(Group(country, By(flows_through, ⟨dir⟩, river)), ⟨opt⟩)")
+    plan = plan_text.bind(node, store, {"dir": "obj", "opt": "max"})
+    assert qa.execute(store, plan) == qa.execute(store, plan_text.parse_plan(
+        "ArgOpt(Group(country, By(flows_through, obj, river)), max)", store))
+    with pytest.raises(qa.PlanError, match="^unknown direction 'up', expected one of obj, subj$"):
+        plan_text.bind(node, store, {"dir": "up", "opt": "max"})
+    with pytest.raises(qa.PlanError, match="^expected a number >= 0, got -2$"):
+        plan_text.bind(plan_text.parse_symbolic("CountOverThreshold(Group(river, By(flows_through, subj, country)), atleast, ⟨n⟩)"), store, {"n": -2})
 
 
 def test_fixture_template_schemas_parse_into_the_plan_classes(templates):

@@ -134,35 +134,29 @@ def test_approx_window_examples():
     assert qa.approx_window(22) == (20, 24)
 
 
-# -- multi relation combine ------------------------------------------------------------
+# -- combining two relations ------------------------------------------------------------
 
 
 def test_multi_relation_combine_difference(store, ids):
-    a = qa.Retrieve(lookup(ids, "obj", "flows_through", "India", "river"))
-    b = qa.Retrieve(lookup(ids, "obj", "capital", "India", "river"))
-    expr = qa.multi_relation_combine(store, a, b, "difference")
-    assert isinstance(expr, qa.Difference)
-    assert names(store, qa.execute(store, qa.Retrieve(expr))) == {
+    a = lookup(ids, "obj", "flows_through", "India", "river")
+    b = lookup(ids, "obj", "capital", "India", "river")
+    assert names(store, qa.execute(store, qa.Retrieve(qa.Difference(a, b)))) == {
         "Ganga",
         "Yamuna",
         "Brahmaputra",
     }
-    self_diff = qa.multi_relation_combine(store, a, a, "difference")
-    assert qa.execute(store, qa.Retrieve(self_diff)) == qa.Entities(frozenset())
+    assert qa.execute(store, qa.Retrieve(qa.Difference(a, a))) == qa.Entities(frozenset())
     with pytest.raises(qa.PlanError):
-        qa.multi_relation_combine(
-            store, a, qa.Retrieve(lookup(ids, "obj", "capital", "India", "city")), "union"
-        )
+        qa.execute(store, qa.Retrieve(qa.Union(a, lookup(ids, "obj", "capital", "India", "city"))))
 
 
 def test_multi_relation_union_matches_brute_force(store, ids):
-    expr = qa.multi_relation_combine(
-        store,
-        qa.Retrieve(lookup(ids, "obj", "flows_through", "China", "river")),
-        qa.Retrieve(lookup(ids, "obj", "capital", "China", "river")),
-        "union",
+    plan = qa.Retrieve(
+        qa.Union(
+            lookup(ids, "obj", "flows_through", "China", "river"),
+            lookup(ids, "obj", "capital", "China", "river"),
+        )
     )
-    plan = qa.Retrieve(expr)
     assert qa.execute(store, plan) == qa.brute_force_execute(store, plan)
 
 
@@ -592,7 +586,7 @@ def test_plan_relations_cover_every_leg(ids):
         qa.CountOverComparative(group, ids["India"], "more"),
     ):
         assert qa.plan_relations(plan) == expected
-        assert qa.plan_legs(plan) == legs
+        assert [n for n in qa.plan_nodes(plan) if type(n) is qa.Counted] == list(legs)
         assert qa.plan_lookups(plan) == []
     typed = qa.TypeUnion(
         (
@@ -602,7 +596,7 @@ def test_plan_relations_cover_every_leg(ids):
     )
     assert qa.plan_relations(qa.Count(typed)) == expected
     assert qa.plan_lookups(qa.Count(typed)) == list(typed.branches)
-    assert qa.plan_legs(qa.Count(typed)) == ()
+    assert not any(type(n) is qa.Counted for n in qa.plan_nodes(qa.Count(typed)))
 
 
 def test_plan_peer_types_find_nested_type_unions(ids):

@@ -1,0 +1,76 @@
+"""Every top-level function and method in ``src/`` has a use outside tests.
+
+A name counts as used when a ``src/`` module (the CLI commands included)
+or a ``bench/`` file mentions it: as a name, an attribute, or a string
+that a tracer looks it up by.  The match is by bare name, so it can only
+miss dead code, never flag live code that it sees.  Dunder methods are
+called by Python itself and are not checked.
+"""
+
+import ast
+
+from conftest import REPO
+
+SRC = REPO / "src" / "kgdialog"
+BENCH = REPO / "bench"
+
+# Names that only tests reach today, each with the ROADMAP item that either
+# gives it a use or deletes it.  The list may only shrink: a name that gains
+# a use fails the test below until it is taken off.
+ALLOWED_UNUSED = {
+    "kg_embed.load_embeddings": "ROADMAP 10",
+    "kg_embed.random_baseline_hits_at_k": "ROADMAP 19",
+    "templates.transform_add_type": "ROADMAP 9",
+    "templates.transform_multi_relation": "ROADMAP 9",
+}
+
+
+def defined_names(src):
+    """(qualified name, bare name) of every top-level function and method of
+    the modules in ``src``."""
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield f"{path.stem}.{node.name}", node.name
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("__"):
+                        yield f"{path.stem}.{node.name}.{item.name}", item.name
+
+
+def used_names(paths):
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+                names.add(node.value)
+    return names
+
+
+def unused_names(src, others):
+    used = used_names([*src.glob("*.py"), *others])
+    return {qualified for qualified, bare in defined_names(src) if bare not in used}
+
+
+def test_every_function_has_a_use_outside_tests():
+    unused = unused_names(SRC, BENCH.rglob("*.py"))
+    assert unused - set(ALLOWED_UNUSED) == set(), "used by tests only; delete it or give it a use"
+    assert set(ALLOWED_UNUSED) - unused == set(), "now used or gone; take it off ALLOWED_UNUSED"
+
+
+def test_the_scan_sees_a_dead_function(tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "mod.py").write_text(
+        "def live():\n    pass\n\n\ndef dead():\n    live()\n\n\n"
+        "class K:\n    def traced(self):\n        pass\n\n    def __len__(self):\n        return 0\n",
+        encoding="utf-8",
+    )
+    bench = tmp_path / "bench.py"
+    bench.write_text('span(K, "traced")\n', encoding="utf-8")
+    assert unused_names(src, []) == {"mod.dead", "mod.K.traced"}
+    assert unused_names(src, [bench]) == {"mod.dead"}

@@ -4,6 +4,8 @@ Answers asserted here were derived with the brute-force evaluator over the
 fixture graph before being frozen.
 """
 
+import re
+
 import pytest
 
 from kgdialog import query_algebra as qa, templates as tpl
@@ -140,6 +142,56 @@ def test_slot_type_is_a_store_type_or_a_type_slot_that_fixed_binds(store, ref, a
     else:
         with pytest.raises(TemplateError, match=f"field 'slot_types': unknown type label '{ref}'"):
             template_from_record(record, store)
+
+
+@pytest.mark.parametrize(
+    "schema, fixed, shown",
+    [
+        (
+            "Retrieve(Union(Lookup(obj, ⟨relation⟩, ⟨entity:1⟩, ⟨object_type⟩), Lookup(obj, ⟨relation⟩, ⟨entity:1⟩, river)))",
+            {"object_type": "city"},
+            "type-incompatible branches",
+        ),
+        (
+            "Retrieve(TypeUnion(Lookup(obj, capital, India, city), Lookup(obj, flows_through, ⟨entity:2⟩, river)))",
+            {"entity:2": "China"},
+            "TypeUnion branches must share one anchor",
+        ),
+        (
+            "Retrieve(TypeUnion(Lookup(obj, capital, ⟨entity:1⟩, city), Lookup(obj, ⟨relation⟩, ⟨entity:1⟩, ⟨object_type⟩)))",
+            {"object_type": "city"},
+            "TypeUnion branches must differ in result type",
+        ),
+        ("Retrieve(Lookup(obj, ⟨relation⟩, ⟨entity:1⟩, lake))", {}, "unknown type label 'lake'"),
+        # ``fixed`` holds strings only, so it cannot bind a number
+        ("ThresholdFilter(Group(country, By(⟨relation⟩, obj, river)), atleast, ⟨n⟩)", {"n": "2"}, "got '2'"),
+    ],
+)
+def test_schema_breaking_a_plan_rule_fails_at_load_given_a_store(store, schema, fixed, shown):
+    record = {
+        "id": "broken",
+        "direction": "object_based",
+        "surface": "Which ⟨object_type⟩ is it ?",
+        "plan_schema": schema,
+        "fixed": {"relation": "flows_through", **fixed},
+    }
+    template_from_record(record)  # without a store only the text is checked
+    with pytest.raises(TemplateError, match=f"^field 'plan_schema': .*{re.escape(shown)}"):
+        template_from_record(record, store)
+
+
+def test_free_slots_are_left_to_instantiation(store):
+    # the result types are free, so the union may still be well typed
+    record = {
+        "id": "free",
+        "direction": "object_based",
+        "surface": "Which ⟨object_type⟩ is it ?",
+        "plan_schema": "Retrieve(Union(Lookup(obj, ⟨relation⟩, ⟨entity:1⟩, ⟨object_type⟩), "
+        "Lookup(obj, ⟨relation⟩, ⟨entity:2⟩, ⟨object_type2⟩)))",
+    }
+    assert template_from_record(record, store).free_slots() == (
+        "entity:1", "entity:2", "object_type", "object_type2", "relation"
+    )
 
 
 # -- instantiation --------------------------------------------------------------------
