@@ -3,7 +3,10 @@
 A dialog's provenance is the set of store tuples any of its plans depends
 on.  It is derived from the plans (``qa.plan_tuples``) against the store,
 never stored: a corpus line holds the dialog id, its seed and its turns,
-and reading a corpus derives the provenance again.  Splitting first
+and reading a corpus derives the provenance again.  A grouped plan's
+tuples are its group's set, cached on the store; a dialog whose tuples all
+lie in one such set has that set itself as its provenance, not a copy of
+it, so dialogs over one group share one set.  Splitting first
 partitions the tuple set by seeded hash and then assigns each dialog to
 the split owning all of its tuples; dialogs straddling partitions are
 discarded and the discard count is reported, since silently dropping them
@@ -119,11 +122,19 @@ FULL_SCALE_REFERENCE = {
 
 
 def dialog_provenance(store: KgStore, turns: Iterable[dm.DialogTurn]) -> frozenset[Tuple]:
-    """The store tuples the dialog's plans depend on.  A question's plan sits
-    on its user turn and again on its answer turn, so each distinct plan is
-    resolved once."""
-    plans = {turn.plan for turn in turns if turn.plan is not None}
-    return frozenset().union(*(qa.plan_tuples(store, plan) for plan in plans))
+    """The store tuples the dialog's plans depend on.
+
+    A question's plan sits on its user turn and again on its answer turn,
+    and grouped plans over one group share the group's cached tuple set, so
+    each plan object is resolved once and each set object is unioned once.
+    When the largest set holds all the others, it is returned itself.
+    """
+    plans = {id(turn.plan): turn.plan for turn in turns if turn.plan is not None}
+    sets = {id(s): s for s in (qa.plan_tuples(store, plan) for plan in plans.values())}
+    largest = max(sets.values(), key=len, default=frozenset())
+    if all(s is largest or s <= largest for s in sets.values()):
+        return largest
+    return largest.union(*(s for s in sets.values() if s is not largest))
 
 
 def generate_corpus(

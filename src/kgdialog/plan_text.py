@@ -6,11 +6,14 @@ The text form is a function-call tree using store labels, e.g.::
     ThresholdFilter(Group(river, By(flows_through, subj, country)), atleast, 2)
     Verify((flows_through, India, Ganga), (flows_through, India, Mekong))
 
-Labels that are not plain identifiers are double-quoted.  Parsing happens
-in two steps: the text becomes a symbolic plan, made of the plan classes
-with its labels, keywords, numbers and slot markers (``⟨entity:1⟩``) still
-unresolved, which is then bound against a store.  Symbolic plans are what
-question templates store and rewrite.
+Labels that are not plain identifiers are double-quoted.  One parser
+reads the text into the plan classes, in one pass.  ``parse_symbolic``
+keeps its labels, keywords, numbers and slot markers (``⟨entity:1⟩``) as
+written; symbolic plans are what question templates store and rewrite, and
+``bind`` resolves them against a store.  ``parse_plan`` resolves each atom
+against the store as it reads it, so ``parse_plan(text, store)`` equals
+``bind(parse_symbolic(text), store)`` without the copy.  Both keep the
+plan's walk (``query_algebra.plan_atoms``) as they build the nodes.
 ``parse_plan(print_plan(p, store), store) == p`` holds for every plan.
 """
 
@@ -22,7 +25,7 @@ from functools import partial
 from typing import Mapping, Union as TUnion, get_args
 
 from . import query_algebra as qa
-from .kg_store import KgStore, Tuple
+from .kg_store import KgError, KgStore, Tuple
 
 SLOT_OPEN = "⟨"   # ⟨
 SLOT_CLOSE = "⟩"  # ⟩
@@ -95,13 +98,27 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 
 _END = ("end", "")  # closes every token list, so a look ahead never runs off it
+_INT = re.compile(r"-?[0-9]+")
+_ATOM_KINDS = _WORD_KINDS | set(_RESOLVERS)
+_RESOLVE_ERRORS = (PlanTextError, qa.PlanError, KgError)
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]], text: str):
-        self.tokens = [*tokens, _END]
+    """Reads one plan text.  With ``resolve``, each atom becomes
+    ``resolve(kind, atom)`` as it is read; the first resolution error is kept
+    and raised only once the text has parsed, so a syntax fault is reported
+    first.  Either way the parser records the plan's walk: its atom kinds and
+    values, and its nodes in tree order."""
+
+    def __init__(self, text: str, resolve=None):
+        self.tokens = [*_tokenize(text), _END]
         self.pos = 0
         self.text = text
+        self.resolve = resolve
+        self.error: Exception | None = None
+        self.kinds: list[str] = []
+        self.values: list = []
+        self.nodes: list = []
 
     def take(self, kind: str | None = None) -> tuple[str, str]:
         tok = self.tokens[self.pos]
@@ -117,42 +134,57 @@ class _Parser:
         if name not in _NODES:
             raise PlanTextError(f"unknown plan node {name!r} in {self.text!r}")
         self.take("(")
-        return _build(name, self.parse_list(self.parse_arg))
+        row = _NODES[name][1]
+        at = len(self.nodes)
+        self.nodes.append(None)  # a node goes before its subtrees
+        self.nodes[at] = node = _build(name, self.parse_list(self.parse_arg, row.kinds, row.fields[-1].many))
+        return node
 
-    def parse_list(self, parse_item) -> list:
-        """Comma-separated items up to a closing parenthesis, which it takes."""
+    def parse_list(self, parse_item, kinds: tuple[str, ...], many: bool) -> list:
+        """Comma-separated items up to a closing parenthesis, which it takes;
+        item i is read as ``kinds[i]``, the last kind repeating if ``many``."""
         items = []
         if self.tokens[self.pos][0] != ")":
-            items.append(parse_item())
-            while self.tokens[self.pos][0] == ",":
+            while True:
+                i = len(items)
+                items.append(parse_item(kinds[i] if i < len(kinds) else kinds[-1] if many else None))
+                if self.tokens[self.pos][0] != ",":
+                    break
                 self.pos += 1
-                items.append(parse_item())
         self.take(")")
         return items
 
-    def parse_arg(self):
-        kind, value = self.tokens[self.pos]
-        if kind == "(":  # a (rel, subj, obj) fact
+    def parse_arg(self, kind: str | None):
+        tok_kind, value = self.tokens[self.pos]
+        if tok_kind == "(":  # a (rel, subj, obj) fact
             self.pos += 1
-            atoms = self.parse_list(self.parse_atom)
+            atoms = self.parse_list(self.parse_atom, qa.FACT_KINDS, False)
             if len(atoms) != 3:
                 raise PlanTextError(f"facts need 3 elements, got {len(atoms)}")
             return Tuple(*atoms)
-        if kind == "atom" and value in _NODES and self.tokens[self.pos + 1][0] == "(":
+        if tok_kind == "atom" and value in _NODES and self.tokens[self.pos + 1][0] == "(":
             return self.parse_node()
-        return self.parse_atom()
+        return self.parse_atom(kind)
 
-    def parse_atom(self) -> Atom:
-        kind, value = self.take()
-        if kind == "quoted":
-            return value
-        if kind == "slot":
-            return Slot(value)
-        if kind == "atom":
-            if re.fullmatch(r"-?[0-9]+", value):
-                return int(value)
-            return value
-        raise PlanTextError(f"unexpected token {value!r} in {self.text!r}")
+    def parse_atom(self, kind: str | None) -> Atom:
+        tok_kind, value = self.take()
+        if tok_kind == "quoted":
+            atom = value
+        elif tok_kind == "slot":
+            atom = Slot(value)
+        elif tok_kind == "atom":
+            atom = int(value) if _INT.fullmatch(value) else value
+        else:
+            raise PlanTextError(f"unexpected token {value!r} in {self.text!r}")
+        if kind in _ATOM_KINDS:  # else the node check in _build fails
+            if self.resolve is not None:
+                try:
+                    atom = self.resolve(kind, atom)
+                except _RESOLVE_ERRORS as exc:
+                    self.error = self.error or exc
+            self.kinds.append(kind)
+            self.values.append(atom)
+        return atom
 
 
 def _build(name: str, args: list):
@@ -182,15 +214,28 @@ def _build(name: str, args: list):
     return cls(*args)
 
 
-def parse_symbolic(text: str) -> qa.QueryPlan:
-    """Parse plan text into a symbolic plan, slot markers allowed."""
-    parser = _Parser(_tokenize(text), text)
+def _parse(text: str, resolve=None) -> qa.QueryPlan:
+    parser = _Parser(text, resolve)
     plan = parser.parse_node()
     if parser.tokens[parser.pos] is not _END:
         raise PlanTextError(f"trailing tokens after plan in {text!r}")
     if not isinstance(plan, qa.PLAN_CLASSES):
         raise PlanTextError(f"{qa.NODES[type(plan)].name} is not a top-level plan")
-    return plan
+    if parser.error is not None:
+        raise parser.error
+    return qa.keep_walk(plan, parser.kinds, parser.values, parser.nodes)
+
+
+def parse_symbolic(text: str) -> qa.QueryPlan:
+    """Parse plan text into a symbolic plan, slot markers allowed."""
+    return _parse(text)
+
+
+def parse_plan(text: str, store: KgStore, bindings: Mapping[str, int | str] | None = None) -> qa.QueryPlan:
+    """Parse canonical plan text into an executable plan, resolving each
+    atom against the store (and slot markers through ``bindings``) as it
+    is read; equal to ``bind(parse_symbolic(text), store, bindings)``."""
+    return _parse(text, partial(bind_atom, store, bindings or {}))
 
 
 # -- binding a symbolic plan against a store -------------------------------------
@@ -208,11 +253,6 @@ def bind(
     Unresolved slots raise :class:`PlanTextError` naming the slot.
     """
     return qa.map_atoms(plan, partial(bind_atom, store, bindings or {}))
-
-
-def parse_plan(text: str, store: KgStore, bindings: Mapping[str, int | str] | None = None) -> qa.QueryPlan:
-    """Parse canonical plan text and bind it against the store."""
-    return bind(parse_symbolic(text), store, bindings)
 
 
 def bind_atom(store: KgStore, bindings: Mapping[str, int | str], kind: str, atom):

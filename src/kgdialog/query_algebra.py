@@ -39,10 +39,12 @@ class PlanError(ValueError):
 
 
 class PlanNode:
-    """Base of the plan classes.  Its slot keeps a plan tree's walk (see
-    ``_walked``); a dict entry would slow every attribute read."""
+    """Base of the plan classes.  Its slots keep, on a plan's root, the
+    tree's walk (see ``_walked``) and the store the whole plan last passed
+    ``_validate_plan`` against; a dict entry would slow every attribute
+    read."""
 
-    __slots__ = ("_walked",)
+    __slots__ = ("_walked", "_valid_for")
 
 
 # -- set expressions ----------------------------------------------------------
@@ -303,7 +305,9 @@ _ID_CHECKS = {kind: getattr(KgStore, f"_check_{kind}") for kind in ("relation", 
 
 def _validate_plan(store: KgStore, plan: QueryPlan, partial: bool = False) -> None:
     """Check a plan against the node table, the store's ids and the type
-    rules; with ``partial``, a None atom (a slot bound later) passes."""
+    rules; with ``partial``, a None atom (a slot bound later) passes.  A
+    whole plan that passes keeps the store on its root, for
+    ``_validate_once``."""
     if type(plan) not in PLAN_CLASSES:
         raise PlanError(f"unknown plan kind {type(plan).__name__}")
     for kind, value in plan_atoms(plan):
@@ -316,6 +320,15 @@ def _validate_plan(store: KgStore, plan: QueryPlan, partial: bool = False) -> No
             check_word(kind, value)
     if isinstance(plan, (Retrieve, Count)):
         _result_types(plan.expr)
+    if not partial:
+        object.__setattr__(plan, "_valid_for", store)
+
+
+def _validate_once(store: KgStore, plan: QueryPlan) -> None:
+    """``_validate_plan``, unless the plan already passed it against this
+    very store (the plan classes are frozen, and so is a store)."""
+    if getattr(plan, "_valid_for", None) is not store:
+        _validate_plan(store, plan)
 
 
 def _result_types(expr: SetExpr) -> frozenset:
@@ -356,7 +369,7 @@ def execute(store: KgStore, plan: QueryPlan, include_zero_groups: bool = True) -
     ``include_zero_groups`` is true (the default), entities of the group
     type with no counted tuples participate in grouped plans with count 0.
     """
-    _validate_plan(store, plan)
+    _validate_once(store, plan)
     return _evaluate(store, plan, _indexed_reach, _indexed_holds, group_counts, include_zero_groups)
 
 
@@ -510,7 +523,7 @@ def plan_tuples(store: KgStore, plan: QueryPlan) -> frozenset[Tuple]:
     whole group, plus a comparative reference's own counted tuples.  The
     group's part is computed once per store and group.
     """
-    _validate_plan(store, plan)
+    _validate_once(store, plan)
     if isinstance(plan, (Retrieve, Count)):
         out: set[Tuple] = set()
         for lk in plan_lookups(plan):
@@ -606,7 +619,12 @@ def _walked(plan, fn=None):
     if type(plan) not in NODES:
         raise PlanError(f"unknown plan node {type(plan).__name__}")
     kinds, values, nodes = [], [], []
-    plan = _walk(plan, NODES[type(plan)], kinds, values, nodes, fn)
+    return keep_walk(_walk(plan, NODES[type(plan)], kinds, values, nodes, fn), kinds, values, nodes)
+
+
+def keep_walk(plan, kinds: list, values: list, nodes: list):
+    """Keep on ``plan`` the walk ``_walk`` would make of it, given as its
+    atom kinds, atom values and nodes (``plan`` first); returns ``plan``."""
     object.__setattr__(plan, "_walked", (tuple(kinds), tuple(values), tuple(nodes[1:])))
     return plan
 

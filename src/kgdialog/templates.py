@@ -53,13 +53,17 @@ def slot_kind(name: str) -> str:
     """Classify a slot name: entity, number, relation or type."""
     if name.startswith("entity"):
         return "entity"
-    if name == "n" or name.startswith("n:"):
+    if _number_slot(name):
         return "number"
     if "relation" in name:
         return "relation"
     if "type" in name:
         return "type"
     raise TemplateError(f"cannot classify slot {name!r}")
+
+
+def _number_slot(name: str) -> bool:
+    return name == "n" or name.startswith("n:")
 
 
 @dataclass(frozen=True)
@@ -143,7 +147,7 @@ def template_from_record(record: Mapping, store: KgStore | None = None) -> Quest
             paraphrase_group=optional("paraphrase_group", str, template_id),
             surface=_surface_variants(json_field(record, "surface", str, dict, list)),
             plan_schema=plan_text.parse_symbolic(json_field(record, "plan_schema", str)),
-            fixed=_strings("fixed", optional("fixed", dict, {})),
+            fixed=_fixed(optional("fixed", dict, {})),
             slot_types=_strings("slot_types", optional("slot_types", dict, {})),
         )
     except KeyError as exc:
@@ -201,6 +205,14 @@ def _strings(name: str, mapping: Mapping) -> dict:
     for value in mapping.values():
         if not isinstance(value, str):
             raise TypeError(f"field {name!r} must hold only strings, got {type(value).__name__}")
+    return dict(mapping)
+
+
+def _fixed(mapping: Mapping) -> dict:
+    """``fixed`` as a dict, once each value is checked to be a string, or a
+    JSON integer >= 0 (not a bool) for a number slot."""
+    numbers = {name for name, value in mapping.items() if _number_slot(name) and type(value) is int and value >= 0}
+    _strings("fixed", {name: value for name, value in mapping.items() if name not in numbers})
     return dict(mapping)
 
 

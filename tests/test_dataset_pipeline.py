@@ -6,7 +6,7 @@ import json
 import pytest
 
 from conftest import REPO
-from kgdialog import dataset_pipeline as pipe, dialog_machine as dm
+from kgdialog import dataset_pipeline as pipe, dialog_machine as dm, query_algebra as qa
 from kgdialog.config import RunConfig
 from kgdialog.kg_store import Tuple
 
@@ -69,6 +69,60 @@ def test_dialog_to_obj_prints_each_plan_object_once(store, corpus, monkeypatch):
         plans = [t.plan for t in d.turns if t.plan is not None]
         top = [p for p in printed if any(p is q for q in plans)]  # print_plan recurses
         assert len(top) == len({id(p) for p in plans}) < len(plans)
+
+
+def _grouped_graph(name, store, monkeypatch):
+    """The fixture, or the heavy-tailed 1.8k graph; default weights ask grouped questions on both."""
+    if name == "fixture":
+        return store
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    import graphgen
+
+    return graphgen.make_graph(7, 1800, "heavy")
+
+
+def _round_trip(s, templates, tmp_path):
+    corpus = pipe.generate_corpus(s, templates, 40, RunConfig(seed=7), seed=7)
+    pipe.write_corpus(corpus, s, tmp_path / "c.jsonl")
+    return corpus, pipe.read_corpus(tmp_path / "c.jsonl", s)
+
+
+@pytest.mark.parametrize("graph", ["fixture", "heavy"])
+def test_provenance_is_the_union_and_shares_a_group_set(graph, store, templates, monkeypatch, tmp_path):
+    s = _grouped_graph(graph, store, monkeypatch)
+    shared = []
+    for corpus in _round_trip(s, templates, tmp_path):
+        for d in corpus.dialogs:
+            plans = {id(t.plan): t.plan for t in d.turns if t.plan is not None}.values()
+            sets = [qa.plan_tuples(s, p) for p in plans]
+            prov = corpus.provenance_of(d)
+            assert prov == frozenset().union(*sets)
+            # a set plan_tuples hands back itself on every call is a group's cached set
+            cached = [t for p, t in zip(plans, sets) if qa.plan_tuples(s, p) is t]
+            if any(prov == t for t in cached):
+                assert any(prov is t for t in cached)
+                shared.append(prov)
+    # dialogs over one group hold one set object between them
+    assert len({id(prov) for prov in shared}) < len(shared)
+
+
+@pytest.mark.parametrize("graph", ["fixture", "heavy"])
+def test_generate_write_read_validates_each_plan_once_per_store(graph, store, templates, monkeypatch, tmp_path):
+    s = _grouped_graph(graph, store, monkeypatch)
+    walks: dict[tuple[int, int], list] = {}  # keeps each plan alive, so no id is reused
+    validate = qa._validate_plan
+
+    def counting(st, plan, partial=False):
+        if not partial:
+            walks.setdefault((id(plan), id(st)), [plan, 0])[1] += 1
+        return validate(st, plan, partial)
+
+    monkeypatch.setattr(qa, "_validate_plan", counting)
+    corpus, read = _round_trip(s, templates, tmp_path)
+    assert read.provenance == corpus.provenance
+    read_plans = {id(t.plan) for d in read.dialogs for t in d.turns if t.plan is not None}
+    assert read_plans and read_plans <= {plan_id for plan_id, _ in walks}
+    assert max(n for _, n in walks.values()) == 1
 
 
 def _rewrite_lines(src, dst, edit):

@@ -59,21 +59,21 @@ def test_node_table_follows_class_field_order(store):
         assert plan_text.print_plan(plan_text.parse_plan(text, store), store) == text
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        "Retrieve(TypeUnion(Lookup(obj, flows_through, India, river), By(capital, obj, city)))",
-        "ArgOpt(Group(country, Lookup(obj, flows_through, India, river)), max)",
-        "Verify(India)",
-        "Retrieve(India)",
-        "Lookup(obj, flows_through, India, river)",
-        "ArgOpt(Lookup(obj, flows_through, India, river), max)",
-        "Comparative(By(flows_through, obj, river), China, more)",
-        "Retrieve(Group(river, By(flows_through, subj, country)))",
-        "Count(By(flows_through, subj, country))",
-        "Retrieve(Union(Lookup(obj, flows_through, India, river), Retrieve(Lookup(obj, flows_through, China, river))))",
-    ],
-)
+MISPLACED = [
+    "Retrieve(TypeUnion(Lookup(obj, flows_through, India, river), By(capital, obj, city)))",
+    "ArgOpt(Group(country, Lookup(obj, flows_through, India, river)), max)",
+    "Verify(India)",
+    "Retrieve(India)",
+    "Lookup(obj, flows_through, India, river)",
+    "ArgOpt(Lookup(obj, flows_through, India, river), max)",
+    "Comparative(By(flows_through, obj, river), China, more)",
+    "Retrieve(Group(river, By(flows_through, subj, country)))",
+    "Count(By(flows_through, subj, country))",
+    "Retrieve(Union(Lookup(obj, flows_through, India, river), Retrieve(Lookup(obj, flows_through, China, river))))",
+]
+
+
+@pytest.mark.parametrize("bad", MISPLACED)
 def test_misplaced_nodes_are_rejected(store, bad):
     with pytest.raises(PlanTextError):
         plan_text.parse_plan(bad, store)
@@ -142,18 +142,18 @@ def test_bindings_accept_ids_and_labels(store, ids):
     assert by_label == by_id
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        "",
-        "Nonsense(1)",
-        "Retrieve(",
-        "Retrieve(Lookup(obj, flows_through, India, river)) trailing",
-        "Retrieve(Lookup(obj, flows_through, India))",
-        'Verify((flows_through, India))',
-        "ThresholdFilter(Group(river, By(flows_through, subj, country)), atleast, many)",
-    ],
-)
+MALFORMED = [
+    "",
+    "Nonsense(1)",
+    "Retrieve(",
+    "Retrieve(Lookup(obj, flows_through, India, river)) trailing",
+    "Retrieve(Lookup(obj, flows_through, India))",
+    'Verify((flows_through, India))',
+    "ThresholdFilter(Group(river, By(flows_through, subj, country)), atleast, many)",
+]
+
+
+@pytest.mark.parametrize("bad", MALFORMED)
 def test_malformed_text_raises(store, bad):
     with pytest.raises(PlanTextError):
         plan_text.parse_plan(bad, store)
@@ -245,35 +245,35 @@ def test_symbolic_plan_keeps_numbers_facts_and_repeated_arguments():
     assert plan == qa.Verify((("capital", "India", "New Delhi"), (Slot("relation"), 7, Slot("entity:2"))))
 
 
-@pytest.mark.parametrize(
-    "text, shown",
-    [
-        ("Retrieve(Lookup(obj, ⟨relation⟩, ⟨entity:1⟩))", "Lookup takes 4 arguments, got 3"),
-        ("Retrieve(Lookup(obj, a, b, c), Lookup(obj, a, b, c))", "Retrieve takes 1 arguments, got 2"),
-        ("ArgOpt()", "ArgOpt takes 2 arguments, got 0"),
-        ("Group()", "Group takes at least 2 arguments"),
-        ("Verify()", "Verify takes at least 1 argument"),
-        ("Retrieve(TypeUnion())", "TypeUnion takes at least 1 argument"),
-        ("ThresholdFilter(Group(river), atleast, 2)", "Group takes at least 2 arguments"),
-        ("Retrieve(⟨object_type⟩)", "Retrieve argument 1 must be a set expression"),
-        ("Count(Group(river, By(flows_through, subj, country)))", "Count argument 1 must be a set expression"),
-        ("Retrieve(TypeUnion(Lookup(obj, a, b, c), By(a, obj, c)))", "TypeUnion argument 2 must be a Lookup(...)"),
-        ("ArgOpt(Group(c, Lookup(obj, a, b, c)), max)", "Group argument 2 must be a By(...)"),
-        ("ArgOpt(Lookup(obj, a, b, c), max)", "ArgOpt argument 1 must be a Group(...)"),
-        ("Verify(India)", "Verify argument 1 must be a (rel, subj, obj) fact"),
-        ("Retrieve(Lookup(obj, Lookup(obj, a, b, c), b, c))", "Lookup argument 2 must be a label, number or slot marker"),
-        ("Lookup(obj, flows_through, India, river)", "Lookup is not a top-level plan"),
-        ("Retrieve(Lookup(sideways, a, b, c))", "Lookup argument 1: unknown direction 'sideways', expected one of obj, subj"),
-        (
-            "ThresholdFilter(Group(c, By(a, obj, c)), sometimes, 2)",
-            "ThresholdFilter argument 2: unknown comparator 'sometimes', expected one of atleast, atmost, equal, approx",
-        ),
-        ("ThresholdFilter(Group(c, By(a, obj, c)), atleast, -1)", "ThresholdFilter argument 3: expected a number >= 0, got -1"),
-        ("CountOverThreshold(Group(c, By(a, obj, c)), atmost, many)", "CountOverThreshold argument 3: expected a number >= 0, got 'many'"),
-        ("ArgOpt(Group(c, By(a, obj, c)), middle)", "ArgOpt argument 2: unknown optimum 'middle', expected one of min, max"),
-        ("Comparative(Group(c, By(a, obj, c)), b, bigger)", "Comparative argument 3: unknown comparison 'bigger', expected one of more, less"),
-    ],
-)
+MALFORMED_SYMBOLIC = [
+    ("Retrieve(Lookup(obj, ⟨relation⟩, ⟨entity:1⟩))", "Lookup takes 4 arguments, got 3"),
+    ("Retrieve(Lookup(obj, a, b, c), Lookup(obj, a, b, c))", "Retrieve takes 1 arguments, got 2"),
+    ("ArgOpt()", "ArgOpt takes 2 arguments, got 0"),
+    ("Group()", "Group takes at least 2 arguments"),
+    ("Verify()", "Verify takes at least 1 argument"),
+    ("Retrieve(TypeUnion())", "TypeUnion takes at least 1 argument"),
+    ("ThresholdFilter(Group(river), atleast, 2)", "Group takes at least 2 arguments"),
+    ("Retrieve(⟨object_type⟩)", "Retrieve argument 1 must be a set expression"),
+    ("Count(Group(river, By(flows_through, subj, country)))", "Count argument 1 must be a set expression"),
+    ("Retrieve(TypeUnion(Lookup(obj, a, b, c), By(a, obj, c)))", "TypeUnion argument 2 must be a Lookup(...)"),
+    ("ArgOpt(Group(c, Lookup(obj, a, b, c)), max)", "Group argument 2 must be a By(...)"),
+    ("ArgOpt(Lookup(obj, a, b, c), max)", "ArgOpt argument 1 must be a Group(...)"),
+    ("Verify(India)", "Verify argument 1 must be a (rel, subj, obj) fact"),
+    ("Retrieve(Lookup(obj, Lookup(obj, a, b, c), b, c))", "Lookup argument 2 must be a label, number or slot marker"),
+    ("Lookup(obj, flows_through, India, river)", "Lookup is not a top-level plan"),
+    ("Retrieve(Lookup(sideways, a, b, c))", "Lookup argument 1: unknown direction 'sideways', expected one of obj, subj"),
+    (
+        "ThresholdFilter(Group(c, By(a, obj, c)), sometimes, 2)",
+        "ThresholdFilter argument 2: unknown comparator 'sometimes', expected one of atleast, atmost, equal, approx",
+    ),
+    ("ThresholdFilter(Group(c, By(a, obj, c)), atleast, -1)", "ThresholdFilter argument 3: expected a number >= 0, got -1"),
+    ("CountOverThreshold(Group(c, By(a, obj, c)), atmost, many)", "CountOverThreshold argument 3: expected a number >= 0, got 'many'"),
+    ("ArgOpt(Group(c, By(a, obj, c)), middle)", "ArgOpt argument 2: unknown optimum 'middle', expected one of min, max"),
+    ("Comparative(Group(c, By(a, obj, c)), b, bigger)", "Comparative argument 3: unknown comparison 'bigger', expected one of more, less"),
+]
+
+
+@pytest.mark.parametrize("text, shown", MALFORMED_SYMBOLIC)
 def test_malformed_symbolic_plans_fail_at_parse_naming_the_node(text, shown):
     with pytest.raises(PlanTextError, match=f"^{re.escape(shown)}$"):
         plan_text.parse_symbolic(text)
@@ -307,3 +307,97 @@ def test_fixture_template_schemas_parse_into_the_plan_classes(templates):
     }
     assert {t.id: t.plan_schema for t in templates} == expected
     assert [t.kind for t in templates] == [type(expected[t.id]).__name__ for t in templates]
+
+
+# -- one pass: parse_plan equals parse_symbolic then bind ----------------------------
+
+
+def outcome(parse):
+    """The plan with its walk, or the class and message of what was raised."""
+    try:
+        plan = parse()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return plan, list(qa.plan_atoms(plan)), qa.plan_nodes(plan)
+
+
+def assert_one_pass_equals_two(text, store, bindings=None):
+    one = outcome(lambda: plan_text.parse_plan(text, store, bindings))
+    two = outcome(lambda: plan_text.bind(plan_text.parse_symbolic(text), store, bindings))
+    assert one == two, text
+    return one
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_one_pass_parse_equals_bind_over_random_plans(seed):
+    s = make_random_store(seed, n_tuples=120, n_relations=3, n_types=3)
+    rng = random.Random(seed)
+    for _ in range(60):
+        plan = random_plan(rng, s)
+        got = assert_one_pass_equals_two(plan_text.print_plan(plan, s), s)
+        assert got[0] == plan
+
+
+def test_one_pass_parse_equals_bind_over_a_graphgen_corpus(templates, monkeypatch):
+    from conftest import REPO
+    from kgdialog import dataset_pipeline as pipe
+    from kgdialog.config import RunConfig
+
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    import graphgen
+
+    s = graphgen.make_graph(7, 1800, "heavy")
+    corpus = pipe.generate_corpus(s, templates, 40, RunConfig(seed=7), seed=7)
+    plans = {id(t.plan): t.plan for d in corpus.dialogs for t in d.turns if t.plan is not None}
+    kinds = set()
+    for plan in plans.values():
+        assert assert_one_pass_equals_two(plan_text.print_plan(plan, s), s)[0] == plan
+        kinds.add(type(plan))
+    assert {qa.ThresholdFilter, qa.Comparative, qa.Verify} <= kinds
+
+
+def test_one_pass_parse_walks_no_copy(store, monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("parse_plan walked the plan again")
+
+    monkeypatch.setattr(qa, "_walk", no_walk)
+    plan = plan_text.parse_plan(CASES[6], store)
+    assert [v for _, v in qa.plan_atoms(plan)][-2:] == ["atleast", 2]
+    assert [type(n) for n in qa.plan_nodes(plan)] == [qa.ThresholdFilter, qa.GroupSpec, qa.Counted]
+
+
+MIXED_FAULTS = [
+    # a syntax fault after an unknown label: the syntax fault is reported
+    ("Retrieve(Lookup(obj, flows_through, Atlantis))", "Lookup takes 4 arguments, got 3"),
+    ("Retrieve(Lookup(obj, nope, Atlantis, river)) trailing", "trailing tokens after plan"),
+    ("Retrieve(Lookup(obj, nope, India, river)", "unexpected end of plan text"),
+    ("Retrieve(Lookup(sideways, nope, India, river))", "Lookup argument 1: unknown direction 'sideways'"),
+    ("Lookup(obj, nope, India, river)", "Lookup is not a top-level plan"),
+    ('Verify((nope, India, "Atlantis"), (capital, India))', "facts need 3 elements, got 2"),
+    ("Count(Lookup(obj, ⟨relation⟩, India, river), Atlantis)", "Count takes 1 arguments, got 2"),
+    # resolution faults alone: the first in text order
+    ("Retrieve(Lookup(obj, nope, Atlantis, river))", "unknown relation label 'nope'"),
+    ("Retrieve(Lookup(obj, flows_through, Atlantis, lake))", "unknown entity label 'Atlantis'"),
+    ("Count(Lookup(obj, flows_through, ⟨entity:1⟩, river))", "unresolved slot ⟨entity:1⟩"),
+]
+
+
+@pytest.mark.parametrize("text, shown", MIXED_FAULTS)
+def test_one_pass_parse_reports_syntax_before_resolution(store, text, shown):
+    kind, message = assert_one_pass_equals_two(text, store)
+    assert shown in message
+
+
+@pytest.mark.parametrize("text", [*MALFORMED, *MISPLACED, *(text for text, _ in MALFORMED_SYMBOLIC)])
+def test_one_pass_parse_keeps_every_malformed_text_error(store, text):
+    kind, _ = assert_one_pass_equals_two(text, store)
+    assert kind is PlanTextError
+
+
+def test_one_pass_parse_binds_slots_as_bind_does(store, ids):
+    text = "ArgOpt(Group(country, By(flows_through, ⟨dir⟩, river)), ⟨opt⟩)"
+    for bindings in ({"dir": "obj", "opt": "max"}, {"dir": "up", "opt": "max"}, {"dir": "obj"}, {}):
+        assert_one_pass_equals_two(text, store, bindings)
+    text = "Retrieve(Lookup(obj, ⟨relation⟩, ⟨entity:1⟩, river))"
+    for bindings in ({"relation": "flows_through", "entity:1": "China"}, {"relation": ids["flows_through"], "entity:1": 1.5}):
+        assert_one_pass_equals_two(text, store, bindings)

@@ -117,6 +117,71 @@ def test_unknown_ids_and_type_mismatch_raise(store, ids):
         qa.execute(store, qa.Retrieve(bad))
 
 
+def count_walks(monkeypatch) -> list:
+    """The (plan, store) pairs ``_validate_plan`` walks in full, from now on."""
+    walks = []
+    validate = qa._validate_plan
+
+    def counting(store, plan, partial=False):
+        if not partial:
+            walks.append((plan, store))
+        return validate(store, plan, partial)
+
+    monkeypatch.setattr(qa, "_validate_plan", counting)
+    return walks
+
+
+def test_a_plan_is_validated_once_per_store(store, ids, monkeypatch):
+    walks = count_walks(monkeypatch)
+    plan = qa.Retrieve(lookup(ids, "obj", "flows_through", "India", "river"))
+    for _ in range(3):
+        qa.execute(store, plan)
+        qa.plan_tuples(store, plan)
+    assert walks == [(plan, store)]
+    # an equal plan is another object, and is walked on its own
+    twin = qa.Retrieve(lookup(ids, "obj", "flows_through", "India", "river"))
+    qa.execute(store, twin)
+    assert len(walks) == 2 and walks[1][0] is twin
+    # the oracle checks in full on every call
+    qa.brute_force_execute(store, plan)
+    qa.brute_force_execute(store, plan)
+    assert len(walks) == 4
+
+
+def test_a_plan_valid_for_one_store_is_checked_again_against_another(store):
+    # a Verify plan reads no index, so only validation can reject its ids
+    fact = max(store.tuples, key=lambda t: max(t.subject, t.object))
+    last = max(fact.subject, fact.object)
+    plan = qa.Verify((fact,))
+    assert qa.execute(store, plan) == qa.Booleans((True,))
+    smaller = KgStore(
+        [t for t in store.tuples if max(t.subject, t.object) < last],
+        store.entity_labels[:last],
+        store.relation_labels,
+        store.type_labels,
+        {e: ts for e, ts in store.entity_types.items() if e < last},
+    )
+    for _ in range(2):
+        with pytest.raises(kg_store.UnknownIdError):
+            qa.execute(smaller, plan)
+        with pytest.raises(kg_store.UnknownIdError):
+            qa.plan_tuples(smaller, plan)
+    assert qa.execute(store, plan) == qa.Booleans((True,))
+
+
+def test_a_failed_or_partial_check_records_nothing(store, ids):
+    bad = qa.Verify((Tuple(ids["flows_through"], ids["India"], store.n_entities),))
+    for _ in range(3):
+        with pytest.raises(kg_store.UnknownIdError):
+            qa.execute(store, bad)
+        with pytest.raises(kg_store.UnknownIdError):
+            qa.plan_tuples(store, bad)
+    unbound = qa.Verify((Tuple(ids["flows_through"], ids["India"], None),))
+    qa._validate_plan(store, unbound, partial=True)
+    with pytest.raises(kg_store.UnknownIdError):
+        qa.execute(store, unbound)
+
+
 def test_zero_count_groups_participate_when_enabled(store, ids):
     group = qa.GroupSpec(ids["country"], (qa.Counted(ids["capital"], "obj", ids["city"]),))
     with_zero = qa.execute(store, qa.ThresholdFilter(group, "atmost", 0))

@@ -163,7 +163,7 @@ def test_slot_type_is_a_store_type_or_a_type_slot_that_fixed_binds(store, ref, a
             "TypeUnion branches must differ in result type",
         ),
         ("Retrieve(Lookup(obj, ⟨relation⟩, ⟨entity:1⟩, lake))", {}, "unknown type label 'lake'"),
-        # ``fixed`` holds strings only, so it cannot bind a number
+        # a number slot takes a JSON integer in ``fixed``, not a numeral string
         ("ThresholdFilter(Group(country, By(⟨relation⟩, obj, river)), atleast, ⟨n⟩)", {"n": "2"}, "got '2'"),
     ],
 )
@@ -178,6 +178,44 @@ def test_schema_breaking_a_plan_rule_fails_at_load_given_a_store(store, schema, 
     template_from_record(record)  # without a store only the text is checked
     with pytest.raises(TemplateError, match=f"^field 'plan_schema': .*{re.escape(shown)}"):
         template_from_record(record, store)
+
+
+def test_a_template_record_fixes_a_number_slot(store, river):
+    record = {
+        "id": "rivers_atleast",
+        "direction": "object_based",
+        "surface": "Which rivers flow through atleast ⟨n⟩ countries ?",
+        "plan_schema": "ThresholdFilter(Group(⟨object_type⟩, By(⟨relation⟩, subj, ⟨subject_type⟩)), atleast, ⟨n⟩)",
+        "fixed": {**river.fixed, "n": 2},
+    }
+    template = template_from_record(record, store)
+    inst = instantiate(store, template, {})
+    assert inst.question == "Which rivers flow through atleast 2 countries ?"
+    assert inst.answer == instantiate(store, transform_threshold(river, "atleast", 2), {}).answer
+    assert answer_names(store, inst) == {"Brahmaputra"}
+
+
+@pytest.mark.parametrize(
+    "fixed, got",
+    [
+        ({"n": True}, "bool"),
+        ({"n": -1}, "int"),
+        ({"n": 2.0}, "float"),
+        ({"n:2": [2]}, "list"),
+        ({"relation": 0}, "int"),
+        ({"entity:1": 3}, "int"),
+    ],
+)
+def test_other_non_string_fixed_values_fail_naming_the_field(fixed, got):
+    record = {
+        "id": "t",
+        "direction": "object_based",
+        "surface": "Which rivers flow through atleast ⟨n⟩ countries ?",
+        "plan_schema": "ThresholdFilter(Group(river, By(flows_through, subj, country)), atleast, ⟨n⟩)",
+        "fixed": fixed,
+    }
+    with pytest.raises(TemplateError, match=f"^field 'fixed' must hold only strings, got {got}$"):
+        template_from_record(record)
 
 
 def test_free_slots_are_left_to_instantiation(store):
