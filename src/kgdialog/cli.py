@@ -246,8 +246,8 @@ def _repl(store: kg_store.KgStore, config: RunConfig) -> int:
 
 
 def _resolve_that(store: kg_store.KgStore, line: str, last_entities: tuple[int, ...]) -> str:
-    """Replace each "that ⟨type⟩" mention with the quoted label of the one
-    previous answer entity it can mean (longest type labels first)."""
+    """Replace each "that ⟨type⟩" mention with the one previous answer
+    entity it can mean, as plan text prints it (longest type labels first)."""
     if "that " not in line:
         return line
     context = dm.DialogContext(salience=last_entities, last_answer_entities=last_entities)
@@ -259,8 +259,7 @@ def _resolve_that(store: kg_store.KgStore, line: str, last_entities: tuple[int, 
         if isinstance(resolved, dm.Ambiguous):
             names = ", ".join(store.entity_label(e) for e in resolved.candidates)
             raise dm.DialogError(f"ambiguous mention {mention!r}: did you mean one of {names}?")
-        quoted = '"' + store.entity_label(resolved).replace('"', '\\"') + '"'
-        line = line.replace(mention, quoted)
+        line = line.replace(mention, plan_text.print_entity(resolved, store))
     return line
 
 

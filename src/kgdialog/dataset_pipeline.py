@@ -173,10 +173,7 @@ def answer_to_obj(answer: qa.AnswerSet | None) -> dict | None:
     if answer is None:
         return None
     if isinstance(answer, qa.Entities):
-        obj: dict = {"kind": "entities", "members": sorted(answer.members)}
-        if answer.partition is not None:
-            obj["partition"] = [[ty, sorted(part)] for ty, part in answer.partition]
-        return obj
+        return {"kind": "entities", "members": sorted(answer.members)}
     if isinstance(answer, qa.Counts):
         return {"kind": "counts", "counts": [[ty, n] for ty, n in answer.counts]}
     if isinstance(answer, qa.Booleans):
@@ -188,12 +185,8 @@ def answer_from_obj(obj: dict | None) -> qa.AnswerSet | None:
     if obj is None:
         return None
     kind = obj["kind"]
-    if kind == "entities":
-        partition = json_field(obj, "partition", list, NoneType) if "partition" in obj else None
-        return qa.Entities(
-            frozenset(json_field(obj, "members", list)),
-            tuple((ty, frozenset(part)) for ty, part in partition) if partition else None,
-        )
+    if kind == "entities":  # older files also wrote per-type members; they are ignored
+        return qa.Entities(frozenset(json_field(obj, "members", list)))
     if kind == "counts":
         return qa.Counts(tuple((ty, n) for ty, n in json_field(obj, "counts", list)))
     if kind == "booleans":

@@ -29,9 +29,6 @@ class Gazetteer:
     entries: dict[str, tuple[int, ...]]  # normalized text -> its entity ids, ascending
     max_len: int  # longest entry, in tokens
 
-    def lookup(self, phrase: str) -> frozenset[int]:
-        return frozenset(self.entries.get(" ".join(normalize(phrase)), ()))
-
 
 @dataclass(frozen=True)
 class Match:

@@ -10,8 +10,7 @@ matrices are inputs.
 Values live in D dimensions but the single projection A expects the key
 width 2D, so values are projected through A's last D columns, the ones
 that read the subject half of a key: the same as zero-padding a value on
-the relation half, without building the padded copy.  Callers preferring
-a separate value projection can pass one explicitly.
+the relation half, without building the padded copy.
 """
 
 from __future__ import annotations
@@ -58,15 +57,13 @@ class HopParams:
     A: np.ndarray               # (d, D_kv)
     R: tuple[np.ndarray, ...]   # H maps, each (d, d)
     B: np.ndarray               # (d, D)
-    value_map: np.ndarray | None = None  # optional (d, D) alternative to A's last D columns
-    anchor_mode: str = "current"  # "current" re-adds q_j each hop, "initial" q_1
 
     @property
     def hops(self) -> int:
         return len(self.R)
 
     def validate(self, slab: MemorySlab) -> None:
-        _check_slab(slab, self.value_map)
+        _check_slab(slab)
         d, d_kv = self.A.shape
         if d_kv != slab.keys.shape[1]:
             raise KernelError(
@@ -81,22 +78,16 @@ class HopParams:
             raise KernelError(
                 f"B must be {d}x{slab.values.shape[1]}, got {self.B.shape}"
             )
-        if self.value_map is not None and self.value_map.shape != (d, slab.values.shape[1]):
-            raise KernelError("value map must be d x D")
-        if self.anchor_mode not in ("current", "initial"):
-            raise KernelError(f"unknown anchor mode {self.anchor_mode!r}")
 
 
-def _check_slab(slab: MemorySlab, value_map: np.ndarray | None) -> None:
-    """Keys and values pair row for row; without a value map, values must
-    fit the key width, whose last columns project them."""
+def _check_slab(slab: MemorySlab) -> None:
+    """Keys and values pair row for row, and values fit the key width,
+    whose last columns project them."""
     keys, values = slab.keys.shape, slab.values.shape
     if keys[0] != values[0]:
         raise KernelError(f"memory keys {keys} and values {values} differ in row count")
-    if value_map is None and values[1] > keys[1]:
-        raise KernelError(
-            f"memory values {values} are wider than keys {keys} and there is no value map"
-        )
+    if values[1] > keys[1]:
+        raise KernelError(f"memory values {values} are wider than keys {keys}")
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -127,12 +118,11 @@ def hop(
     A: np.ndarray,
     R_j: np.ndarray,
     anchor_q: np.ndarray,
-    value_map: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One memory pass: returns (next query, attention weights)."""
     _check_hop(q, slab, A, anchor_q)
-    _check_slab(slab, value_map)
-    return _step(q, *_project(slab, A, value_map), R_j, anchor_q)
+    _check_slab(slab)
+    return _step(q, *_project(slab, A), R_j, anchor_q)
 
 
 def _check_hop(q: np.ndarray, slab: MemorySlab, A: np.ndarray, anchor_q: np.ndarray) -> None:
@@ -145,16 +135,9 @@ def _check_hop(q: np.ndarray, slab: MemorySlab, A: np.ndarray, anchor_q: np.ndar
         )
 
 
-def _project(
-    slab: MemorySlab, A: np.ndarray, value_map: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
+def _project(slab: MemorySlab, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Keys and values in query space, (N, d) each; no hop changes them."""
-    keys = slab.keys @ A.T
-    if value_map is None:
-        values = slab.values @ A[:, A.shape[1] - slab.values.shape[1] :].T
-    else:
-        values = slab.values @ value_map.T
-    return keys, values
+    return slab.keys @ A.T, slab.values @ A[:, A.shape[1] - slab.values.shape[1] :].T
 
 
 def _step(
@@ -177,15 +160,14 @@ class MultiHopResult:
 
 def multi_hop(q1: np.ndarray, slab: MemorySlab, params: HopParams) -> MultiHopResult:
     """Run all hops; the anchor re-added inside each hop is the current
-    query by default ("initial" re-adds q1 instead).  Keys and values are
-    projected once, for every hop."""
+    query.  Keys and values are projected once, for every hop."""
     params.validate(slab)
-    q = initial = np.asarray(q1, dtype=float)
+    q = np.asarray(q1, dtype=float)
     _check_hop(q, slab, params.A, q)
-    keys, values = _project(slab, params.A, params.value_map)
+    keys, values = _project(slab, params.A)
     attentions: list[np.ndarray] = []
     for R_j in params.R:
-        q, weights = _step(q, keys, values, R_j, initial if params.anchor_mode == "initial" else q)
+        q, weights = _step(q, keys, values, R_j, q)
         attentions.append(weights)
     return MultiHopResult(q, tuple(attentions))
 

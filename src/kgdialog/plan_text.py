@@ -301,20 +301,20 @@ def print_plan(plan: qa.QueryPlan, store: KgStore) -> str:
 
 def _print_arg(value, kind: str, store: KgStore) -> str:
     if kind == "entity":
-        return _print_entity(value, store)
+        return print_entity(value, store)
     if kind == "relation":
         return _quote(store.relation_label(value))
     if kind == "type":
         return _quote(store.type_label(value))
     if kind == "fact":
         r, s, o = value
-        return f"({_quote(store.relation_label(r))}, {_print_entity(s, store)}, {_print_entity(o, store)})"
+        return f"({_quote(store.relation_label(r))}, {print_entity(s, store)}, {print_entity(o, store)})"
     if kind == "node":
         return print_plan(value, store)
     return str(value)
 
 
-def _print_entity(e: int, store: KgStore) -> str:
+def print_entity(e: int, store: KgStore) -> str:
     """The entity's label, or its bare id when another entity shares the
     label: a bare integer parses back as an id."""
     return str(e) if store.label_repeats(e) else _quote(store.entity_label(e))

@@ -3,22 +3,26 @@
 A plan is a small immutable tree: set expressions (typed lookups combined
 with union/intersection/difference) wrapped in one of the plan kinds
 (retrieve, verify, count, arg-min/max, threshold filters, comparatives and
-their counting variants).  There is one evaluator with two ways of
+their counting variants).  A plan answers with an entity set, a count, or
+one boolean per fact (``Verify``); ``Count`` over a root ``TypeUnion``
+gives one count per branch type.  There is one evaluator with two ways of
 reaching tuples: ``execute`` reaches them through the store indices and its
-per-store caches, while ``brute_force_execute`` scans the raw tuple set and
-raw type assignments, touching no index, and serves as the oracle in
-equivalence tests.  Both share validation, the set-expression recursion and
-the grouped post-processing.
+per-store caches, never through the raw tuple set, while
+``brute_force_execute`` scans the raw tuple set and raw type assignments,
+touching no index, and serves as the oracle in equivalence tests.  Both
+share validation, the set-expression recursion and the grouped
+post-processing.
 
 The node table ``NODES`` gives each plan class's node name and field kinds;
 plan text, validation and the one atom traversal (``plan_atoms``, and
-``map_atoms`` for copies) read it and name no field by hand.
+``map_atoms`` for copies) read it and name no field by hand.  ``COUNTING``
+pairs each entity-answer class with its counting twin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from operator import attrgetter
+from operator import and_, attrgetter, or_, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Union as TUnion, get_args
 
 from .kg_store import KgStore, Tuple
@@ -242,6 +246,14 @@ NODES: dict[type, Row] = _node_table(
     (CountOverComparative, "CountOverComparative", (GroupSpec,), "entity", "comparison"),
 )
 
+# Each entity-answer plan class and its counting twin: the twin has the same
+# fields and answers with the number of members the class would return.
+COUNTING: dict[type, type] = {
+    Retrieve: Count,
+    ThresholdFilter: CountOverThreshold,
+    Comparative: CountOverComparative,
+}
+
 
 def check_word(kind: str, value) -> None:
     """A keyword must be a word of its kind's vocabulary, a number an int >= 0."""
@@ -258,8 +270,6 @@ def check_word(kind: str, value) -> None:
 @dataclass(frozen=True)
 class Entities:
     members: frozenset[int]
-    # per-type partition, present only for TypeUnion results
-    partition: tuple[tuple[int, frozenset[int]], ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -319,7 +329,7 @@ def _validate_plan(store: KgStore, plan: QueryPlan, partial: bool = False) -> No
         else:
             check_word(kind, value)
     if isinstance(plan, (Retrieve, Count)):
-        _result_types(plan.expr)
+        _result_types(plan.expr, store)
     if not partial:
         object.__setattr__(plan, "_valid_for", store)
 
@@ -331,9 +341,10 @@ def _validate_once(store: KgStore, plan: QueryPlan) -> None:
         _validate_plan(store, plan)
 
 
-def _result_types(expr: SetExpr) -> frozenset:
+def _result_types(expr: SetExpr, store: KgStore) -> frozenset:
     """The result types of a set expression, once its type rules hold (a rule
-    that reads a None, an id not bound yet, passes)."""
+    that reads a None, an id not bound yet, passes); an error names the
+    store's type labels."""
     if type(expr) is Lookup:
         return frozenset((expr.result_type,))
     if type(expr) is TypeUnion:
@@ -343,9 +354,10 @@ def _result_types(expr: SetExpr) -> frozenset:
         if len(set(types)) < len(types):
             raise PlanError("TypeUnion branches must differ in result type")
         return frozenset(b.result_type for b in expr.branches)
-    ta, tb = _result_types(expr.a), _result_types(expr.b)
+    ta, tb = _result_types(expr.a, store), _result_types(expr.b, store)
     if ta != tb and None not in ta | tb:
-        raise PlanError(f"type-incompatible branches: {sorted(ta)} vs {sorted(tb)}")
+        a, b = ([store.type_label(ty) for ty in sorted(types)] for types in (ta, tb))
+        raise PlanError(f"type-incompatible branches: {a} vs {b}")
     return ta
 
 
@@ -386,59 +398,44 @@ def brute_force_execute(
 
 
 def _evaluate(store, plan, reach, holds, counts_of, include_zero_groups) -> AnswerSet:
-    if isinstance(plan, (Retrieve, Count)):
-        members, partition = _eval_expr(store, plan.expr, reach)
-        if isinstance(plan, Retrieve):
-            return Entities(frozenset(members), partition)
-        if partition is not None:
-            return Counts(tuple((ty, len(part)) for ty, part in partition))
-        return Counts(((None, len(members)),))
-    if isinstance(plan, Verify):
+    """Each plan kind computes its members; a counting kind answers with
+    their number, every other kind with the members."""
+    kind = type(plan)
+    if kind is Verify:
         return Booleans(tuple(holds(store, f) for f in plan.facts))
-
-    counts = counts_of(store, plan.group, include_zero_groups)
-    if isinstance(plan, ArgOpt):
-        if not counts:
-            return Entities(frozenset())
-        best = max(counts.values()) if plan.direction == "max" else min(counts.values())
-        return Entities(frozenset(g for g, c in counts.items() if c == best))
-    if isinstance(plan, ThresholdFilter):
-        keep = {g for g, c in counts.items() if _comparator_ok(plan.comparator, c, plan.n)}
-        return Entities(frozenset(keep))
-    if isinstance(plan, CountOverThreshold):
-        n = sum(1 for c in counts.values() if _comparator_ok(plan.comparator, c, plan.n))
-        return Counts(((None, n),))
-    # comparatives: the reference count is computed over the same counted
-    # legs even when the reference is not itself of the group type
-    ref_count = entity_group_count(store, plan.group, plan.reference, reach)
-    if plan.direction == "more":
-        keep = {g for g, c in counts.items() if c > ref_count and g != plan.reference}
+    if kind is Count and type(plan.expr) is TypeUnion:  # one count per branch type
+        branches = plan.expr.branches
+        return Counts(tuple((b.result_type, len(_eval_expr(store, b, reach))) for b in branches))
+    if kind in (Retrieve, Count):
+        members = _eval_expr(store, plan.expr, reach)
     else:
-        keep = {g for g, c in counts.items() if c < ref_count and g != plan.reference}
-    if isinstance(plan, Comparative):
-        return Entities(frozenset(keep))
-    return Counts(((None, len(keep)),))
+        counts = counts_of(store, plan.group, include_zero_groups)
+        if kind is ArgOpt:
+            best = (max if plan.direction == "max" else min)(counts.values(), default=None)
+            members = {g for g, c in counts.items() if c == best}
+        elif kind in (ThresholdFilter, CountOverThreshold):
+            members = {g for g, c in counts.items() if _comparator_ok(plan.comparator, c, plan.n)}
+        else:
+            # the reference count is computed over the same counted legs even
+            # when the reference is not itself of the group type
+            ref = entity_group_count(store, plan.group, plan.reference, reach)
+            more = plan.direction == "more"
+            members = {g for g, c in counts.items() if (c > ref if more else c < ref) and g != plan.reference}
+    if kind in COUNTING.values():
+        return Counts(((None, len(members)),))
+    return Entities(frozenset(members))
 
 
-def _eval_expr(store: KgStore, expr: SetExpr, reach):
-    """Members of a set expression, plus the per-type partition of a TypeUnion."""
-    if isinstance(expr, Lookup):
-        return reach(store, expr.relation, expr.direction, expr.anchor, expr.result_type), None
-    if isinstance(expr, Union):
-        return _eval_expr(store, expr.a, reach)[0] | _eval_expr(store, expr.b, reach)[0], None
-    if isinstance(expr, Intersection):
-        return _eval_expr(store, expr.a, reach)[0] & _eval_expr(store, expr.b, reach)[0], None
-    if isinstance(expr, Difference):
-        return _eval_expr(store, expr.a, reach)[0] - _eval_expr(store, expr.b, reach)[0], None
-    if isinstance(expr, TypeUnion):
-        partition = []
-        members: set[int] = set()
-        for b in expr.branches:
-            part = reach(store, b.relation, b.direction, b.anchor, b.result_type)
-            partition.append((b.result_type, frozenset(part)))
-            members |= part
-        return members, tuple(partition)
-    raise PlanError(f"unknown set expression {type(expr).__name__}")
+_SET_OPS = {Union: or_, Intersection: and_, Difference: sub}
+
+
+def _eval_expr(store: KgStore, expr: SetExpr, reach) -> set[int]:
+    """Members of a set expression."""
+    if type(expr) is Lookup:
+        return reach(store, expr.relation, expr.direction, expr.anchor, expr.result_type)
+    if type(expr) is TypeUnion:
+        return set().union(*(_eval_expr(store, b, reach) for b in expr.branches))
+    return _SET_OPS[type(expr)](_eval_expr(store, expr.a, reach), _eval_expr(store, expr.b, reach))
 
 
 def _indexed_reach(store: KgStore, relation: int, direction: str, anchor: int, ty: int) -> set[int]:
@@ -451,22 +448,18 @@ def _indexed_reach(store: KgStore, relation: int, direction: str, anchor: int, t
 
 
 def _indexed_holds(store: KgStore, fact: Tuple) -> bool:
-    return fact in store.tuples
+    relation, subject, obj = fact
+    return obj in store.objects_of(relation, subject)
 
 
 def _scan_reach(store: KgStore, relation: int, direction: str, anchor: int, ty: int) -> set[int]:
     etypes = store.entity_types
-    out: set[int] = set()
-    for t in store.tuples:
-        if t.relation != relation:
-            continue
-        if direction == OBJ:
-            if t.subject == anchor and ty in etypes.get(t.object, ()):
-                out.add(t.object)
-        else:
-            if t.object == anchor and ty in etypes.get(t.subject, ()):
-                out.add(t.subject)
-    return out
+    at, to = (1, 2) if direction == OBJ else (2, 1)
+    return {
+        t[to]
+        for t in store.tuples
+        if t.relation == relation and t[at] == anchor and ty in etypes.get(t[to], ())
+    }
 
 
 def _scan_holds(store: KgStore, fact: Tuple) -> bool:
@@ -530,7 +523,7 @@ def plan_tuples(store: KgStore, plan: QueryPlan) -> frozenset[Tuple]:
             out |= _reach_tuples(store, lk.relation, lk.direction, lk.anchor, lk.result_type)
         return frozenset(out)
     if isinstance(plan, Verify):
-        return frozenset(f for f in plan.facts if f in store.tuples)
+        return frozenset(f for f in plan.facts if _indexed_holds(store, f))
 
     group = plan.group
     tuples = store.derived(

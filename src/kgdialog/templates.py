@@ -32,11 +32,6 @@ _MARKER = re.compile(re.escape(SLOT_OPEN) + r"([^" + SLOT_CLOSE + r"]+)" + re.es
 
 _CONJUNCTIONS = {"and": "and", "or": "or", "but_not": "but not"}
 _LOGICAL_NODES = {"and": qa.Intersection, "or": qa.Union, "but_not": qa.Difference}
-_COUNTING = {  # each counting plan class has the fields of the class it counts
-    qa.Retrieve: qa.Count,
-    qa.ThresholdFilter: qa.CountOverThreshold,
-    qa.Comparative: qa.CountOverComparative,
-}
 _COMPARATOR_PHRASES = {
     "atleast": "atleast",
     "atmost": "atmost",
@@ -406,14 +401,14 @@ def transform_to_count(template: QuestionTemplate) -> QuestionTemplate:
     if not base.startswith("Which "):
         raise TemplateError(f"template {template.id}: counting transform needs a Which-question")
     schema = template.plan_schema
-    if type(schema) not in _COUNTING:
+    if type(schema) not in qa.COUNTING:
         raise TemplateError(f"template {template.id}: cannot count a {template.kind} plan")
     return replace(
         template,
         id=template.id + "#count",
         paraphrase_group=template.paraphrase_group + "#count",
         surface={"singular": "How many " + base[len("Which ") :]},
-        plan_schema=_COUNTING[type(schema)](*(getattr(schema, f.name) for f in fields(schema))),
+        plan_schema=qa.COUNTING[type(schema)](*(getattr(schema, f.name) for f in fields(schema))),
     )
 
 

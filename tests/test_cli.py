@@ -334,9 +334,7 @@ def test_kernel_check_fails_a_too_wide_record_and_runs_the_rest(tmp_path, capsys
     assert code == 1
     assert err == ""
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
-    assert failed == [
-        "FAIL vector wide: memory values (2, 2) are wider than keys (2, 1) and there is no value map"
-    ]
+    assert failed == ["FAIL vector wide: memory values (2, 2) are wider than keys (2, 1)"]
     passed_vectors = [line for line in out.splitlines() if line.startswith("PASS vector")]
     assert len(passed_vectors) == len(good)
 
@@ -494,6 +492,29 @@ def test_repl_reports_ambiguous_and_missing_antecedents(monkeypatch, capsys):
     assert errors[0] == "error: ambiguous mention 'that river': did you mean one of Brahmaputra, Mekong?"
     assert "that country" in errors[1]
     assert len(errors) == 2
+
+
+@pytest.mark.parametrize("label", ["Mekong", "Blue\\Nile"])
+def test_repl_resolves_that_to_an_entity_whatever_its_label(tmp_path, monkeypatch, capsys, label):
+    """"that river" becomes the entity as plan text prints it: a repeated
+    label as the entity's id, any other label quoted and escaped."""
+    kg = tmp_path / "kg"
+    shutil.copytree(KG_T_DIR, kg)
+    labels = kg / "labels.tsv"
+    labels.write_text(labels.read_text().replace("\tNile\n", f"\t{label}\n"))
+    lines = iter(
+        [
+            "Retrieve(Lookup(obj, flows_through, Egypt, river))",
+            "Retrieve(Lookup(subj, flows_through, that river, country))",
+            "",
+        ]
+    )
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
+    code = dispatch(["answer", "--kg", str(kg)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "error:" not in captured.err
+    assert captured.out.splitlines() == [label, "Egypt"]
 
 
 def test_kernel_check_reports_a_failing_builtin_check(monkeypatch, capsys):
@@ -703,7 +724,7 @@ def test_template_naming_an_unknown_label_fails_at_load(slot, shown, tmp_path, c
         # these parse, but break a plan rule that no instantiation can mend
         (
             "Retrieve(Union(Lookup(obj, ⟨relation⟩, ⟨entity:1⟩, ⟨object_type⟩), Lookup(obj, ⟨relation⟩, ⟨entity:1⟩, river)))",
-            "type-incompatible branches: [2] vs [0]",
+            "type-incompatible branches: ['city'] vs ['river']",
         ),
         (
             "Retrieve(TypeUnion(Lookup(obj, capital, India, city), Lookup(obj, flows_through, China, river)))",

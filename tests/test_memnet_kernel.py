@@ -257,21 +257,17 @@ def test_h1_equals_single_hop_call():
     assert np.allclose(via_multi.attentions[0], direct_w)
 
 
-@pytest.mark.parametrize("anchor_mode", ["current", "initial"])
-@pytest.mark.parametrize("with_value_map", [False, True])
-def test_multi_hop_equals_chained_hop_calls_bit_for_bit(anchor_mode, with_value_map):
+def test_multi_hop_equals_chained_hop_calls_bit_for_bit():
     rng = np.random.default_rng(14)
     for n, hops in ((1, 1), (7, 2), (40, 3)):
         slab = small_slab(rng, n, 3)
-        p = rand_params(rng, 4, 3, hops)
-        value_map = rng.standard_normal((4, 3)) if with_value_map else None
-        params = mk.HopParams(p.A, p.R, p.B, value_map=value_map, anchor_mode=anchor_mode)
+        params = rand_params(rng, 4, 3, hops)
         q1 = rng.standard_normal(4)
         out = mk.multi_hop(q1, slab, params)
         q = q1
         assert len(out.attentions) == hops
         for R_j, got in zip(params.R, out.attentions):
-            q, weights = mk.hop(q, slab, params.A, R_j, q1 if anchor_mode == "initial" else q, value_map)
+            q, weights = mk.hop(q, slab, params.A, R_j, q)
             assert np.array_equal(got, weights)
         assert np.array_equal(out.q_final, q)
 
@@ -348,9 +344,6 @@ def test_values_wider_than_keys_without_a_value_map_raise_naming_both_shapes():
         mk.multi_hop(q1, slab, params)
     with pytest.raises(mk.KernelError, match=r"values \(3, 4\) .*keys \(3, 2\)"):
         mk.hop(q1, slab, params.A, params.R[0], q1)
-    # a value map reads values of any width
-    mapped = mk.HopParams(A=params.A, R=params.R, B=params.B, value_map=rng.standard_normal((2, 4)))
-    assert mk.multi_hop(q1, slab, mapped).q_final.shape == (2,)
 
 
 def test_keys_and_values_of_different_row_counts_raise_naming_both_shapes():
@@ -379,33 +372,6 @@ def test_a_malformed_vector_record_fails_alone(tmp_path):
     ]
     assert "values (2, 2) are wider than keys (2, 1)" in outcomes[0].detail
     assert "keys (2, 2) and values (1, 1) differ in row count" in outcomes[1].detail
-
-
-def test_value_map_reading_changes_projection_only():
-    rng = np.random.default_rng(9)
-    slab = small_slab(rng, 5, 3)
-    base = rand_params(rng, 4, 3)
-    with_map = mk.HopParams(
-        A=base.A, R=base.R, B=base.B, value_map=rng.standard_normal((4, 3))
-    )
-    q1 = rng.standard_normal(4)
-    a = mk.multi_hop(q1, slab, base)
-    b = mk.multi_hop(q1, slab, with_map)
-    # same attention on the first hop (keys unchanged), different read
-    assert np.allclose(a.attentions[0], b.attentions[0])
-    assert not np.allclose(a.q_final, b.q_final)
-
-
-def test_anchor_mode_initial_reuses_q1():
-    rng = np.random.default_rng(10)
-    slab = small_slab(rng, 5, 3)
-    p_current = rand_params(rng, 4, 3, hops=2)
-    p_initial = mk.HopParams(A=p_current.A, R=p_current.R, B=p_current.B, anchor_mode="initial")
-    q1 = rng.standard_normal(4)
-    a = mk.multi_hop(q1, slab, p_current)
-    b = mk.multi_hop(q1, slab, p_initial)
-    assert np.allclose(a.attentions[0], b.attentions[0])
-    assert not np.allclose(a.q_final, b.q_final)
 
 
 # -- distribution / copy mechanism ---------------------------------------------------------

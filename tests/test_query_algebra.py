@@ -88,22 +88,18 @@ def test_comparative_more_rivers_than_reference(store, ids):
 
 
 def test_type_union_partitions_by_type(store, ids):
-    plan = qa.Retrieve(
-        qa.TypeUnion(
-            (
-                lookup(ids, "obj", "flows_through", "India", "river"),
-                lookup(ids, "obj", "capital", "India", "city"),
-            )
-        )
+    branches = (
+        lookup(ids, "obj", "flows_through", "India", "river"),
+        lookup(ids, "obj", "capital", "India", "city"),
     )
-    answer = qa.execute(store, plan)
+    answer = qa.execute(store, qa.Retrieve(qa.TypeUnion(branches)))
     assert names(store, answer) == {"Ganga", "Yamuna", "Brahmaputra", "New Delhi"}
-    assert answer.partition is not None
-    by_type = dict(answer.partition)
+    by_type = {b.result_type: qa.execute(store, qa.Retrieve(b)).members for b in branches}
     assert by_type[ids["river"]] == frozenset(
         {ids["Ganga"], ids["Yamuna"], ids["Brahmaputra"]}
     )
     assert by_type[ids["city"]] == frozenset({store.entity_id("New Delhi")})
+    assert answer.members == by_type[ids["river"]] | by_type[ids["city"]]
 
 
 def test_unknown_ids_and_type_mismatch_raise(store, ids):
@@ -360,9 +356,10 @@ def test_count_over_type_union_counts_each_partition(store, ids):
         )
     )
     counts = qa.execute(store, qa.Count(expr))
-    retrieve = qa.execute(store, qa.Retrieve(expr))
     assert counts == qa.Counts(((ids["river"], 3), (ids["city"], 1)))
-    assert dict(counts.counts) == {ty: len(part) for ty, part in retrieve.partition}
+    assert dict(counts.counts) == {
+        b.result_type: len(qa.execute(store, qa.Retrieve(b)).members) for b in expr.branches
+    }
 
 
 def test_argopt_ties_return_all_and_threshold_nesting(store):
@@ -609,6 +606,21 @@ def test_oracle_touches_no_index_or_cache(ids):
             assert qa.brute_force_execute(blind, plan, include_zero) == qa.execute(
                 indexed, plan, include_zero
             ), plan
+
+
+def test_execute_and_provenance_read_no_raw_tuple(ids):
+    """The mirror of the check above: ``execute`` and ``plan_tuples`` reach
+    tuples through the store's indexes, never through the raw tuple set
+    that the oracle scans."""
+    indexed = kg_store.load_dir(KG_T_DIR)
+    blind = kg_store.load_dir(KG_T_DIR)
+    blind.tuples = None
+    for plan in _every_plan_kind(ids):
+        for include_zero in (True, False):
+            assert qa.execute(blind, plan, include_zero) == qa.execute(
+                indexed, plan, include_zero
+            ), plan
+        assert qa.plan_tuples(blind, plan) == qa.plan_tuples(indexed, plan), plan
 
 
 # -- plan walker ---------------------------------------------------------------------
