@@ -310,12 +310,13 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     kg_embed.save_embeddings(table, args.out)
     report = kg_embed.link_prediction_eval(table, store.tuples, all_tuples=store.tuples)
     random_rank = kg_embed.random_baseline_mean_rank(store.n_entities)
+    random_hits = kg_embed.random_baseline_hits_at_k(store.n_entities, report.k)
     print(f"saved embeddings to {args.out} (dim {table.dim})")
     print("ranks on the training tuples (they show fit, not prediction):")
     for name, side in (("object", report.object_side), ("subject", report.subject_side)):
         print(
             f"{name} side: mean rank {side.mean_rank:.2f} (random {random_rank:.2f}), "
-            f"hits@{report.k} {side.hits_at_k:.3f}, "
+            f"hits@{report.k} {side.hits_at_k:.3f} (random {random_hits:.3f}), "
             f"filtered mean rank {side.filtered_mean_rank:.2f}, "
             f"filtered hits@{report.k} {side.filtered_hits_at_k:.3f}"
         )

@@ -19,6 +19,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
+from math import inf
 from pathlib import Path
 from types import NoneType
 from typing import Iterable, Sequence
@@ -181,17 +182,42 @@ def answer_to_obj(answer: qa.AnswerSet | None) -> dict | None:
     raise PipelineError(f"cannot serialize {type(answer).__name__}")
 
 
-def answer_from_obj(obj: dict | None) -> qa.AnswerSet | None:
+def answer_from_obj(obj: dict | None, store: KgStore | None = None) -> qa.AnswerSet | None:
+    """The answer of its corpus encoding; ids must be known to ``store`` when
+    one is given.  A mistyped value raises ``ValueError`` naming its field."""
     if obj is None:
         return None
     kind = obj["kind"]
     if kind == "entities":  # older files also wrote per-type members; they are ignored
-        return qa.Entities(frozenset(json_field(obj, "members", list)))
+        return qa.Entities(frozenset(_entity_ids(obj, "members", store)))
     if kind == "counts":
-        return qa.Counts(tuple((ty, n) for ty, n in json_field(obj, "counts", list)))
+        counts = json_field(obj, "counts", list)
+        n_types = store.n_types if store is not None else inf
+        for e in counts:
+            if not (type(e) is list and len(e) == 2 and (e[0] is None or _is_id(e[0], n_types)) and _is_id(e[1], inf)):
+                raise ValueError(f"field 'counts' must hold [type id or null, count >= 0] pairs, got {e!r}")
+        return qa.Counts(tuple(map(tuple, counts)))
     if kind == "booleans":
-        return qa.Booleans(tuple(bool(v) for v in json_field(obj, "values", list)))
+        values = json_field(obj, "values", list)
+        for v in values:
+            if type(v) is not bool:
+                raise ValueError(f"field 'values' must hold booleans, got {v!r}")
+        return qa.Booleans(tuple(values))
     raise PipelineError(f"unknown answer kind {kind!r}")
+
+
+def _entity_ids(record: dict, name: str, store: KgStore | None) -> list[int]:
+    ids = json_field(record, name, list)
+    bound = store.n_entities if store is not None else inf
+    for e in ids:  # _is_id inlined: an answer can hold hundreds of members
+        if type(e) is not int or not 0 <= e < bound:
+            raise ValueError(f"field {name!r} must hold entity ids, got {e!r}")
+    return ids
+
+
+def _is_id(value, bound: float) -> bool:
+    """Whether ``value`` is an int (not a bool) in ``[0, bound)``."""
+    return type(value) is int and 0 <= value < bound
 
 
 def dialog_to_obj(dialog: Dialog, store: KgStore) -> dict:
@@ -245,9 +271,9 @@ def _turn_from_obj(t: dict, store: KgStore, plans: dict[str, qa.QueryPlan]) -> d
         speaker=json_field(t, "speaker", str),
         state=dm.TurnState(json_field(t, "state", str)),
         utterance=json_field(t, "utterance", str),
-        entities=tuple(json_field(t, "entities", list)),
+        entities=tuple(_entity_ids(t, "entities", store)),
         plan=plans[text] if text else None,
-        answer=answer_from_obj(json_field(t, "answer", dict, NoneType)),
+        answer=answer_from_obj(json_field(t, "answer", dict, NoneType), store),
     )
 
 

@@ -12,8 +12,9 @@ keeps its labels, keywords, numbers and slot markers (``⟨entity:1⟩``) as
 written; symbolic plans are what question templates store and rewrite, and
 ``bind`` resolves them against a store.  ``parse_plan`` resolves each atom
 against the store as it reads it, so ``parse_plan(text, store)`` equals
-``bind(parse_symbolic(text), store)`` without the copy.  Both keep the
-plan's walk (``query_algebra.plan_atoms``) as they build the nodes.
+``bind(parse_symbolic(text), store)`` without the copy.  Each plan node
+records its own walk (``query_algebra.plan_atoms``) as it is built, so the
+parser keeps none.
 ``parse_plan(print_plan(p, store), store) == p`` holds for every plan.
 """
 
@@ -107,8 +108,7 @@ class _Parser:
     """Reads one plan text.  With ``resolve``, each atom becomes
     ``resolve(kind, atom)`` as it is read; the first resolution error is kept
     and raised only once the text has parsed, so a syntax fault is reported
-    first.  Either way the parser records the plan's walk: its atom kinds and
-    values, and its nodes in tree order."""
+    first."""
 
     def __init__(self, text: str, resolve=None):
         self.tokens = [*_tokenize(text), _END]
@@ -116,9 +116,6 @@ class _Parser:
         self.text = text
         self.resolve = resolve
         self.error: Exception | None = None
-        self.kinds: list[str] = []
-        self.values: list = []
-        self.nodes: list = []
 
     def take(self, kind: str | None = None) -> tuple[str, str]:
         tok = self.tokens[self.pos]
@@ -135,10 +132,7 @@ class _Parser:
             raise PlanTextError(f"unknown plan node {name!r} in {self.text!r}")
         self.take("(")
         row = _NODES[name][1]
-        at = len(self.nodes)
-        self.nodes.append(None)  # a node goes before its subtrees
-        self.nodes[at] = node = _build(name, self.parse_list(self.parse_arg, row.kinds, row.fields[-1].many))
-        return node
+        return _build(name, self.parse_list(self.parse_arg, row.kinds, row.fields[-1].many))
 
     def parse_list(self, parse_item, kinds: tuple[str, ...], many: bool) -> list:
         """Comma-separated items up to a closing parenthesis, which it takes;
@@ -176,14 +170,11 @@ class _Parser:
             atom = int(value) if _INT.fullmatch(value) else value
         else:
             raise PlanTextError(f"unexpected token {value!r} in {self.text!r}")
-        if kind in _ATOM_KINDS:  # else the node check in _build fails
-            if self.resolve is not None:
-                try:
-                    atom = self.resolve(kind, atom)
-                except _RESOLVE_ERRORS as exc:
-                    self.error = self.error or exc
-            self.kinds.append(kind)
-            self.values.append(atom)
+        if kind in _ATOM_KINDS and self.resolve is not None:  # else the node check in _build fails
+            try:
+                atom = self.resolve(kind, atom)
+            except _RESOLVE_ERRORS as exc:
+                self.error = self.error or exc
         return atom
 
 
@@ -223,7 +214,7 @@ def _parse(text: str, resolve=None) -> qa.QueryPlan:
         raise PlanTextError(f"{qa.NODES[type(plan)].name} is not a top-level plan")
     if parser.error is not None:
         raise parser.error
-    return qa.keep_walk(plan, parser.kinds, parser.values, parser.nodes)
+    return plan
 
 
 def parse_symbolic(text: str) -> qa.QueryPlan:

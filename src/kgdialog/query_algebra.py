@@ -14,14 +14,15 @@ share validation, the set-expression recursion and the grouped
 post-processing.
 
 The node table ``NODES`` gives each plan class's node name and field kinds;
-plan text, validation and the one atom traversal (``plan_atoms``, and
-``map_atoms`` for copies) read it and name no field by hand.  ``COUNTING``
-pairs each entity-answer class with its counting twin.
+plan text, validation and every node's walk (``plan_atoms``, kept as the
+node is built) read it and name no field by hand.  ``COUNTING`` pairs each
+entity-answer class with its counting twin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from math import inf
 from operator import and_, attrgetter, or_, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Union as TUnion, get_args
 
@@ -43,12 +44,45 @@ class PlanError(ValueError):
 
 
 class PlanNode:
-    """Base of the plan classes.  Its slots keep, on a plan's root, the
-    tree's walk (see ``_walked``) and the store the whole plan last passed
-    ``_validate_plan`` against; a dict entry would slow every attribute
-    read."""
+    """Base of the plan classes.  Its slots keep the node's walk, recorded
+    when it is built from its own atoms and its children's walks, and, on a
+    plan's root, the store the whole plan last passed ``_validate_plan``
+    against; a dict entry would slow every attribute read."""
 
     __slots__ = ("_walked", "_valid_for")
+
+    def __post_init__(self):
+        row = NODES[type(self)]
+        if row.atoms is not None:
+            _set_walked(self, (row.kinds, row.atoms(self), ()))
+            return
+        kinds, values, nodes = (), (), ()
+        for name, kind, accepts, many in row.fields:
+            value = getattr(self, name)
+            if many and not value:
+                raise PlanError(f"{row.name} needs at least one entry in {name!r}")
+            if kind == "node":
+                for child in value if many else (value,):
+                    if type(child) not in accepts:
+                        raise PlanError(f"{row.name} cannot hold {type(child).__name__} in {name!r}")
+                    child_kinds, child_values, below = child._walked
+                    kinds += child_kinds
+                    values += child_values
+                    nodes += (child, *below)
+            elif kind == "fact":
+                for fact in value:
+                    if len(fact) != 3:
+                        raise PlanError(f"{row.name} needs (relation, subject, object) facts in {name!r}")
+                    kinds += FACT_KINDS
+                    values += fact
+            else:
+                items = value if many else (value,)
+                kinds += (kind,) * len(items)
+                values += items
+        _set_walked(self, (kinds, values, nodes))
+
+
+_set_walked = PlanNode._walked.__set__  # the slot's own setter, past a frozen class's __setattr__
 
 
 # -- set expressions ----------------------------------------------------------
@@ -295,17 +329,12 @@ def approx_window(n: int) -> tuple[int, int]:
     return max(0, n - delta), n + delta
 
 
-def _comparator_ok(comparator: str, count: int, n: int) -> bool:
-    if comparator == "atleast":
-        return count >= n
-    if comparator == "atmost":
-        return count <= n
-    if comparator == "equal":
-        return count == n
+def _count_window(comparator: str, n: int) -> tuple[int, float]:
+    """The inclusive interval of counts that a validated ``comparator`` keeps
+    against ``n``."""
     if comparator == "approx":
-        lo, hi = approx_window(n)
-        return lo <= count <= hi
-    raise PlanError(f"unknown comparator {comparator!r}")
+        return approx_window(n)
+    return {"atleast": (n, inf), "atmost": (0, n), "equal": (n, n)}[comparator]
 
 
 # -- validation shared by both entry points ---------------------------------------
@@ -411,16 +440,15 @@ def _evaluate(store, plan, reach, holds, counts_of, include_zero_groups) -> Answ
     else:
         counts = counts_of(store, plan.group, include_zero_groups)
         if kind is ArgOpt:
-            best = (max if plan.direction == "max" else min)(counts.values(), default=None)
-            members = {g for g, c in counts.items() if c == best}
+            lo = hi = (max if plan.direction == "max" else min)(counts.values(), default=None)
         elif kind in (ThresholdFilter, CountOverThreshold):
-            members = {g for g, c in counts.items() if _comparator_ok(plan.comparator, c, plan.n)}
+            lo, hi = _count_window(plan.comparator, plan.n)
         else:
-            # the reference count is computed over the same counted legs even
-            # when the reference is not itself of the group type
+            # the reference's count, over the group's legs even when it is not
+            # of the group type; the strict bounds leave the reference out
             ref = entity_group_count(store, plan.group, plan.reference, reach)
-            more = plan.direction == "more"
-            members = {g for g, c in counts.items() if (c > ref if more else c < ref) and g != plan.reference}
+            lo, hi = (ref + 1, inf) if plan.direction == "more" else (0, ref - 1)
+        members = {g for g, c in counts.items() if lo <= c <= hi}
     if kind in COUNTING.values():
         return Counts(((None, len(members)),))
     return Entities(frozenset(members))
@@ -557,94 +585,44 @@ def _reach_tuples(store: KgStore, relation: int, direction: str, anchor: int, ty
 # -- plan walkers -----------------------------------------------------------------
 
 
-def _walk(node, row: Row, kinds: list, values: list, nodes: list, fn=None):
-    """Append every atom of a plan tree to ``kinds`` and ``values`` in print
-    order (a fact as three atoms), and every node to ``nodes``, a node before
-    its subtrees; raise PlanError where the tree breaks the table.  With
-    ``fn``, return a copy with every atom replaced by ``fn(kind, atom)``, and
-    append the copy's atoms and nodes instead."""
-    if row.atoms is not None:
-        atoms = row.atoms(node)
-        if fn is not None:
-            atoms = tuple(map(fn, row.kinds, atoms))
-            node = type(node)(*atoms)
-        kinds += row.kinds
-        values += atoms
-        nodes.append(node)
-        return node
-    at = len(nodes)
-    nodes.append(node)
-    copy = []
-    for name, kind, accepts, many in row.fields:
-        value = getattr(node, name)
-        if many and not value:
-            raise PlanError(f"{row.name} needs at least one entry in {name!r}")
-        items = value if many else (value,)
-        if kind == "node":
-            out = []
-            for child in items:
-                if type(child) not in accepts:
-                    raise PlanError(f"{row.name} cannot hold {type(child).__name__} in {name!r}")
-                out.append(_walk(child, NODES[type(child)], kinds, values, nodes, fn))
-            items = out
-        elif kind == "fact":
-            if fn is not None:
-                items = [Tuple(*map(fn, FACT_KINDS, fact)) for fact in items]
-            for fact in items:
-                kinds += FACT_KINDS
-                values += fact
-        else:
-            if fn is not None:
-                items = [fn(kind, v) for v in items] if many else (fn(kind, value),)
-            kinds += (kind,) * len(items)
-            values += items
-        if fn is not None:
-            copy.append(tuple(items) if many else items[0])
-    if fn is not None:
-        nodes[at] = node = type(node)(*copy)
-    return node
-
-
-def _walked(plan, fn=None):
-    """``_walk`` a plan tree and keep the walk on the tree it returns, which
-    several walkers read between its binding and its provenance.  The root
-    is left out of the nodes kept, so that it holds no cycle to itself."""
-    if type(plan) not in NODES:
-        raise PlanError(f"unknown plan node {type(plan).__name__}")
-    kinds, values, nodes = [], [], []
-    return keep_walk(_walk(plan, NODES[type(plan)], kinds, values, nodes, fn), kinds, values, nodes)
-
-
-def keep_walk(plan, kinds: list, values: list, nodes: list):
-    """Keep on ``plan`` the walk ``_walk`` would make of it, given as its
-    atom kinds, atom values and nodes (``plan`` first); returns ``plan``."""
-    object.__setattr__(plan, "_walked", (tuple(kinds), tuple(values), tuple(nodes[1:])))
-    return plan
-
-
-def _parts(plan) -> tuple[tuple, tuple, tuple]:
-    """The atom kinds and atom values of a plan tree, and the nodes below its
-    root, in tree order."""
-    parts = getattr(plan, "_walked", None)
-    return parts if parts is not None else _walked(plan)._walked
+def _walk_of(node) -> tuple[tuple, tuple, tuple]:
+    try:
+        return node._walked
+    except AttributeError:
+        raise PlanError(f"unknown plan node {type(node).__name__}") from None
 
 
 def plan_atoms(plan) -> Iterator[tuple[str, object]]:
     """Every atom of a plan (or of any node in one) as (kind, value), in
     tree order."""
-    kinds, values, _ = _parts(plan)
+    kinds, values, _ = _walk_of(plan)
     return zip(kinds, values)
 
 
 def plan_nodes(plan) -> tuple:
     """Every node of a plan (or of any node in one), in tree order."""
-    return (plan, *_parts(plan)[2])
+    return (plan, *_walk_of(plan)[2])
 
 
 def map_atoms(plan, fn: Callable[[str, object], object]):
     """A copy of a plan tree (or of any node in one) with every atom replaced
-    by ``fn(kind, atom)``; facts become store tuples."""
-    return _walked(plan, fn)
+    by ``fn(kind, atom)``, called in tree order; facts become store tuples.
+    Each copied node records its walk as it is built."""
+    row = NODES.get(type(plan))
+    if row is None:
+        raise PlanError(f"unknown plan node {type(plan).__name__}")
+    if row.atoms is not None:
+        return type(plan)(*map(fn, row.kinds, row.atoms(plan)))
+    args = []
+    for name, kind, _, many in row.fields:
+        value = getattr(plan, name)
+        if kind == "fact":
+            args.append(tuple([Tuple(*map(fn, FACT_KINDS, fact)) for fact in value]))
+        elif kind == "node":
+            args.append(tuple([map_atoms(child, fn) for child in value]) if many else map_atoms(value, fn))
+        else:
+            args.append(tuple([fn(kind, v) for v in value]) if many else fn(kind, value))
+    return type(plan)(*args)
 
 
 def plan_lookups(plan: QueryPlan) -> list[Lookup]:

@@ -265,9 +265,9 @@ def test_embed_prints_filtered_ranks_on_both_sides(store, tmp_path, capsys):
     assert code == 0
     assert out_text.splitlines()[1:] == [
         "ranks on the training tuples (they show fit, not prediction):",
-        "object side: mean rank 4.88 (random 5.50), hits@10 1.000, "
+        "object side: mean rank 4.88 (random 5.50), hits@10 1.000 (random 1.000), "
         "filtered mean rank 4.38, filtered hits@10 1.000",
-        "subject side: mean rank 5.12 (random 5.50), hits@10 1.000, "
+        "subject side: mean rank 5.12 (random 5.50), hits@10 1.000 (random 1.000), "
         "filtered mean rank 5.00, filtered hits@10 1.000",
     ]
     init = kg_embed.init_table(store.n_entities, store.n_relations, kg_embed.TrainConfig(dim=8, seed=3))
@@ -652,6 +652,84 @@ def test_eval_record_with_non_list_members_names_the_line_and_field(tmp_path, ca
     )
     code, _, err = run(capsys, "eval", "--records", str(records))
     assert_one_error_line(code, err, f"{records}:2", "field 'members' must be list, got int")
+
+
+@pytest.mark.parametrize(
+    "gold, predicted, shown",
+    [
+        (
+            {"kind": "booleans", "values": [False]},
+            {"kind": "booleans", "values": ["false"]},
+            "field 'values' must hold booleans, got 'false'",
+        ),
+        (
+            {"kind": "booleans", "values": [0]},
+            {"kind": "booleans", "values": [False]},
+            "field 'values' must hold booleans, got 0",
+        ),
+        (
+            {"kind": "entities", "members": [1]},
+            {"kind": "entities", "members": ["Ganga", 1.5]},
+            "field 'members' must hold entity ids, got 'Ganga'",
+        ),
+        (
+            {"kind": "entities", "members": [1]},
+            {"kind": "entities", "members": [1.5]},
+            "field 'members' must hold entity ids, got 1.5",
+        ),
+        (
+            {"kind": "entities", "members": [True]},
+            {"kind": "entities", "members": [1]},
+            "field 'members' must hold entity ids, got True",
+        ),
+        (
+            {"kind": "counts", "counts": [[None, 3]]},
+            {"kind": "counts", "counts": [[None]]},
+            "field 'counts' must hold [type id or null, count >= 0] pairs, got [None]",
+        ),
+        (
+            {"kind": "counts", "counts": [[None, 3]]},
+            {"kind": "counts", "counts": [[None, -1]]},
+            "field 'counts' must hold [type id or null, count >= 0] pairs, got [None, -1]",
+        ),
+    ],
+)
+def test_eval_record_with_a_mistyped_answer_value_names_the_line_and_field(
+    gold, predicted, shown, tmp_path, capsys
+):
+    records = tmp_path / "records.jsonl"
+    answer = {"kind": "entities", "members": [1]}
+    good = {"question_type": "Simple Question (Direct)", "gold": answer, "predicted": answer}
+    bad = {**good, "gold": gold, "predicted": predicted}
+    records.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    code, _, err = run(capsys, "eval", "--records", str(records))
+    assert_one_error_line(code, err, f"{records}:2", shown)
+
+
+@pytest.mark.parametrize(
+    "turn_fields, shown",
+    [
+        ({"entities": ["Ganga"]}, "field 'entities' must hold entity ids, got 'Ganga'"),
+        ({"entities": [99999]}, "field 'entities' must hold entity ids, got 99999"),
+        ({"answer": {"kind": "entities", "members": [99999]}}, "field 'members' must hold entity ids, got 99999"),
+        ({"answer": {"kind": "counts", "counts": [[99999, 1]]}}, "got [99999, 1]"),
+    ],
+)
+@pytest.mark.parametrize("command", sorted(CORPUS_READERS))
+def test_corpus_turn_with_a_bad_id_names_the_line_and_field(command, turn_fields, shown, tmp_path, capsys):
+    turn = {
+        "speaker": "system",
+        "state": "SimpleQ",
+        "utterance": "Ganga",
+        "entities": [],
+        "plan": None,
+        "answer": None,
+        **turn_fields,
+    }
+    bad_line = json.dumps({"dialog_id": "x", "seed": 1, "turns": [turn]})
+    corpus = corpus_with_bad_third_line(tmp_path, capsys, bad_line)
+    code, _, err = run(capsys, *CORPUS_READERS[command](corpus, tmp_path))
+    assert_one_error_line(code, err, f"{corpus}:3", shown)
 
 
 def test_template_error_names_the_line_once(tmp_path, capsys):

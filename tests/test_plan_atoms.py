@@ -12,6 +12,7 @@ import pytest
 
 from conftest import REPO, make_random_store
 from kgdialog import dataset_pipeline as dp, plan_text, query_algebra as qa, templates as tpl
+from kgdialog.kg_store import Tuple
 from kgdialog.plan_text import Slot
 from test_query_algebra import random_plan
 
@@ -95,6 +96,31 @@ def ref_slots_of(plan):
     return frozenset(out)
 
 
+def ref_nodes(node):
+    """The node and every node below it, a node before its subtrees."""
+    out = [node]
+    for f in qa.NODES[type(node)].fields:
+        if f.kind == "node":
+            for child in getattr(node, f.name) if f.many else (getattr(node, f.name),):
+                out += ref_nodes(child)
+    return out
+
+
+def ref_atoms(node):
+    """(kind, value) of every atom under the node, in print order."""
+    out = []
+    for f in qa.NODES[type(node)].fields:
+        value = getattr(node, f.name)
+        for item in value if f.many else (value,):
+            if f.kind == "node":
+                out += ref_atoms(item)
+            elif f.kind == "fact":
+                out += zip(qa.FACT_KINDS, item)
+            else:
+                out.append((f.kind, item))
+    return out
+
+
 def ref_rewrite_atoms(plan, fn):
     def walk(n):
         if isinstance(n, tuple):
@@ -146,7 +172,17 @@ def assert_walkers_agree(store, plans):
         assert qa.plan_peer_types(plan) == ref_plan_peer_types(plan), plan
         symbolic = slotted(plan, store, rng)
         assert plan_text.slots_of(symbolic) == ref_slots_of(symbolic), symbolic
-        assert plan_text.rewrite_atoms(symbolic, rename) == ref_rewrite_atoms(symbolic, rename)
+        renamed = plan_text.rewrite_atoms(symbolic, rename)
+        assert renamed == ref_rewrite_atoms(symbolic, rename)
+        for tree in (plan, symbolic, renamed):
+            assert_every_node_keeps_its_walk(tree)
+
+
+def assert_every_node_keeps_its_walk(plan):
+    """Every node of the tree, not just its root, gives the reference walk."""
+    for node in ref_nodes(plan):
+        assert list(qa.plan_atoms(node)) == ref_atoms(node), node
+        assert list(map(id, qa.plan_nodes(node))) == list(map(id, ref_nodes(node))), node
 
 
 def rename(atom):
@@ -176,6 +212,22 @@ def test_plan_atoms_come_in_tree_order(ids):
     ]
     fact = (ids["capital"], ids["India"], ids["China"])
     assert list(qa.plan_atoms(qa.Verify((fact,)))) == list(zip(qa.FACT_KINDS, fact))
+
+
+def test_a_node_that_breaks_the_table_fails_when_built(ids):
+    fact = (ids["capital"], ids["India"], ids["China"])
+    with pytest.raises(qa.PlanError, match="Retrieve cannot hold Verify in 'expr'"):
+        qa.Retrieve(qa.Verify((fact,)))
+    with pytest.raises(qa.PlanError, match="TypeUnion needs at least one entry in 'branches'"):
+        qa.TypeUnion(())
+    with pytest.raises(qa.PlanError, match=r"Verify needs \(relation, subject, object\) facts in 'facts'"):
+        qa.Verify((fact, fact[:2]))
+
+
+def test_the_walkers_name_a_non_node(ids):
+    for walker in (qa.plan_atoms, qa.plan_nodes, lambda x: qa.map_atoms(x, lambda kind, v: v)):
+        with pytest.raises(qa.PlanError, match="unknown plan node Tuple"):
+            walker(Tuple(ids["capital"], ids["India"], ids["China"]))
 
 
 def test_map_atoms_copies_the_tree(ids):

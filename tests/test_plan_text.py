@@ -357,10 +357,10 @@ def test_one_pass_parse_equals_bind_over_a_graphgen_corpus(templates, monkeypatc
 
 
 def test_one_pass_parse_walks_no_copy(store, monkeypatch):
-    def no_walk(*args):
-        raise AssertionError("parse_plan walked the plan again")
+    def no_copy(*args):
+        raise AssertionError("parse_plan copied the plan")
 
-    monkeypatch.setattr(qa, "_walk", no_walk)
+    monkeypatch.setattr(qa, "map_atoms", no_copy)
     plan = plan_text.parse_plan(CASES[6], store)
     assert [v for _, v in qa.plan_atoms(plan)][-2:] == ["atleast", 2]
     assert [type(n) for n in qa.plan_nodes(plan)] == [qa.ThresholdFilter, qa.GroupSpec, qa.Counted]

@@ -443,6 +443,72 @@ def test_grouped_plans_match_uncached_results_cold_and_warm(seed):
                 assert qa.plan_tuples(s, plan) == _bf_plan_tuples(s, plan), (run, plan)
 
 
+def _defined_counts(store, group, include_zero):
+    """Each group member's count, straight from the definition: the distinct
+    entities of a leg's counted type that a raw tuple links it to."""
+    counts = {}
+    for g in range(store.n_entities):
+        if group.group_type not in store.entity_types.get(g, ()):
+            continue
+        n = _defined_count(store, group, g)
+        if n or include_zero:
+            counts[g] = n
+    return counts
+
+
+def _defined_count(store, group, g):
+    reached = set()
+    for c in group.counted:
+        for t in store.tuples:
+            at, other = (t.subject, t.object) if c.direction == qa.OBJ else (t.object, t.subject)
+            if t.relation == c.relation and at == g and c.counted_type in store.entity_types.get(other, ()):
+                reached.add(other)
+    return len(reached)
+
+
+_KEEPS = {
+    "atleast": lambda c, n: c >= n,
+    "atmost": lambda c, n: c <= n,
+    "equal": lambda c, n: c == n,
+    "approx": lambda c, n: abs(c - n) <= max(1, round(0.1 * n)),
+}
+
+
+@pytest.mark.parametrize(
+    "seed, n_tuples, n_entities",
+    # sparse stores, and dense ones whose counts pass 15, where the approx
+    # window is wider than n +- 1
+    [(seed, 300, None) for seed in range(4)] + [(seed, 1200, 16) for seed in range(2)],
+)
+def test_grouped_kinds_keep_the_members_their_definitions_name(seed, n_tuples, n_entities):
+    s = make_random_store(seed, n_tuples=n_tuples, n_relations=3, n_types=3, n_entities=n_entities)
+    for group in _groups():
+        inside = [e for e in range(s.n_entities) if s.has_type(e, group.group_type)]
+        outside = [e for e in range(s.n_entities) if not s.has_type(e, group.group_type)]
+        assert inside and outside
+        for include_zero in (True, False):
+            counts = _defined_counts(s, group, include_zero)
+            expected = []
+            for direction, best in (("max", max), ("min", min)):
+                top = best(counts.values(), default=None)
+                expected.append((qa.ArgOpt(group, direction), {g for g, c in counts.items() if c == top}))
+            for comparator, keeps in _KEEPS.items():
+                for n in range(max(counts.values(), default=0) + 3):
+                    kept = {g for g, c in counts.items() if keeps(c, n)}
+                    expected.append((qa.ThresholdFilter(group, comparator, n), kept))
+                    expected.append((qa.CountOverThreshold(group, comparator, n), len(kept)))
+            for ref in inside[:3] + outside[:3]:
+                ref_count = _defined_count(s, group, ref)
+                for direction, beats in (("more", int.__gt__), ("less", int.__lt__)):
+                    kept = {g for g, c in counts.items() if beats(c, ref_count) and g != ref}
+                    expected.append((qa.Comparative(group, ref, direction), kept))
+                    expected.append((qa.CountOverComparative(group, ref, direction), len(kept)))
+            for plan, want in expected:
+                want = qa.Counts(((None, want),)) if isinstance(want, int) else qa.Entities(frozenset(want))
+                for evaluate in (qa.execute, qa.brute_force_execute):
+                    assert evaluate(s, plan, include_zero) == want, (evaluate.__name__, plan, include_zero)
+
+
 def test_comparative_provenance_adds_an_outside_reference():
     s = make_random_store(1, n_tuples=400, n_relations=3, n_types=3)
     group = _groups()[0]

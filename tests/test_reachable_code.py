@@ -21,7 +21,6 @@ BENCH = REPO / "bench"
 # a use fails the test below until it is taken off.
 ALLOWED_UNUSED = {
     "kg_embed.load_embeddings": "ROADMAP 10",
-    "kg_embed.random_baseline_hits_at_k": "ROADMAP 19",
     "templates.transform_add_type": "ROADMAP 9",
     "templates.transform_multi_relation": "ROADMAP 9",
 }
