@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from . import query_algebra as qa, templates as tpl
+from . import plan_text, query_algebra as qa, templates as tpl
 from .config import RunConfig
 from .kg_store import KgStore
 from .text import number_words, pluralize
@@ -612,17 +612,17 @@ def _build_ellipsis(store, templates, context, rng, config):
     return _first(rng, [(None, store.sorted_members(ty))], attempt)
 
 
-def _first_derived(store, context, rng, config, state, segments, derive, bindings):
-    """The first question, asked under ``bindings``, that ``derive(key,
-    member)`` makes from the last retrieve template over the segments'
-    candidates in uniformly random order.  ``derive`` returns None to skip
-    a candidate; a derivation the template does not admit ends the search
-    with None."""
+def _first_derived(store, context, rng, config, state, segments, derive):
+    """The first question that ``derive(key, member)`` makes from the last
+    retrieve template over the segments' candidates in uniformly random
+    order: a derived template and the bindings to ask it under, or None to
+    skip the candidate.  A derivation the template does not admit ends the
+    search with None."""
     base = context.last_retrieve_template
 
     def attempt(key, member):
         derived = derive(key, member)
-        return None if derived is None else _ask(store, state, derived, bindings, config, base)
+        return None if derived is None else _ask(store, state, *derived, config, base)
 
     try:
         return _first(rng, segments, attempt)
@@ -638,19 +638,20 @@ def _build_logical(store, templates, context, rng, config):
         return None
     members = store.sorted_members(ty)
     segments = [(op, members) for op in ("and", "or", "but_not")]
+    anchor_slot, extra_slot = base.anchor_slot(), tpl.extra_anchor_slot(base)
 
     def derive(op, extra):
-        return None if extra == anchor else tpl.transform_logical(base, op, extra)
+        if extra == anchor:
+            return None
+        return tpl.derived(base, tpl.transform_logical, op), {anchor_slot: anchor, extra_slot: extra}
 
-    state = TurnState.LOGICAL_Q
-    bindings = {base.anchor_slot(): anchor}
-    return _first_derived(store, context, rng, config, state, segments, derive, bindings)
+    return _first_derived(store, context, rng, config, TurnState.LOGICAL_Q, segments, derive)
 
 
 def _build_count(store, templates, context, rng, config):
     base = context.last_retrieve_template
     try:
-        derived = tpl.transform_to_count(base)
+        derived = tpl.derived(base, tpl.transform_to_count)
     except tpl.TemplateError:
         return None
 
@@ -673,11 +674,28 @@ def _build_argopt(store, templates, context, rng, config):
     base = context.last_retrieve_template
     direction = rng.choice(["max", "min"])
     try:
-        derived = tpl.transform_argopt(base, direction)
+        derived = tpl.derived(base, tpl.transform_argopt, direction)
     except tpl.TemplateError:
         return None
     state = TurnState.QUANTITATIVE_ARGOPT_Q
     return _ask(store, state, derived, {}, config, base)
+
+
+def _store_group(store, base):
+    """The store group that ``base``'s grouped forms count over, or None
+    when it does not resolve (their derivation or instantiation then fails
+    on its own)."""
+    try:
+        return plan_text.bind(tpl.derived(base, tpl.group_schema), store, base.fixed)
+    except ValueError:
+        return None
+
+
+def _fits(store, plan, config) -> bool:
+    """Whether the entity answer of a grouped plan has a size that
+    ``instantiate`` accepts: not empty and below ``answer_cap``.  The size
+    takes two bisections; no answer is built."""
+    return 0 < qa.answer_size(store, plan, config.include_zero_groups) < config.answer_cap
 
 
 _THRESHOLD_NS = (1, 2, 3, 4)
@@ -686,35 +704,45 @@ _THRESHOLD_NS = (1, 2, 3, 4)
 def _build_threshold(store, templates, context, rng, config):
     base = context.last_retrieve_template
     counting = rng.random() < 0.5
+    group = None if counting else _store_group(store, base)
 
     def derive(cmp_, n):
-        derived = tpl.transform_threshold(base, cmp_, n)
-        return tpl.transform_to_count(derived) if counting else derived
+        derived = tpl.derived(base, tpl.transform_threshold, cmp_, n)
+        if counting:
+            return tpl.derived(derived, tpl.transform_to_count), {}
+        if group is not None and not _fits(store, qa.ThresholdFilter(group, cmp_, n), config):
+            return None
+        return derived, {}
 
     segments = [(cmp_, _THRESHOLD_NS) for cmp_ in qa.COMPARATORS]
     state = TurnState.QUANTITATIVE_THRESHOLD_Q
-    return _first_derived(store, context, rng, config, state, segments, derive, {})
+    return _first_derived(store, context, rng, config, state, segments, derive)
 
 
 def _build_comparative(store, templates, context, rng, config):
     base = context.last_retrieve_template
     counting = rng.random() < 0.5
     try:
-        probe = tpl.transform_comparative(base, "more", 0)
+        more = tpl.derived(base, tpl.transform_comparative, "more")
     except tpl.TemplateError:
         return None
-    group_ty = tpl.slot_expected_type(store, probe, "entity:ref")
+    group_ty = tpl.slot_expected_type(store, more, tpl.REFERENCE_SLOT)
     if group_ty is None:
         return None
     state = TurnState.COMPARATIVE_COUNT_Q if counting else TurnState.COMPARATIVE_Q
+    group = None if counting else _store_group(store, base)
 
     def derive(direction, ref):
-        derived = tpl.transform_comparative(base, direction, ref)
-        return tpl.transform_to_count(derived) if counting else derived
+        derived = tpl.derived(base, tpl.transform_comparative, direction)
+        if counting:
+            return tpl.derived(derived, tpl.transform_to_count), {tpl.REFERENCE_SLOT: ref}
+        if group is not None and not _fits(store, qa.Comparative(group, ref, direction), config):
+            return None
+        return derived, {tpl.REFERENCE_SLOT: ref}
 
     refs = store.sorted_members(group_ty)
     segments = [(d, refs) for d in qa.CMP_DIRECTIONS]
-    return _first_derived(store, context, rng, config, state, segments, derive, {})
+    return _first_derived(store, context, rng, config, state, segments, derive)
 
 
 def _build_boolean(store, templates, context, rng, config):

@@ -13,6 +13,14 @@ touching no index, and serves as the oracle in equivalence tests.  Both
 share validation, the set-expression recursion and the grouped
 post-processing.
 
+A grouped plan keeps the members of its group whose count lies in one
+inclusive interval.  ``execute`` reads them off the group's count table: the
+members sorted by (count, id) with their counts as a parallel tuple, built
+once per store, group and ``include_zero`` and kept in ``KgStore.derived``.
+An interval's members are the slice between two bisections, so a grouped
+answer's size (``answer_size``) is known without building it.  The oracle
+scans its own {member: count} dict instead.
+
 The node table ``NODES`` gives each plan class's node name and field kinds;
 plan text, validation and every node's walk (``plan_atoms``, kept as the
 node is built) read it and name no field by hand.  ``COUNTING`` pairs each
@@ -21,6 +29,7 @@ entity-answer class with its counting twin.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from math import inf
 from operator import and_, attrgetter, or_, sub
@@ -397,10 +406,11 @@ def _result_types(expr: SetExpr, store: KgStore) -> frozenset:
 #   reach(store, relation, direction, anchor, type) -> entities of ``type``
 #       reached from ``anchor`` over ``relation`` in ``direction``;
 #   holds(store, fact) -> whether the fact is a store tuple;
-#   counts_of(store, group, include_zero) -> {group member: count}.
-# ``execute`` passes index-backed ones; ``brute_force_execute`` passes
-# scans of the raw tuple set and the raw entity->types mapping, which
-# touch no index and no cached value.
+#   counts_of(store, group, include_zero) -> the group's counts, as a table
+#       with ``extreme(direction)`` and ``window(lo, hi)``.
+# ``execute`` passes index-backed ones and the cached count table;
+# ``brute_force_execute`` passes scans of the raw tuple set and the raw
+# entity->types mapping, which touch no index and no cached value.
 
 
 def execute(store: KgStore, plan: QueryPlan, include_zero_groups: bool = True) -> AnswerSet:
@@ -411,7 +421,7 @@ def execute(store: KgStore, plan: QueryPlan, include_zero_groups: bool = True) -
     type with no counted tuples participate in grouped plans with count 0.
     """
     _validate_once(store, plan)
-    return _evaluate(store, plan, _indexed_reach, _indexed_holds, group_counts, include_zero_groups)
+    return _evaluate(store, plan, _indexed_reach, _indexed_holds, _count_table, include_zero_groups)
 
 
 def brute_force_execute(
@@ -426,6 +436,17 @@ def brute_force_execute(
     return _evaluate(store, plan, _scan_reach, _scan_holds, _scan_group_counts, include_zero_groups)
 
 
+def answer_size(store: KgStore, plan: QueryPlan, include_zero_groups: bool = True) -> int:
+    """How many members a grouped plan answers with (the count its counting
+    twin gives), from two bisections of the group's count table, without
+    building the members."""
+    _validate_once(store, plan)
+    if type(plan) in (Retrieve, Count, Verify):
+        raise PlanError(f"{type(plan).__name__} is not a grouped plan")
+    table = _count_table(store, plan.group, include_zero_groups)
+    return table.size(*_interval(store, plan, table, _indexed_reach))
+
+
 def _evaluate(store, plan, reach, holds, counts_of, include_zero_groups) -> AnswerSet:
     """Each plan kind computes its members; a counting kind answers with
     their number, every other kind with the members."""
@@ -438,20 +459,27 @@ def _evaluate(store, plan, reach, holds, counts_of, include_zero_groups) -> Answ
     if kind in (Retrieve, Count):
         members = _eval_expr(store, plan.expr, reach)
     else:
-        counts = counts_of(store, plan.group, include_zero_groups)
-        if kind is ArgOpt:
-            lo = hi = (max if plan.direction == "max" else min)(counts.values(), default=None)
-        elif kind in (ThresholdFilter, CountOverThreshold):
-            lo, hi = _count_window(plan.comparator, plan.n)
-        else:
-            # the reference's count, over the group's legs even when it is not
-            # of the group type; the strict bounds leave the reference out
-            ref = entity_group_count(store, plan.group, plan.reference, reach)
-            lo, hi = (ref + 1, inf) if plan.direction == "more" else (0, ref - 1)
-        members = {g for g, c in counts.items() if lo <= c <= hi}
+        table = counts_of(store, plan.group, include_zero_groups)
+        members = table.window(*_interval(store, plan, table, reach))
     if kind in COUNTING.values():
         return Counts(((None, len(members)),))
     return Entities(frozenset(members))
+
+
+def _interval(store: KgStore, plan: QueryPlan, table, reach) -> tuple:
+    """The inclusive interval of counts whose group members a grouped plan
+    keeps."""
+    kind = type(plan)
+    if kind is ArgOpt:
+        # an empty group has no extreme; (None, None) keeps nothing of it
+        best = table.extreme(plan.direction)
+        return best, best
+    if kind in (ThresholdFilter, CountOverThreshold):
+        return _count_window(plan.comparator, plan.n)
+    # the reference's count, over the group's legs even when it is not of
+    # the group type; the strict bounds leave the reference out
+    ref = entity_group_count(store, plan.group, plan.reference, reach)
+    return (ref + 1, inf) if plan.direction == "more" else (0, ref - 1)
 
 
 _SET_OPS = {Union: or_, Intersection: and_, Difference: sub}
@@ -494,9 +522,24 @@ def _scan_holds(store: KgStore, fact: Tuple) -> bool:
     return any(t == fact for t in store.tuples)
 
 
-def _scan_group_counts(store: KgStore, group: GroupSpec, include_zero: bool) -> dict[int, int]:
-    members = sorted(e for e, ts in store.entity_types.items() if group.group_type in ts)
-    return _member_counts(store, group, members, _scan_reach, include_zero)
+class _ScannedCounts(dict):
+    """The oracle's group counts, {member: count}; it answers each question
+    with a scan."""
+
+    def extreme(self, direction: str) -> int | None:
+        return (max if direction == "max" else min)(self.values(), default=None)
+
+    def window(self, lo, hi) -> set[int]:
+        return {g for g, c in self.items() if lo <= c <= hi}
+
+
+def _scan_group_counts(store: KgStore, group: GroupSpec, include_zero: bool) -> _ScannedCounts:
+    counts = _ScannedCounts()
+    for g in sorted(e for e, ts in store.entity_types.items() if group.group_type in ts):
+        n = entity_group_count(store, group, g, _scan_reach)
+        if n or include_zero:
+            counts[g] = n
+    return counts
 
 
 def entity_group_count(store: KgStore, group: GroupSpec, g: int, reach=_indexed_reach) -> int:
@@ -507,30 +550,55 @@ def entity_group_count(store: KgStore, group: GroupSpec, g: int, reach=_indexed_
     return len(reached)
 
 
-def _member_counts(store: KgStore, group: GroupSpec, members, reach, include_zero: bool) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for g in members:
-        n = entity_group_count(store, group, g, reach)
-        if n or include_zero:
-            counts[g] = n
-    return counts
+class CountTable(NamedTuple):
+    """A group's members sorted by (count, id), and their counts in a
+    parallel, ascending tuple.  The members whose count lies in an interval
+    are the slice between two bisections of ``counts``."""
+
+    members: tuple[int, ...]
+    counts: tuple[int, ...]
+
+    def extreme(self, direction: str) -> int | None:
+        """The largest count for "max", the smallest for "min"; None when
+        the table is empty."""
+        if not self.counts:
+            return None
+        return self.counts[-1] if direction == "max" else self.counts[0]
+
+    def window(self, lo, hi) -> tuple[int, ...]:
+        """The members whose count lies in ``[lo, hi]``."""
+        return self.members[bisect_left(self.counts, lo) : bisect_right(self.counts, hi)]
+
+    def size(self, lo, hi) -> int:
+        """How many members have a count in ``[lo, hi]``."""
+        return max(0, bisect_right(self.counts, hi) - bisect_left(self.counts, lo))
+
+
+def _count_table(store: KgStore, group: GroupSpec, include_zero: bool) -> CountTable:
+    """The group's count table, built once per store, group and
+    ``include_zero``; without the zeros it is a suffix of the full table."""
+
+    def build() -> CountTable:
+        if not include_zero:
+            full = _count_table(store, group, True)
+            start = bisect_right(full.counts, 0)
+            return CountTable(full.members[start:], full.counts[start:])
+        pairs = sorted((entity_group_count(store, group, g), g) for g in store.sorted_members(group.group_type))
+        return CountTable(tuple(g for _, g in pairs), tuple(n for n, _ in pairs))
+
+    return store.derived(("count_table", group, bool(include_zero)), build)
 
 
 def group_counts(store: KgStore, group: GroupSpec, include_zero: bool = True) -> dict[int, int]:
-    """Distinct counted entities reached from each member of the group type.
+    """Distinct counted entities reached from each member of the group type,
+    in member id order.
 
     Legs are unioned before counting, so an entity reachable over two legs
-    counts once.  Computed once per store, group and ``include_zero``; each
-    call returns a fresh dict.
+    counts once.  Read from the group's count table, built once per store,
+    group and ``include_zero``; each call returns a fresh dict.
     """
-    return dict(
-        store.derived(
-            ("group_counts", group, bool(include_zero)),
-            lambda: _member_counts(
-                store, group, store.sorted_members(group.group_type), _indexed_reach, include_zero
-            ),
-        )
-    )
+    table = _count_table(store, group, include_zero)
+    return dict(sorted(zip(table.members, table.counts)))
 
 
 # -- provenance --------------------------------------------------------------------

@@ -5,7 +5,9 @@ plan schema.  Templates are authored per relation with the relation and
 type slots pre-bound in ``fixed``; entity slots are filled at
 instantiation time.  Transforms mechanically derive complex templates
 (counting, logical combinations, thresholds, arg-min/max, comparatives,
-multi-type unions) from simple ones.
+multi-type unions) from simple ones; ``derived`` makes each derivation once
+and keeps it on its base template.  A comparative's reference and a logical
+form's second anchor are slots, bound per instantiation.
 
 Surface markers may carry a ``+pl`` modifier (``⟨subject_type+pl⟩``) that
 pluralizes the bound label; transforms use it for the phrases they build.
@@ -16,9 +18,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from . import plan_text, query_algebra as qa
 from .kg_store import KgError, KgStore, UnknownIdError, json_field, read_json_lines
@@ -32,6 +33,7 @@ _MARKER = re.compile(re.escape(SLOT_OPEN) + r"([^" + SLOT_CLOSE + r"]+)" + re.es
 
 _CONJUNCTIONS = {"and": "and", "or": "or", "but_not": "but not"}
 _LOGICAL_NODES = {"and": qa.Intersection, "or": qa.Union, "but_not": qa.Difference}
+REFERENCE_SLOT = "entity:ref"  # the comparative reference's slot
 _COMPARATOR_PHRASES = {
     "atleast": "atleast",
     "atmost": "atmost",
@@ -61,8 +63,21 @@ def _number_slot(name: str) -> bool:
     return name == "n" or name.startswith("n:")
 
 
+class _TemplateBase:
+    """Base of ``QuestionTemplate``.  Its slots keep what is worked out from a
+    template once: its slot facts, on their first read, and what
+    ``derived`` derives from it; a dict entry would slow every attribute
+    read."""
+
+    __slots__ = ("_facts", "_derivations")
+
+
+_set_facts = _TemplateBase._facts.__set__  # the slots' own setters, past a frozen class's __setattr__
+_set_derivations = _TemplateBase._derivations.__set__
+
+
 @dataclass(frozen=True)
-class QuestionTemplate:
+class QuestionTemplate(_TemplateBase):
     id: str
     direction: str
     paraphrase_group: str
@@ -80,26 +95,48 @@ class QuestionTemplate:
         return self.surface.get(number) or self.surface["singular"]
 
     def plan_slots(self) -> frozenset[str]:
-        return self._slot_facts[0]
+        return self._slot_facts()[0]
 
     def free_slots(self) -> tuple[str, ...]:
         """Plan slots not pre-bound, in sorted order."""
-        return self._slot_facts[1]
+        return self._slot_facts()[1]
 
     def anchor_slot(self) -> str | None:
         """Slot name anchoring the root lookup, if there is one."""
-        return self._slot_facts[2]
+        return self._slot_facts()[2]
 
-    @cached_property
     def _slot_facts(self) -> tuple[frozenset[str], tuple[str, ...], str | None]:
         """The plan slots, the free ones and the anchor, worked out on the
         template's first read (the template is frozen)."""
+        try:
+            return self._facts
+        except AttributeError:
+            pass
         slots = plan_text.slots_of(self.plan_schema)
         expr = _root_expr(self.plan_schema)
         if isinstance(expr, qa.TypeUnion) and expr.branches:
             expr = expr.branches[0]
         anchor = expr.anchor.name if isinstance(expr, qa.Lookup) and isinstance(expr.anchor, Slot) else None
-        return slots, tuple(sorted(slots - set(self.fixed))), anchor
+        facts = slots, tuple(sorted(slots - set(self.fixed))), anchor
+        _set_facts(self, facts)
+        return facts
+
+
+def derived(template: QuestionTemplate, transform: Callable, *args):
+    """``transform(template, *args)``, worked out once per template and
+    arguments and kept on the template.  A transform that raises keeps
+    nothing, so it raises again on the next call."""
+    try:
+        cache = template._derivations
+    except AttributeError:
+        cache = {}
+        _set_derivations(template, cache)
+    key = (transform, *args)
+    try:
+        return cache[key]
+    except KeyError:
+        value = cache[key] = transform(template, *args)
+        return value
 
 
 @dataclass(frozen=True)
@@ -412,17 +449,16 @@ def transform_to_count(template: QuestionTemplate) -> QuestionTemplate:
     )
 
 
-def transform_logical(
-    template: QuestionTemplate, op: str, extra_binding: int | str
-) -> QuestionTemplate:
-    """Add a second anchor under and/or/but_not ("... India and China ?")."""
+def transform_logical(template: QuestionTemplate, op: str) -> QuestionTemplate:
+    """Add a second anchor under and/or/but_not ("... India and China ?"), in
+    the slot ``extra_anchor_slot(template)``, bound at instantiation."""
     if op not in _LOGICAL_NODES:
         raise TemplateError(f"unknown logical op {op!r}")
     lookup = _require_lookup(template)
     anchor = template.anchor_slot()
     if anchor is None:
         raise TemplateError(f"template {template.id}: logical transform needs a slot anchor")
-    new_slot = _next_entity_slot(template)
+    new_slot = extra_anchor_slot(template)
     new_expr = _LOGICAL_NODES[op](lookup, replace(lookup, anchor=Slot(new_slot)))
 
     marker = f"{SLOT_OPEN}{anchor}{SLOT_CLOSE}"
@@ -444,7 +480,6 @@ def transform_logical(
         paraphrase_group=f"{template.paraphrase_group}#{op}",
         surface=surface,
         plan_schema=qa.Retrieve(new_expr),
-        fixed={**template.fixed, new_slot: extra_binding},
         slot_types=slot_types,
     )
 
@@ -531,15 +566,13 @@ def transform_argopt(template: QuestionTemplate, direction: str) -> QuestionTemp
     )
 
 
-def transform_comparative(
-    template: QuestionTemplate, direction: str, reference: int | str
-) -> QuestionTemplate:
-    """Group form comparing counted totals against a reference entity."""
+def transform_comparative(template: QuestionTemplate, direction: str) -> QuestionTemplate:
+    """Group form comparing counted totals against a reference entity, in
+    the slot ``REFERENCE_SLOT``, bound at instantiation."""
     if direction not in qa.CMP_DIRECTIONS:
         raise TemplateError(f"unknown comparative direction {direction!r}")
     group, pieces = _derive_group(template)
-    ref_slot = "entity:ref"
-    ref_marker = f"{SLOT_OPEN}{ref_slot}{SLOT_CLOSE}"
+    ref_marker = f"{SLOT_OPEN}{REFERENCE_SLOT}{SLOT_CLOSE}"
     if pieces["multi"]:
         surface = (
             f"Which {pieces['group_pl']} have {direction} "
@@ -551,14 +584,13 @@ def transform_comparative(
             template, base, f"{direction} number of {pieces['counted_pl']} than {ref_marker}"
         )
     slot_types = dict(template.slot_types)
-    slot_types[ref_slot] = pieces["group_type_ref"]
+    slot_types[REFERENCE_SLOT] = pieces["group_type_ref"]
     return replace(
         template,
         id=f"{template.id}#cmp_{direction}",
         paraphrase_group=f"{template.paraphrase_group}#cmp_{direction}",
         surface={"singular": surface},
-        plan_schema=qa.Comparative(group, Slot(ref_slot), direction),
-        fixed={**template.fixed, ref_slot: reference},
+        plan_schema=qa.Comparative(group, Slot(REFERENCE_SLOT), direction),
         slot_types=slot_types,
     )
 
@@ -638,7 +670,9 @@ def _require_lookup(template: QuestionTemplate) -> qa.Lookup:
     return schema.expr
 
 
-def _next_entity_slot(template: QuestionTemplate) -> str:
+def extra_anchor_slot(template: QuestionTemplate) -> str:
+    """The entity slot ``transform_logical`` adds to ``template`` for its
+    second anchor."""
     taken = {s for s in template.plan_slots() if slot_kind(s) == "entity"}
     k = 2
     while f"entity:{k}" in taken:
@@ -661,6 +695,12 @@ def _surface_token(atom, plural: bool) -> str:
     if isinstance(atom, Slot):
         return f"{SLOT_OPEN}{atom.name}{'+pl' if plural else ''}{SLOT_CLOSE}"
     return pluralize(str(atom)) if plural else str(atom)
+
+
+def group_schema(template: QuestionTemplate) -> qa.GroupSpec:
+    """The symbolic group that ``template``'s threshold, arg-min/max and
+    comparative forms count over."""
+    return _derive_group(template)[0]
 
 
 def _derive_group(template: QuestionTemplate) -> tuple[qa.GroupSpec, dict]:

@@ -160,11 +160,12 @@ def test_criterion_2_question_type_coverage(store, templates):
         river = next(t for t in templates if t.id == "river_flows")
         capital = next(t for t in templates if t.id == "capital_city")
         multi = tpl.transform_add_type(river, "capital", "city")
+        india_and_china = {"entity:1": "India", "entity:2": "China"}
 
         cases = {
-            "logical_union": (tpl.transform_logical(river, "or", "China"), {"entity:1": "India"}),
-            "logical_intersection": (tpl.transform_logical(river, "and", "China"), {"entity:1": "India"}),
-            "logical_difference": (tpl.transform_logical(river, "but_not", "China"), {"entity:1": "India"}),
+            "logical_union": (tpl.transform_logical(river, "or"), india_and_china),
+            "logical_intersection": (tpl.transform_logical(river, "and"), india_and_china),
+            "logical_difference": (tpl.transform_logical(river, "but_not"), india_and_china),
             "logical_multi_relation": (
                 tpl.transform_multi_relation(river, capital, "but_not"),
                 {"entity:1": "India", "object_type_b": "river"},
@@ -172,8 +173,8 @@ def test_criterion_2_question_type_coverage(store, templates):
             "quant_count": (tpl.transform_to_count(river), {"entity:1": "India"}),
             "quant_count_multi_type": (tpl.transform_to_count(multi), {"entity:1": "India"}),
             "quant_count_logical": (
-                tpl.transform_to_count(tpl.transform_logical(river, "and", "China")),
-                {"entity:1": "India"},
+                tpl.transform_to_count(tpl.transform_logical(river, "and")),
+                india_and_china,
             ),
             "quant_max": (tpl.transform_argopt(river, "max"), {}),
             "quant_min": (tpl.transform_argopt(river, "min"), {}),
@@ -187,15 +188,15 @@ def test_criterion_2_question_type_coverage(store, templates):
                 tpl.transform_to_count(tpl.transform_threshold(multi, "atleast", 2)),
                 {},
             ),
-            "comparative_single": (tpl.transform_comparative(river, "more", "Ganga"), {}),
-            "comparative_multi_type": (tpl.transform_comparative(multi, "more", "Egypt"), {}),
+            "comparative_single": (tpl.transform_comparative(river, "more"), {"entity:ref": "Ganga"}),
+            "comparative_multi_type": (tpl.transform_comparative(multi, "more"), {"entity:ref": "Egypt"}),
             "count_over_comparative_single": (
-                tpl.transform_to_count(tpl.transform_comparative(river, "more", "Ganga")),
-                {},
+                tpl.transform_to_count(tpl.transform_comparative(river, "more")),
+                {"entity:ref": "Ganga"},
             ),
             "count_over_comparative_multi": (
-                tpl.transform_to_count(tpl.transform_comparative(multi, "less", "India")),
-                {},
+                tpl.transform_to_count(tpl.transform_comparative(multi, "less")),
+                {"entity:ref": "India"},
             ),
         }
 
@@ -215,7 +216,7 @@ def test_criterion_2_question_type_coverage(store, templates):
         assert built.answer == qa.Booleans((True, False))
 
         # frozen fixture expectations for a few anchor cases
-        inter = tpl.instantiate(store, cases["logical_intersection"][0], {"entity:1": "India"})
+        inter = tpl.instantiate(store, *cases["logical_intersection"])
         assert {store.entity_label(e) for e in inter.answer.members} == {"Brahmaputra"}
         count = tpl.instantiate(store, cases["quant_count"][0], {"entity:1": "India"})
         assert count.answer == qa.Counts(((None, 3),))

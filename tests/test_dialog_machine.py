@@ -1,12 +1,13 @@
 """Dialog generation: linking, coreference, clarification, rendering."""
 
+import hashlib
 import itertools
 import random
 from collections import Counter
 
 import pytest
 
-from conftest import make_random_store
+from conftest import REPO, make_random_store
 from kgdialog import dialog_machine as dm, query_algebra as qa, templates as tpl
 from kgdialog.config import RunConfig
 from kgdialog.kg_store import KgStore, Tuple
@@ -651,3 +652,95 @@ def test_count_falls_back_to_other_members_when_the_anchor_gives_no_question(sto
         assert question.template.id == counted.id
         anchors |= {lookup.anchor for lookup in qa.plan_lookups(question.instantiation.plan)}
     assert anchors == {ids["India"], ids["China"], ids["Egypt"]}
+
+
+# -- grouped candidates that cannot fit are skipped ---------------------------------------
+
+
+def _grouped_setups(monkeypatch, templates):
+    """(store, retrieve templates) pairs: random stores, and a heavy-tailed
+    synthetic graph with the fixture's templates."""
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    import graphgen
+
+    synthetic = _synthetic_dialog_setup(150)[1]
+    for seed in (11, 12, 13):
+        yield make_random_store(seed, n_tuples=450, n_relations=2, n_types=2, n_entities=150), synthetic
+    yield graphgen.make_graph(7, 1800, "heavy"), [t for t in templates if t.kind == "Retrieve"]
+
+
+def _asked(build, store, base, seed, config):
+    """What a builder asks from a context whose base is ``base``, and the
+    RNG state it leaves."""
+    context = dm.DialogContext(last_template=base, last_retrieve_template=base)
+    rng = random.Random(seed)
+    question = build(store, [base], context, rng, config)
+    if question is None:
+        return None, rng.getstate()
+    inst = question.instantiation
+    return (question.state, inst.plan, inst.answer, inst.question), rng.getstate()
+
+
+@pytest.mark.parametrize("answer_cap, include_zero", itertools.product([2, 5, 1000], [True, False]))
+def test_skipping_grouped_candidates_that_cannot_fit_asks_the_same_question(
+    monkeypatch, templates, answer_cap, include_zero
+):
+    # the unfiltered builders are the filtered ones with every candidate fitting
+    config = RunConfig(
+        answer_cap=answer_cap, sample_size=2, display_limit=2, include_zero_groups=include_zero
+    )
+    instantiate = tpl.instantiate
+    calls = Counter()
+
+    def counted(*args, **kwargs):
+        built = instantiate(*args, **kwargs)
+        calls[mode, isinstance(built, tpl.Rejection)] += 1
+        return built
+
+    monkeypatch.setattr(tpl, "instantiate", counted)
+    asked = 0
+    for store, bases in _grouped_setups(monkeypatch, templates):
+        for base, build, seed in itertools.product(bases, (dm._build_threshold, dm._build_comparative), range(6)):
+            mode = "filtered"
+            filtered = _asked(build, store, base, seed, config)
+            mode = "unfiltered"
+            with monkeypatch.context() as m:
+                m.setattr(dm, "_fits", lambda *args: True)
+                unfiltered = _asked(build, store, base, seed, config)
+            assert filtered == unfiltered, (base.id, build.__name__, seed)
+            asked += filtered[0] is not None
+    assert asked > 0
+    # a rejection here is one for the answer's size, which the filter foresees
+    assert calls["filtered", True] == 0 < calls["unfiltered", True], calls
+
+
+SIZED_CORPUS_SHA256 = "5f6be05213e252c4f87f16f0a187a4965e17a5c1cc5475efeba5a33d1acdb324"
+
+
+def test_grouped_builders_instantiate_no_candidate_of_a_rejected_size(monkeypatch, templates, tmp_path):
+    # 40 dialogs on a 6,097-tuple graph.  Before the builders sized their
+    # candidates, they instantiated 26 that were rejected for their size:
+    # 15 thresholds and 6 comparatives hit answer_cap, 5 comparatives were
+    # empty.  Skipping them leaves the corpus as it was, byte for byte.
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    import graphgen
+
+    from kgdialog import dataset_pipeline as dp
+
+    instantiate = tpl.instantiate
+    rejected = Counter()
+
+    def counted(store, template, *args, **kwargs):
+        built = instantiate(store, template, *args, **kwargs)
+        if isinstance(built, tpl.Rejection) and ("#th_" in template.id or "#cmp_" in template.id):
+            rejected[template.id, built.reason] += 1
+        return built
+
+    monkeypatch.setattr(tpl, "instantiate", counted)
+    store = graphgen.make_graph(1, 6000, "uniform")
+    corpus = dp.generate_corpus(store, templates, 40, RunConfig(seed=1), seed=1)
+    assert rejected == Counter()
+    path = tmp_path / "dialogs.jsonl"
+    dp.write_corpus(corpus, store, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SIZED_CORPUS_SHA256
+

@@ -4,6 +4,7 @@ Expected values on the fixture were derived with the brute-force evaluator
 (or by hand over the eight tuples) before being frozen here.
 """
 
+import itertools
 import random
 
 import pytest
@@ -530,6 +531,96 @@ def test_mutating_returned_counts_leaves_the_memo_intact():
         assert qa.group_counts(s, group, include_zero) == expected
     plan = qa.ArgOpt(group, "max")
     assert qa.execute(s, plan) == qa.brute_force_execute(s, plan)
+
+
+# -- count tables -------------------------------------------------------------------
+#
+# Group type 0 holds entities 0-5, counted over relation 0 into type 1
+# (entities 6-11): counts 0, 0, 1, 3, 3, 1, so ties sit at both ends of the
+# table with and without the zeros.  Entity 6 is outside the group type and
+# reaches two counted entities; relation 1 reaches none from the group.
+
+_TIE_COUNTS = {0: 0, 1: 0, 2: 1, 3: 3, 4: 3, 5: 1}
+_TIE_GROUP = qa.GroupSpec(0, (qa.Counted(0, qa.OBJ, 1),))
+
+
+def _tie_store():
+    tuples = {Tuple(0, g, 6 + k) for g, n in _TIE_COUNTS.items() for k in range(n)}
+    tuples |= {Tuple(0, 6, 7), Tuple(0, 6, 8), Tuple(1, 7, 8)}
+    types = {e: frozenset({0 if e < 6 else 1}) for e in range(12)}
+    return KgStore(tuples, [f"E{e}" for e in range(12)], ["r0", "r1"], ["group", "counted"], types)
+
+
+def _assert_answers(s, plan, include_zero, members):
+    """Both evaluators give ``members``, and ``answer_size`` their number."""
+    want = qa.Entities(frozenset(members))
+    if type(plan) in qa.COUNTING.values():
+        want = qa.Counts(((None, len(members)),))
+    for evaluate in (qa.execute, qa.brute_force_execute):
+        assert evaluate(s, plan, include_zero) == want, (evaluate.__name__, plan, include_zero)
+    assert qa.answer_size(s, plan, include_zero) == len(members), (plan, include_zero)
+
+
+def test_count_table_sorts_by_count_then_id_and_keeps_ties_at_both_ends():
+    s = _tie_store()
+    assert qa._count_table(s, _TIE_GROUP, True) == ((0, 1, 2, 5, 3, 4), (0, 0, 1, 1, 3, 3))
+    assert qa._count_table(s, _TIE_GROUP, False) == ((2, 5, 3, 4), (1, 1, 3, 3))
+    for include_zero, lowest in ((True, {0, 1}), (False, {2, 5})):
+        _assert_answers(s, qa.ArgOpt(_TIE_GROUP, "min"), include_zero, lowest)
+        _assert_answers(s, qa.ArgOpt(_TIE_GROUP, "max"), include_zero, {3, 4})
+        counts = {g: c for g, c in _TIE_COUNTS.items() if c or include_zero}
+        for comparator, n in itertools.product(qa.COMPARATORS, range(5)):
+            kept = {g for g, c in counts.items() if _KEEPS[comparator](c, n)}
+            _assert_answers(s, qa.ThresholdFilter(_TIE_GROUP, comparator, n), include_zero, kept)
+            _assert_answers(s, qa.CountOverThreshold(_TIE_GROUP, comparator, n), include_zero, kept)
+
+
+def test_argopt_over_a_group_left_empty_without_zeros_answers_empty():
+    s = _tie_store()
+    group = qa.GroupSpec(0, (qa.Counted(1, qa.OBJ, 1),))  # every member counts 0
+    assert qa._count_table(s, group, False) == ((), ())
+    for direction in qa.OPT_DIRECTIONS:
+        _assert_answers(s, qa.ArgOpt(group, direction), False, set())
+        _assert_answers(s, qa.ArgOpt(group, direction), True, set(range(6)))
+
+
+def test_comparative_reference_outside_the_group_type_uses_its_own_count():
+    s = _tie_store()
+    # entity 6 reaches 7 and 8; entity 7 reaches no counted entity over relation 0
+    for ref, more, less in ((6, {3, 4}, {0, 1, 2, 5}), (7, {2, 3, 4, 5}, set())):
+        assert not s.has_type(ref, _TIE_GROUP.group_type)
+        for include_zero in (True, False):
+            drop = set() if include_zero else {0, 1}
+            for cls in (qa.Comparative, qa.CountOverComparative):
+                _assert_answers(s, cls(_TIE_GROUP, ref, "more"), include_zero, more - drop)
+                _assert_answers(s, cls(_TIE_GROUP, ref, "less"), include_zero, less - drop)
+
+
+def test_mutating_group_counts_leaves_the_count_table_intact():
+    s = _tie_store()
+    table = qa._count_table(s, _TIE_GROUP, True)
+    counts = qa.group_counts(s, _TIE_GROUP)
+    assert counts == _TIE_COUNTS and list(counts) == sorted(counts)
+    counts.clear()
+    counts[0] = 99
+    assert qa._count_table(s, _TIE_GROUP, True) is table == ((0, 1, 2, 5, 3, 4), (0, 0, 1, 1, 3, 3))
+    assert qa.group_counts(s, _TIE_GROUP) == _TIE_COUNTS
+    _assert_answers(s, qa.ArgOpt(_TIE_GROUP, "max"), True, {3, 4})
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_answer_size_is_the_number_of_members_on_random_stores(seed):
+    s = make_random_store(seed, n_tuples=400, n_relations=3, n_types=3)
+    for group, include_zero in itertools.product(_groups(), (True, False)):
+        for plan in _grouped_plans(s, group):
+            answer = qa.brute_force_execute(s, plan, include_zero)
+            size = answer.counts[0][1] if isinstance(answer, qa.Counts) else len(answer.members)
+            assert qa.answer_size(s, plan, include_zero) == size, (plan, include_zero)
+
+
+def test_answer_size_refuses_a_plan_that_is_not_grouped(store, ids):
+    with pytest.raises(qa.PlanError, match="not a grouped plan"):
+        qa.answer_size(store, qa.Retrieve(lookup(ids, "obj", "flows_through", "India", "river")))
 
 
 def test_filtered_store_does_not_see_parent_memos():

@@ -5,6 +5,7 @@ fixture graph before being frozen.
 """
 
 import re
+from dataclasses import fields
 
 import pytest
 
@@ -69,6 +70,42 @@ def test_slot_facts_are_worked_out_once_per_template(river, monkeypatch):
         assert derived.free_slots() == ("entity:1",)
         assert derived.plan_slots() >= {"entity:1"}
     assert walks == [derived.plan_schema]
+
+
+def test_worked_out_facts_and_derivations_live_in_slots(river):
+    # a dict entry would slow every later attribute read on the template
+    river = transform_logical(river, "and")
+    river.anchor_slot()
+    tpl.derived(river, transform_to_count)
+    assert set(vars(river)) == {f.name for f in fields(river)}
+
+
+def test_a_derivation_is_made_once_per_template_and_arguments(river, capital):
+    made = []
+
+    def transform(template, *args):
+        made.append((template.id, args))
+        return transform_threshold(template, *args)
+
+    first = tpl.derived(river, transform, "atleast", 2)
+    assert tpl.derived(river, transform, "atleast", 2) is first
+    assert tpl.derived(river, transform, "atmost", 2) is not first
+    tpl.derived(capital, transform, "atleast", 2)
+    assert made == [("river_flows", ("atleast", 2)), ("river_flows", ("atmost", 2)), ("capital_city", ("atleast", 2))]
+    assert first == transform_threshold(river, "atleast", 2)
+
+
+def test_a_failing_derivation_keeps_nothing(river):
+    calls = []
+
+    def transform(template):
+        calls.append(template.id)
+        raise TemplateError("not admitted")
+
+    for _ in range(2):
+        with pytest.raises(TemplateError):
+            tpl.derived(river, transform)
+    assert calls == ["river_flows", "river_flows"]
 
 
 def test_empty_file_loads_empty_set(tmp_path):
@@ -310,18 +347,18 @@ def test_count_equals_base_cardinality_everywhere(store, river):
 
 
 def test_transform_logical_and_or_butnot(store, river):
-    land = transform_logical(river, "and", "China")
-    inst = instantiate(store, land, {"entity:1": "India"})
+    land = transform_logical(river, "and")
+    inst = instantiate(store, land, {"entity:1": "India", "entity:2": "China"})
     assert inst.question == "Which river flows through India and China ?"
     assert answer_names(store, inst) == {"Brahmaputra"}
 
-    lor = transform_logical(river, "or", "China")
-    inst = instantiate(store, lor, {"entity:1": "India"}, number="plural")
+    lor = transform_logical(river, "or")
+    inst = instantiate(store, lor, {"entity:1": "India", "entity:2": "China"}, number="plural")
     assert inst.question == "Which rivers flow through India or China ?"
     assert answer_names(store, inst) == {"Ganga", "Yamuna", "Brahmaputra", "Mekong"}
 
-    lnot = transform_logical(river, "but_not", "India")
-    rejected = instantiate(store, lnot, {"entity:1": "India"})
+    lnot = transform_logical(river, "but_not")
+    rejected = instantiate(store, lnot, {"entity:1": "India", "entity:2": "India"})
     assert isinstance(rejected, Rejection) and rejected.reason == "empty_answer"
 
 
@@ -344,13 +381,21 @@ def test_transform_argopt(store, river):
 
 
 def test_transform_comparative_and_count_over(store, river):
-    cmp_ = transform_comparative(river, "more", "Ganga")
-    inst = instantiate(store, cmp_, {})
+    cmp_ = transform_comparative(river, "more")
+    inst = instantiate(store, cmp_, {"entity:ref": "Ganga"})
     assert inst.question == "Which rivers flow through more number of countries than Ganga ?"
     assert answer_names(store, inst) == {"Brahmaputra"}
     over = transform_to_count(cmp_)
-    inst2 = instantiate(store, over, {})
+    inst2 = instantiate(store, over, {"entity:ref": "Ganga"})
     assert inst2.answer == qa.Counts(((None, 1),))
+
+
+def test_reference_and_second_anchor_are_slots_bound_at_instantiation(river):
+    # one derivation serves every reference and every second anchor
+    assert transform_comparative(river, "more").free_slots() == ("entity:ref",)
+    assert tpl.extra_anchor_slot(river) == "entity:2"
+    for op in ("and", "or", "but_not"):
+        assert transform_logical(river, op).free_slots() == ("entity:1", "entity:2")
 
 
 def test_transform_add_type_and_grouped_variants(store, river):
@@ -372,7 +417,7 @@ def test_transform_add_type_and_grouped_variants(store, river):
     assert ao.question == "Which country has maximum number of rivers and cities combined ?"
     assert answer_names(store, ao) == {"India"}
 
-    cmp_ = instantiate(store, transform_comparative(multi, "more", "Egypt"), {})
+    cmp_ = instantiate(store, transform_comparative(multi, "more"), {"entity:ref": "Egypt"})
     assert cmp_.question == "Which countries have more rivers and cities than Egypt ?"
     assert answer_names(store, cmp_) == {"India", "China"}
 
@@ -385,7 +430,7 @@ def test_group_transforms_on_subject_based_template(store, templates):
     ao = instantiate(store, transform_argopt(base, "max"), {})
     assert ao.question == "Which country does maximum number of rivers flow through ?"
     assert answer_names(store, ao) == {"India"}
-    cmp_ = instantiate(store, transform_comparative(base, "less", "India"), {})
+    cmp_ = instantiate(store, transform_comparative(base, "less"), {"entity:ref": "India"})
     assert answer_names(store, cmp_) == {"China", "Egypt"}
     for inst in (th, ao, cmp_):
         assert qa.brute_force_execute(store, inst.plan) == inst.answer
@@ -404,8 +449,8 @@ def test_transforms_match_brute_force(store, river):
     derived = [
         (transform_threshold(river, "approx", 2), {}),
         (transform_argopt(river, "min"), {}),
-        (transform_comparative(river, "less", "Brahmaputra"), {}),
-        (transform_to_count(transform_logical(river, "or", "Egypt")), {"entity:1": "China"}),
+        (transform_comparative(river, "less"), {"entity:ref": "Brahmaputra"}),
+        (transform_to_count(transform_logical(river, "or")), {"entity:1": "China", "entity:2": "Egypt"}),
     ]
     for template, bindings in derived:
         built = instantiate(store, template, bindings)
