@@ -308,7 +308,8 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     )
     table = kg_embed.train(store, train_config)
     kg_embed.save_embeddings(table, args.out)
-    report = kg_embed.link_prediction_eval(table, store.tuples, all_tuples=store.tuples)
+    rows = kg_store.TupleRows(store.tuple_index().ids)
+    report = kg_embed.link_prediction_eval(table, rows, all_tuples=rows)
     random_rank = kg_embed.random_baseline_mean_rank(store.n_entities)
     random_hits = kg_embed.random_baseline_hits_at_k(store.n_entities, report.k)
     print(f"saved embeddings to {args.out} (dim {table.dim})")

@@ -7,14 +7,18 @@ blocks of 128 pairs; entity vectors are renormalized to unit L2 after
 every block, relation vectors only at initialization.  Everything is
 driven by a seeded generator, so a seed pins the whole table.  Link
 prediction ranks all entities for blocks of held-out tuples at once: a
-matrix-product screen, then exact norms for the near ties it cannot
-order, so ranks equal those of comparing every exact score.
+screen of pre-scaled queries (one matrix product and one addition per
+block) against per-row thresholds, then, when one whole-block count says
+near ties exist, exact norms for them, so ranks equal those of comparing
+every exact score.
 
-A step scatters its gradients with ``np.add.at`` on each table's flat
-view (numpy's fast 1-D path), where every element receives its additions
-in the order the row-wise scatter gave them, so a seed pins the same
-bits.  Positives are the store's cached ``tuple_index().ids``; rivals for
-filtered ranks are joined from the id rows of ``all_tuples``.
+A step builds its residuals, norms and updates in place, with the same
+operations in the same order as the plain expressions, and scatters its
+gradients with ``np.add.at`` on each table's flat view (numpy's fast 1-D
+path), where every element receives its additions in the order the
+row-wise scatter gave them, so a seed pins the same bits.  Positives are
+the store's cached ``tuple_index().ids``; rivals for filtered ranks are
+joined from the id rows of ``all_tuples``.
 """
 
 from __future__ import annotations
@@ -157,14 +161,20 @@ def _batch_grads(E: np.ndarray, R: np.ndarray, pos: np.ndarray, neg: np.ndarray,
     subject, object) rows: ``g[0, b]`` is the gradient of pair b's loss with
     respect to its positive's subject and relation, ``g[1, b]`` its
     negative's, and each object's is the negation.  The norm's
-    nondifferentiable point (a residual exactly 0) gets gradient 0."""
-    pairs = np.stack([pos, neg])
-    residual = E[pairs[..., 1]] + R[pairs[..., 0]] - E[pairs[..., 2]]
-    norms = np.linalg.norm(residual, axis=2, keepdims=True)
+    nondifferentiable point (a residual exactly 0) gets gradient 0.  The
+    residual is built and divided in place, by ``sqrt(add.reduce(x * x))``,
+    the formula ``np.linalg.norm`` uses for real input."""
+    rel, subj, obj = np.concatenate([pos.T, neg.T], axis=1).reshape(3, 2, -1)  # each (2, B)
+    residual = E[subj]
+    residual += R[rel]
+    residual -= E[obj]
+    norms = np.sqrt(np.add.reduce(residual * residual, axis=2, keepdims=True))
     loss = np.maximum(0.0, margin + norms[0, :, 0] - norms[1, :, 0])
-    g = np.divide(residual, norms, out=np.zeros_like(residual), where=norms > 0)
-    g *= (loss > 0)[:, None] * np.array([1.0, -1.0])[:, None, None]
-    return loss, g
+    live = norms > 0
+    residual /= np.where(live, norms, 1.0)
+    residual[~live[..., 0]] = 0.0  # also where the square underflowed
+    residual *= (loss > 0)[:, None] * np.array([1.0, -1.0])[:, None, None]
+    return loss, residual
 
 
 GRADIENT_TOLERANCE = 1e-4  # relative L2 error
@@ -229,16 +239,21 @@ def train(store: KgStore, config: TrainConfig | None = None) -> EmbeddingTable:
 
 def _step(E: np.ndarray, R: np.ndarray, pos: np.ndarray, neg: np.ndarray, margin: float, lr: float):
     """One SGD step in place on C-contiguous ``E`` and ``R``: the summed
-    :func:`_batch_grads` of a block, then the entities it touched back to
-    unit L2.  Returns the summed loss."""
+    :func:`_batch_grads` of a block (``-lr * g`` taken once, and negated
+    exactly for the objects), then the entities it touched divided in place
+    back to unit L2.  Returns the summed loss."""
     loss, g = _batch_grads(E, R, pos, neg, margin)
-    pairs = np.stack([pos, neg])
-    _add_rows(E, np.concatenate([pairs[..., 1], pairs[..., 2]]), np.concatenate([-lr * g, lr * g]))
-    _add_rows(R, pairs[..., 0], -lr * g)
-    touched = _distinct(pairs[..., 1:])
+    cols = np.concatenate([pos.T, neg.T], axis=1)  # relation, subject, object rows
+    ends = cols[1:]  # subjects, then objects: the row-wise scatter's order
+    deltas = np.empty((2,) + g.shape)
+    np.negative(np.multiply(g, -lr, out=deltas[0]), out=deltas[1])
+    _add_rows(E, ends, deltas)
+    _add_rows(R, cols[0], deltas[0])
+    touched = _distinct(ends)
     rows = E[touched]
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    E[touched] = np.divide(rows, norms, out=rows, where=norms > 0)
+    norms = np.sqrt(np.add.reduce(rows * rows, axis=1, keepdims=True))
+    rows /= np.where(norms > 0, norms, 1.0)  # a zero row stays as it is
+    E[touched] = rows
     return float(loss.sum())
 
 
@@ -247,7 +262,7 @@ def _add_rows(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
     C-contiguous ``table`` (numpy's fast 1-D path): each element gets the
     same additions in the same order, so the same bits."""
     d = table.shape[1]
-    np.add.at(table.reshape(-1), (rows[..., None] * d + np.arange(d)).ravel(), values.ravel())
+    np.add.at(table.reshape(-1), (rows.reshape(-1, 1) * d + np.arange(d)).ravel(), values.ravel())
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -411,37 +426,45 @@ def _ranks(
     filtered rank also leaves out the rivals ``rival_ents[j]`` of row
     ``rival_rows[j]`` (sorted by row).
 
-    Screen: squared scores of every entity come from one matrix product
-    per block of rows, ``|e|^2 - 2 t.e + |t|^2``.  An entity below the
-    true score's square by more than ``tol = 1e-9 (max |e|^2 + |t|^2 + 1)``
-    is better, one above it by more is not; ``tol`` is orders of magnitude
-    above the rounding error of a D-term product.  Refine: the few
-    entities within ``tol`` (exact ties among them) get their exact norm
-    and a strict ``<``; the true entity is skipped.  So every decision
-    equals comparing exact norms.  A block holds at most
-    :data:`SCREEN_ENTRIES` scores, so memory is bounded at every graph size.
+    Screen: the queries ``-2 t`` are scaled once (by a power of two, so
+    exactly); per block of rows, one matrix product with ``E`` and one
+    ``+= |e|^2`` give each entity's squared score less ``|t|^2``.  Below
+    the row's threshold ``s^2 - |t|^2 - tol`` (``s`` the true score) an
+    entity is better, above ``s^2 - |t|^2 + tol`` it is not; ``tol = 1e-9
+    (max |e|^2 + |t|^2 + 1)`` is orders of magnitude above the rounding
+    error of a D-term product, one addition and the thresholds.  Refine:
+    when one whole-block count shows entities within ``tol`` besides the
+    true ones (read at their own positions), those get their exact norm
+    and a strict ``<``.  So every decision equals comparing exact norms;
+    each row's better entities are then counted once.  A block holds at
+    most :data:`SCREEN_ENTRIES` scores, so memory is bounded at any size.
     """
     true_score = np.linalg.norm(E[true_id] - target, axis=1)
     e2 = np.einsum("ij,ij->i", E, E)
     t2 = np.einsum("ij,ij->i", target, target)
     tol = 1e-9 * (e2.max() + t2 + 1.0)
+    edge = true_score**2 - t2
+    lower, upper = edge - tol, edge + tol
+    queries = target * -2.0
     raw = np.ones(len(target), dtype=np.int64)
     filtered = np.empty_like(raw)
     step = max(1, SCREEN_ENTRIES // len(E))
     for lo in range(0, len(target), step):
         block = slice(lo, lo + step)
         T = target[block]
-        gap = T @ E.T
-        gap *= -2.0
-        gap += e2
-        gap += (t2[block] - true_score[block] ** 2)[:, None]
-        better = gap < -tol[block, None]
-        near = np.abs(gap, out=gap) <= tol[block, None]
-        near[np.arange(len(T)), true_id[block]] = False
-        if near.any():
+        own = np.arange(len(T)), true_id[block]
+        scores = queries[block] @ E.T
+        scores += e2
+        better = scores < lower[block, None]
+        below = scores <= upper[block, None]
+        mine = scores[own]
+        inside = np.count_nonzero((mine >= lower[block]) & (mine <= upper[block]))
+        if np.count_nonzero(below) > np.count_nonzero(better) + inside:
+            near = below ^ better  # better lies inside below
+            near[own] = False
             rows, ents = np.nonzero(near)
             better[rows, ents] = np.linalg.norm(E[ents] - T[rows], axis=1) < true_score[block][rows]
-        raw[block] += np.count_nonzero(better, axis=1)
+        raw[block] += better.sum(axis=1, dtype=np.int32)  # rows are < 2**31 long; 2x count_nonzero
         first, last = np.searchsorted(rival_rows, [lo, lo + step])
         rows, ents = rival_rows[first:last] - lo, rival_ents[first:last]
         filtered[block] = raw[block] - np.bincount(rows[better[rows, ents]], minlength=len(T))

@@ -414,6 +414,34 @@ def test_blocked_ranks_count_ties_on_an_integer_grid():
     assert_ranks_match_reference(EmbeddingTable(ents, rels), held, known)
 
 
+def test_blocks_with_one_tied_row_or_none_rank_as_the_per_row_loop(monkeypatch):
+    """Four held-out rows share each ranking block.  In the first block one
+    row has an exact tie, a copy of its true object; in the second one row
+    has a near tie, an entity a hair closer than its true object that only
+    the exact refinement can order and that is also a rival.  Their
+    neighbours have neither, and the third block has no tie at all."""
+    n, per_block = 60, 4
+    monkeypatch.setattr(kg_embed, "SCREEN_ENTRIES", per_block * n)
+    rng = np.random.default_rng(9)
+    ents, rels = rng.standard_normal((n, 6)), rng.standard_normal((2, 6))
+    objects = rng.permutation(50)[:12].tolist()  # distinct, so a tie belongs to one row
+    held = sorted(Tuple(int(rng.integers(2)), int(rng.integers(50)), o) for o in objects)
+    assert len(held) == 3 * per_block
+    exact, near = held[2], held[5]
+    target = ents[near.subject] + rels[near.relation]
+    ents[50] = ents[near.object] + 1e-11 * (target - ents[near.object])
+    ents[51] = ents[exact.object]
+    known = held + [Tuple(near.relation, near.subject, 50), Tuple(near.relation, near.subject, 52)]
+
+    def ties(t):
+        scores = np.linalg.norm(ents - (ents[t.subject] + rels[t.relation]), axis=1)
+        return [e for e in np.flatnonzero(np.abs(scores - scores[t.object]) <= 1e-8) if e != t.object]
+
+    assert [ties(t) for t in held] == [[50] if t == near else [51] if t == exact else [] for t in held]
+    assert np.linalg.norm(ents[50] - target) < np.linalg.norm(ents[near.object] - target)
+    assert_ranks_match_reference(EmbeddingTable(ents, rels), held, known)
+
+
 def test_ranking_memory_is_bounded_by_the_block():
     """The per-row loop allocated an n_entities x D difference (5 MB here)
     per held-out tuple; a block's scores stay within SCREEN_ENTRIES."""
@@ -620,6 +648,56 @@ def test_batch_step_equals_the_sum_of_per_pair_gradients():
     assert kg_embed._step(E, R, pos, neg, margin, lr) == pytest.approx(expected_loss, abs=1e-12)
     assert np.allclose(E, expected_e, rtol=0, atol=1e-12)
     assert np.allclose(R, expected_r, rtol=0, atol=1e-12)
+
+
+def first_batch_grads(E, R, pos, neg, margin):
+    """:func:`kg_embed._batch_grads` as first written: out-of-place
+    residual, ``np.linalg.norm`` and a guarded divide into zeros."""
+    pairs = np.stack([pos, neg])
+    residual = E[pairs[..., 1]] + R[pairs[..., 0]] - E[pairs[..., 2]]
+    norms = np.linalg.norm(residual, axis=2, keepdims=True)
+    loss = np.maximum(0.0, margin + norms[0, :, 0] - norms[1, :, 0])
+    g = np.divide(residual, norms, out=np.zeros_like(residual), where=norms > 0)
+    g *= (loss > 0)[:, None] * np.array([1.0, -1.0])[:, None, None]
+    return loss, g
+
+
+def test_a_zero_norm_gets_gradient_zero_with_the_same_bits():
+    """A positive and a negative whose residual is exactly 0 (the object is
+    stored as subject + relation), and a positive whose residual is too
+    small for its square: all three norms are 0, so the ``norms > 0`` guard
+    runs, and both the gradients and the step keep their bits."""
+    rng = np.random.default_rng(17)
+    ents, rels = rng.standard_normal((10, 5)), rng.standard_normal((3, 5))
+    ents[2] = ents[0] + rels[1]
+    ents[6] = ents[3] + rels[0]
+    ents[8], ents[9], rels[2] = 3e-170, 1e-170, 0.0
+    pos = np.array([[1, 0, 2], [0, 1, 4], [0, 3, 5], [2, 8, 9]])
+    neg = np.array([[1, 0, 7], [0, 3, 6], [0, 1, 5], [2, 8, 4]])
+    margin, lr = 10.0, 0.05
+    loss, g = kg_embed._batch_grads(ents, rels, pos, neg, margin)
+    want_loss, want_g = first_batch_grads(ents, rels, pos, neg, margin)
+    assert np.all(loss > 0)  # every hinge is active, so only the guard zeroes
+    assert not g[0, 0].any() and not g[1, 1].any() and not g[0, 3].any()
+    assert np.count_nonzero(g) == g.size - 3 * g.shape[2]
+    assert (loss.tobytes(), g.tobytes()) == (want_loss.tobytes(), want_g.tobytes())
+
+    E, R = ents.copy(), rels.copy()
+    want_e, want_r = ents.copy(), rels.copy()
+    assert kg_embed._step(E, R, pos, neg, margin, lr) == row_wise_step(want_e, want_r, pos, neg, margin, lr)
+    assert (E.tobytes(), R.tobytes()) == (want_e.tobytes(), want_r.tobytes())
+
+
+@pytest.mark.parametrize("shape", [(2, 128, 32), (2, 7, 5), (2, 1, 1), (2, 40, 129)])
+def test_the_steps_norm_formula_is_numpys_norm_bit_for_bit(shape):
+    """The step takes norms as ``sqrt(add.reduce(x * x))``; this pins that
+    to ``np.linalg.norm`` on every axis it is used on, so a numpy whose
+    norm changes fails here rather than moving the trained-table pins."""
+    rng = np.random.default_rng(shape[1])
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, size=shape)
+    for axis, arr in ((2, x), (1, x[0])):
+        got = np.sqrt(np.add.reduce(arr * arr, axis=axis, keepdims=True))
+        assert got.tobytes() == np.linalg.norm(arr, axis=axis, keepdims=True).tobytes()
 
 
 def test_vectorised_corruption_changes_one_slot_and_avoids_facts(store):
