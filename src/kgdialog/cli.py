@@ -264,14 +264,14 @@ def _resolve_that(store: kg_store.KgStore, line: str, last_entities: tuple[int, 
 
 
 def _cmd_link(args: argparse.Namespace) -> int:
+    if args.utterance is None and args.corpus is None:
+        print("error: link needs --utterance or --corpus", file=sys.stderr)
+        return 2
     config = _config(args)
     store = kg_store.load_dir(args.kg)
     aliases = linker.load_aliases(args.aliases, store) if args.aliases else ()
     gaz = linker.build_gazetteer(store, aliases)
     cap = args.cap if args.cap is not None else config.memory_cap
-    if args.utterance is None and args.corpus is None:
-        print("error: link needs --utterance or --corpus", file=sys.stderr)
-        return 2
     if args.utterance is not None:
         candidates = linker.link_and_retrieve(store, gaz, args.utterance, cap)
         for m in candidates.matches:
@@ -308,7 +308,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     )
     table = kg_embed.train(store, train_config)
     kg_embed.save_embeddings(table, args.out)
-    rows = kg_store.TupleRows(store.tuple_index().ids)
+    rows = kg_store.TupleRows(store.rows)
     report = kg_embed.link_prediction_eval(table, rows, all_tuples=rows)
     random_rank = kg_embed.random_baseline_mean_rank(store.n_entities)
     random_hits = kg_embed.random_baseline_hits_at_k(store.n_entities, report.k)

@@ -267,9 +267,16 @@ def _turn_from_obj(t: dict, store: KgStore, plans: dict[str, qa.QueryPlan]) -> d
             plans[text] = plan_text.parse_plan(text, store)
         except ValueError as exc:
             raise PipelineError(f"field 'plan': {exc}") from None
+    speaker = json_field(t, "speaker", str)
+    if speaker not in ("user", "system"):
+        raise PipelineError(f"field 'speaker' must be 'user' or 'system', got {speaker!r}")
+    try:
+        state = dm.TurnState(json_field(t, "state", str))
+    except ValueError as exc:
+        raise PipelineError(f"field 'state': {exc}") from None
     return dm.DialogTurn(
-        speaker=json_field(t, "speaker", str),
-        state=dm.TurnState(json_field(t, "state", str)),
+        speaker=speaker,
+        state=state,
         utterance=json_field(t, "utterance", str),
         entities=tuple(_entity_ids(t, "entities", store)),
         plan=plans[text] if text else None,
@@ -289,10 +296,15 @@ def write_corpus(corpus: Corpus, store: KgStore, path: str | Path) -> None:
 
 def read_corpus(path: str | Path, store: KgStore) -> Corpus:
     """The corpus in ``path``, with each dialog's provenance derived from
-    its plans against ``store``."""
+    its plans against ``store``.  Provenance is keyed by dialog id, so a
+    ``dialog_id`` that repeats an earlier line's is an error."""
+    first_lines: dict[str, int] = {}
 
-    def read(obj: dict, _lineno: int) -> tuple[Dialog, frozenset[Tuple]]:
+    def read(obj: dict, lineno: int) -> tuple[Dialog, frozenset[Tuple]]:
         dialog = dialog_from_obj(obj, store)
+        first = first_lines.setdefault(dialog.dialog_id, lineno)
+        if first != lineno:
+            raise PipelineError(f"field 'dialog_id': {dialog.dialog_id!r} repeats line {first}")
         return dialog, dialog_provenance(store, dialog.turns)
 
     pairs = read_json_lines(path, read, PipelineError)

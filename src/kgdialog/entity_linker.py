@@ -7,7 +7,8 @@ single-token fragment.  Candidate retrieval unions the tuples touching the
 matched entities, truncating under a cap by round-robin over the matched
 entities with the rarest entity's tuples first (popular entities would
 otherwise crowd out low-fanout ones).  The merge runs on the store's dense
-tuple ids, and candidates keep them as ``(N, 3)`` id rows.
+tuple ids, and candidates keep the chosen rows of ``KgStore.rows`` as
+``(N, 3)`` id rows.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def candidate_tuples(store: KgStore, matched: Sequence[int], cap: int = 10000) -
     pools = [store.tuple_ids_containing(e) for e in entities]
     order = sorted(range(len(entities)), key=lambda k: (len(pools[k]), entities[k]))
     merged = _round_robin(store, [pools[k] for k in order], entities)
-    return CandidateSet((), TupleRows(store.tuple_index().ids[merged[:cap]]), len(merged) > cap)
+    return CandidateSet((), TupleRows(store.rows[merged[:cap]]), len(merged) > cap)
 
 
 def _round_robin(store: KgStore, pools: list[np.ndarray], entities: list[int]) -> np.ndarray:
@@ -133,8 +134,7 @@ def _round_robin(store: KgStore, pools: list[np.ndarray], entities: list[int]) -
         return pools[0] if pools else np.empty(0, np.int64)
     sizes = np.array([len(p) for p in pools])
     flat = np.concatenate(pools)
-    ids = store.tuple_index().ids
-    subject, obj = ids[flat, 1], ids[flat, 2]
+    subject, obj = store.rows[flat, 1], store.rows[flat, 2]
     is_matched = np.zeros(store.n_entities, bool)
     is_matched[entities] = True
     shared = np.flatnonzero(is_matched[subject] & is_matched[obj] & (subject != obj))

@@ -17,8 +17,8 @@ operations in the same order as the plain expressions, and scatters its
 gradients with ``np.add.at`` on each table's flat view (numpy's fast 1-D
 path), where every element receives its additions in the order the
 row-wise scatter gave them, so a seed pins the same bits.  Positives are
-the store's cached ``tuple_index().ids``; rivals for filtered ranks are
-joined from the id rows of ``all_tuples``.
+the store's id ``rows``; rivals for filtered ranks are joined from the id
+rows of ``all_tuples``.
 """
 
 from __future__ import annotations
@@ -218,12 +218,12 @@ def train(store: KgStore, config: TrainConfig | None = None) -> EmbeddingTable:
     per seed; the per-epoch mean loss history is attached to the table."""
     config = config or TrainConfig()
     config.validate()
-    if not store.tuples:
+    if not len(store.rows):
         raise EmbedError("cannot train on an empty store")
     table = init_table(store.n_entities, store.n_relations, config)
     E, R, lr = table.entity_vecs, table.relation_vecs, config.learning_rate
     rng = np.random.default_rng(config.seed + 1)
-    positives = store.tuple_index().ids  # sorted Tuple order
+    positives = store.rows  # sorted Tuple order
     known = _keys(positives, store.n_entities)  # so sorted too
     losses: list[float] = []
     for _ in range(config.epochs):

@@ -15,8 +15,8 @@ sorted rows, and one more stable sort gives the subject runs of each
 (relation, object) pair.  Each index keeps three arrays (the distinct keys,
 where their runs start, the values); a lookup finds its key's run by
 bisection on the key's first read, freezes it and keeps the frozenset.  A
-tuple's dense id is its row in that array, and the per-entity CSR over it
-(:class:`TupleIndex`) is built on first use.  The rest of the store holds no
+tuple's dense id is its row in that array (``KgStore.rows``), and a
+per-entity CSR over it is built on first use.  The rest of the store holds no
 Python container per entity or per key either: labels resolve through one
 label -> id dict (plus a map of the few labels that repeat), each distinct
 set of entity types is one shared frozenset, and each type's members are
@@ -32,7 +32,7 @@ import json
 import logging
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from types import NoneType
@@ -128,37 +128,6 @@ class TupleRows(Sequence):
 
 
 @dataclass(frozen=True)
-class TupleIndex:
-    """Every tuple of a store once, by dense id.
-
-    Row ``i`` of ``ids`` is the tuple with dense id ``i``: the ``i``-th in
-    sorted :class:`Tuple` order.  The ids of the tuples containing entity
-    ``e`` are ``positions[starts[e]:starts[e + 1]]``, ascending (a CSR
-    index); a self-loop is listed once.  All three arrays are int64 and
-    read-only.
-    """
-
-    ids: np.ndarray        # (T, 3)
-    starts: np.ndarray     # (n_entities + 1,)
-    positions: np.ndarray  # one entry per (tuple, distinct end)
-
-    @classmethod
-    def build(cls, ids: np.ndarray, n_entities: int) -> TupleIndex:
-        """The index over ``ids``, read-only id rows already in sorted
-        ``Tuple`` order (as :class:`KgStore` keeps them)."""
-        rows = np.arange(len(ids))
-        other = ids[:, 1] != ids[:, 2]
-        ends = np.concatenate([ids[:, 1], ids[other, 2]])
-        owners = np.concatenate([rows, rows[other]])
-        positions = owners[np.lexsort((owners, ends))]
-        starts = np.zeros(n_entities + 1, np.int64)
-        np.cumsum(np.bincount(ends, minlength=n_entities), out=starts[1:])
-        for array in (starts, positions):
-            array.flags.writeable = False
-        return cls(ids, starts, positions)
-
-
-@dataclass(frozen=True)
 class StoreStats:
     """Counts over a store; every field is re-derivable by brute force."""
 
@@ -176,8 +145,10 @@ class KgStore:
     """Tuple set plus lookup indices, entity types, and labels.
 
     Instances are created by :func:`load` (or internally by the filter
-    operations) and treated as immutable afterwards.  The one per-entity
-    index is the CSR of :meth:`tuple_index`, built on first use.  Tuple ids
+    operations) and treated as immutable afterwards.  ``rows`` holds each
+    tuple once, read-only int64 in sorted :class:`Tuple` order (row ``i``
+    is dense id ``i``); every reader uses it but the brute-force oracle,
+    which scans ``tuples``, the set of the caller's tuples.  Tuple ids
     must lie within the label lists, relation and type labels are unique,
     and no label holds a tab, ``\\r`` or ``\\n`` (which :func:`save_dir`
     could not write); the constructor checks all three.  Entity labels may
@@ -208,8 +179,8 @@ class KgStore:
                 raise KgError(f"{kind} label {i} holds a tab, '\\r' or '\\n': {labels[i]!r}")
 
         n = len(self.entity_labels)
-        self._rows = _sorted_rows(self.tuples, len(self.relation_labels), n)
-        relation, subject, obj = self._rows.T
+        self.rows = _sorted_rows(self.tuples, len(self.relation_labels), n)
+        relation, subject, obj = self.rows.T
         self._objects = _RelationIndex(relation * n + subject, obj)
         key = relation * n + obj
         # stable, so each run's subjects stay ascending and the frozensets
@@ -319,20 +290,19 @@ class KgStore:
         return self._type_members.get(ty, ())
 
     def tuples_containing(self, entity: int) -> frozenset[Tuple]:
-        """The tuples containing ``entity``, read from :meth:`tuple_index`."""
-        positions = self.tuple_ids_containing(entity)
-        return frozenset(TupleRows(self.tuple_index().ids[positions]))
-
-    def tuple_index(self) -> TupleIndex:
-        """Every tuple by dense id, built on first use and cached."""
-        return self.derived("tuple_index", lambda: TupleIndex.build(self._rows, self.n_entities))
+        """The tuples containing ``entity``, read through :meth:`tuple_ids_containing`."""
+        return frozenset(TupleRows(self.rows[self.tuple_ids_containing(entity)]))
 
     def tuple_ids_containing(self, entity: int) -> np.ndarray:
         """Dense ids of the tuples containing ``entity``, ascending (so in
-        sorted ``Tuple`` order): a read-only view into :meth:`tuple_index`."""
+        sorted ``Tuple`` order); a self-loop is listed once.  A read-only
+        view into the per-entity index, built on the first call and cached."""
         self._check_entity(entity)
-        index = self.tuple_index()
-        return index.positions[index.starts[entity] : index.starts[entity + 1]]
+        starts, positions = self._entity_index()
+        return positions[starts[entity] : starts[entity + 1]]
+
+    def _entity_index(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.derived("entity_index", lambda: _build_entity_index(self.rows, self.n_entities))
 
     def types_of(self, entity: int) -> frozenset[int]:
         self._check_entity(entity)
@@ -405,6 +375,21 @@ def _sorted_rows(tuples: Iterable[Tuple], n_relations: int, n_entities: int) -> 
     ids = ids[np.argsort(group * n_entities + ids[:, 2])]
     ids.flags.writeable = False
     return ids
+
+
+def _build_entity_index(rows: np.ndarray, n_entities: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only int64 CSR over ``rows``: entity ``e``'s tuple ids are
+    ``positions[starts[e]:starts[e + 1]]``, ascending, a self-loop once."""
+    ids = np.arange(len(rows))
+    other = rows[:, 1] != rows[:, 2]
+    ends = np.concatenate([rows[:, 1], rows[other, 2]])
+    owners = np.concatenate([ids, ids[other]])
+    positions = owners[np.lexsort((owners, ends))]
+    starts = np.zeros(n_entities + 1, np.int64)
+    np.cumsum(np.bincount(ends, minlength=n_entities), out=starts[1:])
+    for array in (starts, positions):
+        array.flags.writeable = False
+    return starts, positions
 
 
 class _RelationIndex(dict):
@@ -503,7 +488,7 @@ def load(tuple_file: str | Path, label_file: str | Path, type_file: str | Path) 
         labels[TYPE],
         {e: frozenset(ts) for e, ts in entity_types.items()},
     )
-    duplicates = len(tuples) - len(store.tuples)
+    duplicates = len(tuples) - len(store.rows)
     if duplicates:
         log.info("dropped %d duplicate tuples from %s", duplicates, tuple_file)
     return store
@@ -532,8 +517,8 @@ def save_dir(store: KgStore, directory: str | Path) -> None:
             for ty in sorted(store.entity_types[e]):
                 fh.write(f"e{e}\tt{ty}\n")
     with open(d / "tuples.tsv", "w", encoding="utf-8") as fh:
-        for t in sorted(store.tuples):
-            fh.write(f"r{t.relation}\te{t.subject}\te{t.object}\n")
+        for r, s, o in store.rows.tolist():
+            fh.write(f"r{r}\te{s}\te{o}\n")
 
 
 def read_tsv(path: str | Path, width: int):
@@ -617,14 +602,9 @@ def filter_relations(store: KgStore, allowlist: set[int]) -> KgStore:
     """
     for r in allowlist:
         store._check_relation(r)
-    kept = [t for t in store.tuples if t.relation in allowlist]
-    return KgStore(
-        kept,
-        store.entity_labels,
-        store.relation_labels,
-        store.type_labels,
-        store.entity_types,
-    )
+    allowed = np.zeros(store.n_relations, bool)
+    allowed[np.fromiter(allowlist, np.int64, len(allowlist))] = True
+    return _kept_rows(store, allowed[store.rows[:, 0]], store.entity_types)
 
 
 def filter_types(store: KgStore, coverage_fraction: float) -> tuple[KgStore, frozenset[int]]:
@@ -641,7 +621,7 @@ def filter_types(store: KgStore, coverage_fraction: float) -> tuple[KgStore, fro
         raise KgError(f"coverage_fraction must be in [0, 1], got {coverage_fraction}")
 
     # one pass: tuples counted by the type sets of their two ends
-    ends = Counter((store.types_of(t.subject), store.types_of(t.object)) for t in store.tuples)
+    ends = Counter((store.types_of(s), store.types_of(o)) for _, s, o in store.rows.tolist())
     participation = dict.fromkeys(range(store.n_types), 0)
     for (subject_types, object_types), n in ends.items():
         for ty in subject_types | object_types:
@@ -656,7 +636,7 @@ def filter_types(store: KgStore, coverage_fraction: float) -> tuple[KgStore, fro
         if subject_types and object_types:
             first = min(map(position.get, subject_types)), min(map(position.get, object_types))
             survive[max(first)] += n
-    total = len(store.tuples)
+    total = len(store.rows)
     k = covered = 0
     while total and k < len(ranked) and covered / total < coverage_fraction:
         k += 1
@@ -664,11 +644,16 @@ def filter_types(store: KgStore, coverage_fraction: float) -> tuple[KgStore, fro
     retained = frozenset(ranked[:k])
 
     new_types = {e: kept for e, ts in store.entity_types.items() if (kept := ts & retained)}
-    tuples = [t for t in store.tuples if t.subject in new_types and t.object in new_types]
-    filtered = KgStore(
-        tuples, store.entity_labels, store.relation_labels, store.type_labels, new_types
-    )
-    return filtered, retained
+    typed = np.array([e in new_types for e in range(store.n_entities)], bool)
+    keep = typed[store.rows[:, 1]] & typed[store.rows[:, 2]]
+    return _kept_rows(store, keep, new_types), retained
+
+
+def _kept_rows(store: KgStore, keep: np.ndarray, entity_types: Mapping[int, frozenset[int]]) -> KgStore:
+    """A store over the rows of ``store`` that the mask ``keep`` marks, with
+    its id spaces and labels."""
+    labels = store.entity_labels, store.relation_labels, store.type_labels
+    return KgStore(TupleRows(store.rows[keep]), *labels, entity_types)
 
 
 # -- statistics ---------------------------------------------------------------
@@ -677,10 +662,10 @@ def filter_types(store: KgStore, coverage_fraction: float) -> tuple[KgStore, fro
 def stats(store: KgStore) -> StoreStats:
     """Counts over the store, read from its indices; fanout is the number of
     tuples containing an entity."""
-    fanouts = np.diff(store.tuple_index().starts).tolist()
+    fanouts = np.diff(store._entity_index()[0]).tolist()
     group_sizes = np.diff(store._objects.starts)
     return StoreStats(
-        n_tuples=len(store.tuples),
+        n_tuples=len(store.rows),
         n_entities=store.n_entities,
         n_relations=store.n_relations,
         n_entities_in_tuples=len(fanouts) - fanouts.count(0),

@@ -732,6 +732,58 @@ def test_corpus_turn_with_a_bad_id_names_the_line_and_field(command, turn_fields
     assert_one_error_line(code, err, f"{corpus}:3", shown)
 
 
+@pytest.mark.parametrize(
+    "turn_fields, shown",
+    [
+        ({"speaker": "robot"}, "field 'speaker' must be 'user' or 'system', got 'robot'"),
+        ({"speaker": "User"}, "field 'speaker' must be 'user' or 'system', got 'User'"),
+        ({"state": "SimpleQuestion"}, "field 'state': 'SimpleQuestion' is not a valid TurnState"),
+    ],
+)
+@pytest.mark.parametrize("command", sorted(CORPUS_READERS))
+def test_corpus_turn_with_a_bad_speaker_or_state_names_the_line_and_field(
+    command, turn_fields, shown, tmp_path, capsys
+):
+    turn = {
+        "speaker": "user",
+        "state": "SimpleQ",
+        "utterance": "Which rivers flow through India ?",
+        "entities": [],
+        "plan": None,
+        "answer": None,
+        **turn_fields,
+    }
+    bad_line = json.dumps({"dialog_id": "x", "seed": 1, "turns": [turn]})
+    corpus = corpus_with_bad_third_line(tmp_path, capsys, bad_line)
+    code, _, err = run(capsys, *CORPUS_READERS[command](corpus, tmp_path))
+    assert_one_error_line(code, err, f"{corpus}:3", shown)
+
+
+@pytest.mark.parametrize("command", sorted(CORPUS_READERS))
+def test_corpus_with_a_repeated_dialog_id_names_both_lines(command, tmp_path, capsys):
+    """Two generate runs both number their dialogs from d000000; read as one
+    corpus, the second run's dialogs would take the first run's provenance
+    and could land in a split part that does not own their tuples."""
+    lines = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"g{seed}"
+        run(capsys, "generate", "--kg", str(KG_T_DIR), "--n", "6", "--seed", seed, "--out", str(out))
+        lines += (out / "dialogs.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 12
+    corpus = tmp_path / "both.jsonl"
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, _, err = run(capsys, *CORPUS_READERS[command](corpus, tmp_path))
+    assert_one_error_line(code, err, f"{corpus}:7", "field 'dialog_id': 'd000000' repeats line 1")
+    assert not (tmp_path / "s").exists()
+
+
+def test_link_without_utterance_or_corpus_is_a_usage_error_before_any_read(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    for kg in (KG_T_DIR, missing):
+        code, out, err = run(capsys, "link", "--kg", str(kg), "--aliases", str(missing / "aliases.tsv"))
+        assert (code, out, err) == (2, "", "error: link needs --utterance or --corpus\n")
+
+
 def test_template_error_names_the_line_once(tmp_path, capsys):
     record = json.loads((KG_T_DIR / "templates.jsonl").read_text(encoding="utf-8").splitlines()[0])
     templates = tmp_path / "templates.jsonl"

@@ -202,22 +202,23 @@ def test_unknown_ids_raise(store):
 
 
 def _pool(s, e):
-    """The tuples containing ``e``, read through the dense tuple index."""
-    return tuple(TupleRows(s.tuple_index().ids[s.tuple_ids_containing(e)]))
+    """The tuples containing ``e``, read through the store's rows."""
+    return tuple(TupleRows(s.rows[s.tuple_ids_containing(e)]))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_tuple_ids_containing_is_the_sorted_fanout_cached_per_store(seed):
     s = make_random_store(seed, n_tuples=300, n_entities=40)  # self-loops included
     assert any(t.subject == t.object for t in s.tuples)
-    index = s.tuple_index()
-    assert index is s.tuple_index()
-    assert TupleRows(index.ids) == sorted(s.tuples)
+    assert s.rows.dtype == np.int64 and s.rows.shape == (len(s.tuples), 3)
+    assert not s.rows.flags.writeable
+    assert TupleRows(s.rows) == sorted(s.tuples)
+    index = s.tuple_ids_containing(0).base
     for e in range(s.n_entities):
         pool = s.tuple_ids_containing(e)
-        assert _pool(s, e) == tuple(sorted(brute_fanout(s, e)))
+        assert _pool(s, e) == tuple(sorted(brute_fanout(s, e)))  # a self-loop once
         # every pool is a view into the one cached index
-        assert np.shares_memory(pool, index.positions)
+        assert pool.base is index and s.tuple_ids_containing(e).base is index
         assert not pool.flags.writeable
 
 
@@ -240,13 +241,14 @@ def test_filtered_store_sorts_its_own_fanouts():
     s = make_random_store(1, n_tuples=300)
     hub = max(range(s.n_entities), key=lambda e: len(brute_fanout(s, e)))
     full = _pool(s, hub)
-    index = s.tuple_index()
+    index = s.tuple_ids_containing(hub).base
     filtered = kg_store.filter_relations(s, {0})
     own = _pool(filtered, hub)
     assert own == tuple(t for t in full if t.relation == 0)
     assert own != full
-    assert filtered.tuple_index() is not index
-    assert s.tuple_index() is index and _pool(s, hub) == full
+    assert TupleRows(filtered.rows) == sorted(filtered.tuples)
+    assert filtered.tuple_ids_containing(hub).base is not index
+    assert s.tuple_ids_containing(hub).base is index and _pool(s, hub) == full
 
 
 def test_tuple_rows_is_a_read_only_sequence_of_tuples():
@@ -302,6 +304,20 @@ def test_filter_relations_composes_as_intersection(store, ids):
     once = kg_store.filter_relations(store, a & b)
     twice = kg_store.filter_relations(kg_store.filter_relations(store, a), b)
     assert once.tuples == twice.tuples
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_filter_relations_equals_a_scan_on_random_stores(seed):
+    rng = random.Random(f"filter_relations:{seed}")
+    s = make_random_store(seed, n_tuples=rng.randint(0, 400), n_relations=rng.randint(1, 6))
+    for _ in range(4):
+        allowlist = set(rng.sample(range(s.n_relations), rng.randint(0, s.n_relations)))
+        filtered = kg_store.filter_relations(s, allowlist)
+        kept = sorted(t for t in s.tuples if t.relation in allowlist)
+        assert filtered.tuples == frozenset(kept) and TupleRows(filtered.rows) == kept
+        assert filtered.entity_types == s.entity_types
+        assert filtered.entity_labels == s.entity_labels
+        assert filtered.relation_labels == s.relation_labels
 
 
 def test_filter_types_full_coverage_keeps_everything(store):
@@ -635,3 +651,19 @@ def test_save_dir_round_trips(store, tmp_path):
         for t in again.tuples
     }
     assert relabel == relabel2
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_save_dir_round_trips_random_stores(seed, tmp_path):
+    """Dense ids become file ids and come back in file order, so the loaded
+    store has the same tuples, rows, labels and types."""
+    rng = random.Random(f"save_dir:{seed}")
+    s = make_random_store(seed, n_tuples=rng.randint(0, 400), n_types=rng.randint(1, 5))
+    kg_store.save_dir(s, tmp_path)
+    again = kg_store.load_dir(tmp_path)
+    assert again.tuples == s.tuples
+    assert np.array_equal(again.rows, s.rows)
+    assert again.entity_labels == s.entity_labels
+    assert again.relation_labels == s.relation_labels
+    assert again.type_labels == s.type_labels
+    assert again.entity_types == s.entity_types

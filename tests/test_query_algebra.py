@@ -752,7 +752,7 @@ def test_oracle_touches_no_index_or_cache(ids):
     for name in (
         "_objects",
         "_subjects",
-        "_rows",
+        "rows",
         "_type_members",
         "_entity_id_by_label",
         "_entity_ids_by_repeated_label",
