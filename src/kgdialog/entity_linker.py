@@ -104,8 +104,11 @@ def link(gazetteer: Gazetteer, utterance: str) -> list[Match]:
     return matches
 
 
-def candidate_tuples(store: KgStore, matched: Sequence[int], cap: int = 10000) -> CandidateSet:
-    """Tuples touching any matched entity, truncated fairly under ``cap``.
+def candidate_tuples(
+    store: KgStore, matched: Sequence[int], cap: int = 10000, matches: tuple[Match, ...] = ()
+) -> CandidateSet:
+    """Tuples touching any matched entity, truncated fairly under ``cap``;
+    the result keeps ``matches``, the mentions the entities came from.
 
     Ordering is deterministic: matched entities sorted rarest first, then
     round by round each entity with a tuple not yet chosen gives its next
@@ -116,38 +119,41 @@ def candidate_tuples(store: KgStore, matched: Sequence[int], cap: int = 10000) -
     entities = list(dict.fromkeys(matched))
     pools = [store.tuple_ids_containing(e) for e in entities]
     order = sorted(range(len(entities)), key=lambda k: (len(pools[k]), entities[k]))
-    merged = _round_robin(store, [pools[k] for k in order], entities)
-    return CandidateSet((), TupleRows(store.rows[merged[:cap]]), len(merged) > cap)
+    merged = _round_robin([pools[k] for k in order])
+    return CandidateSet(matches, TupleRows(store.rows[merged[:cap]]), len(merged) > cap)
 
 
-def _round_robin(store: KgStore, pools: list[np.ndarray], entities: list[int]) -> np.ndarray:
+def _round_robin(pools: list[np.ndarray]) -> np.ndarray:
     """The union of ``pools`` (ascending dense ids of the tuples containing
-    each of ``entities``) in round-robin order: each round, every pool in
-    turn gives its next id that no pool has given yet.
+    each of some distinct entities) in round-robin order: each round, every
+    pool in turn gives its next id that no pool has given yet.
 
-    Only a tuple whose two distinct ends are both matched sits in two pools,
-    and the pool that reaches it second skips it; such tuples are resolved
-    one by one, in pick order.  Without its skipped entries, a pool gives
-    its ``j``-th entry in round ``j``.
+    An id sits in two pools only when both distinct ends of its tuple are
+    matched, and the pool that reaches it second skips it.  Only when the
+    pools repeat an id are the repeated ones resolved, one by one in pick
+    order.  Without its skipped entries, a pool gives its ``j``-th entry in
+    round ``j``.
     """
     if len(pools) < 2:
         return pools[0] if pools else np.empty(0, np.int64)
     sizes = np.array([len(p) for p in pools])
     flat = np.concatenate(pools)
-    subject, obj = store.rows[flat, 1], store.rows[flat, 2]
-    is_matched = np.zeros(store.n_entities, bool)
-    is_matched[entities] = True
-    shared = np.flatnonzero(is_matched[subject] & is_matched[obj] & (subject != obj))
-    if shared.size:
+    order = np.argsort(flat, kind="stable")
+    ordered = flat[order]
+    twice = ordered[1:] == ordered[:-1]
+    if twice.any():
         starts = np.cumsum(sizes) - sizes
+        # an id sits in at most two pools: each repeat pairs two entries
+        shared = np.sort(np.concatenate([order[:-1][twice], order[1:][twice]]))
         pool = np.searchsorted(starts, shared, side="right") - 1
         skip = np.array(_skipped(flat[shared].tolist(), pool.tolist(), (shared - starts[pool]).tolist()))
         keep = np.ones(len(flat), bool)
         keep[shared[skip]] = False
         flat = flat[keep]
         sizes -= np.bincount(pool[skip], minlength=len(pools))
-    rounds = np.arange(sizes.max())
-    return flat[np.argsort(np.concatenate([rounds[:n] for n in sizes.tolist()]), kind="stable")]
+    # each id's place within its pool is the round that gives it
+    place = np.arange(len(flat)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return flat[np.argsort(place, kind="stable")]
 
 
 def _skipped(tuples: list[int], pools: list[int], places: list[int]) -> list[bool]:
@@ -184,8 +190,7 @@ def link_and_retrieve(
     matches = link(gazetteer, utterance)
     matched = [e for m in matches for e in m.entities]
     matched.extend(extra_entities)
-    candidates = candidate_tuples(store, matched, cap)
-    return CandidateSet(tuple(matches), candidates.tuples, candidates.truncated)
+    return candidate_tuples(store, matched, cap, tuple(matches))
 
 
 @dataclass(frozen=True)

@@ -9,18 +9,21 @@ which is harmless.  Entities, relations and types live in separate dense
 integer id spaces assigned in label-file order.
 
 The constructor turns the tuples into one ``(T, 3)`` int64 id array, sorted
-in :class:`Tuple` order, and the two relation indexes are runs of it: the
-objects of each (relation, subject) pair are one contiguous run of the
-sorted rows, and one more stable sort gives the subject runs of each
-(relation, object) pair.  Each index keeps three arrays (the distinct keys,
-where their runs start, the values); a lookup finds its key's run by
-bisection on the key's first read, freezes it and keeps the frozenset.  A
-tuple's dense id is its row in that array (``KgStore.rows``), and a
-per-entity CSR over it is built on first use.  The rest of the store holds no
-Python container per entity or per key either: labels resolve through one
-label -> id dict (plus a map of the few labels that repeat), each distinct
-set of entity types is one shared frozenset, and each type's members are
-one ascending tuple.
+in :class:`Tuple` order with repeats dropped, and the two relation indexes
+are runs of it: the objects of each (relation, subject) pair are one
+contiguous run of the sorted rows, and one more stable sort gives the
+subject runs of each (relation, object) pair.  Each index keeps three
+arrays (the distinct keys, where their runs start, the values); a lookup
+finds its key's run by bisection on the key's first read, freezes it and
+keeps the frozenset.  A tuple's dense id is its row in that array
+(``KgStore.rows``), and a per-entity CSR over it is built on first use.
+The rest of the store holds no Python container per entity or per key
+either: labels resolve through one label -> id dict (plus a map of the few
+labels that repeat), each distinct set of entity types is one shared
+frozenset, and each type's members are one ascending tuple.  Nor does it
+keep a Python object per tuple: the caller's ids are kept as given, in one
+more array, and the set of :class:`Tuple` that the brute-force oracle
+scans is built from them on its first read (``KgStore.tuples``).
 Readers that gather many tuples, such as the entity linker and the memory
 kernel, pass ``(N, 3)`` id rows around and show them as :class:`TupleRows`,
 a sequence of :class:`Tuple` made only when an element is read.
@@ -33,7 +36,8 @@ import logging
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
+from itertools import chain, repeat
 from pathlib import Path
 from types import NoneType
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, TypeVar
@@ -109,7 +113,8 @@ class TupleRows(Sequence):
         return Tuple(*self.ids[i].tolist())
 
     def __iter__(self):
-        return map(Tuple, *self.ids.T.tolist())
+        # tuple.__new__ skips the Tuple constructor's argument handling
+        return map(tuple.__new__, repeat(Tuple), zip(*self.ids.T.tolist()))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TupleRows):
@@ -142,19 +147,21 @@ class StoreStats:
 
 
 class KgStore:
-    """Tuple set plus lookup indices, entity types, and labels.
+    """Tuple id rows plus lookup indices, entity types, and labels.
 
     Instances are created by :func:`load` (or internally by the filter
-    operations) and treated as immutable afterwards.  ``rows`` holds each
-    tuple once, read-only int64 in sorted :class:`Tuple` order (row ``i``
-    is dense id ``i``); every reader uses it but the brute-force oracle,
-    which scans ``tuples``, the set of the caller's tuples.  Tuple ids
-    must lie within the label lists, relation and type labels are unique,
-    and no label holds a tab, ``\\r`` or ``\\n`` (which :func:`save_dir`
-    could not write); the constructor checks all three.  Entity labels may
-    repeat.  Each instance owns a cache of values derived from it (see
-    :meth:`derived`); a filtered store is a new instance and starts with an
-    empty cache.
+    operations) and treated as immutable afterwards.  ``tuples`` may be any
+    iterable of tuples; a :class:`TupleRows` is taken as it is, without
+    making a ``Tuple``.  ``rows`` holds each tuple once, read-only int64 in
+    sorted :class:`Tuple` order (row ``i`` is dense id ``i``); every reader
+    uses it but the brute-force oracle, which scans ``tuples``: the set of
+    the caller's tuples, built on first read from their ids as given
+    (unsorted, repeats included).  Tuple ids must lie within the label
+    lists, relation and type labels are unique, and no label holds a tab,
+    ``\\r`` or ``\\n`` (which :func:`save_dir` could not write); the
+    constructor checks all three.  Entity labels may repeat.  Each instance
+    owns a cache of values derived from it (see :meth:`derived`); a filtered
+    store is a new instance and starts with an empty cache.
     """
 
     def __init__(
@@ -165,7 +172,7 @@ class KgStore:
         type_labels: list[str],
         entity_types: dict[int, frozenset[int]],
     ):
-        self.tuples: frozenset[Tuple] = frozenset(tuples)
+        self._given_rows = TupleRows.of(tuples).ids
         self.entity_labels = list(entity_labels)
         self.relation_labels = list(relation_labels)
         self.type_labels = list(type_labels)
@@ -179,7 +186,7 @@ class KgStore:
                 raise KgError(f"{kind} label {i} holds a tab, '\\r' or '\\n': {labels[i]!r}")
 
         n = len(self.entity_labels)
-        self.rows = _sorted_rows(self.tuples, len(self.relation_labels), n)
+        self.rows = _sorted_rows(self._given_rows, len(self.relation_labels), n)
         relation, subject, obj = self.rows.T
         self._objects = _RelationIndex(relation * n + subject, obj)
         key = relation * n + obj
@@ -199,6 +206,12 @@ class KgStore:
             if repeated:
                 raise KgError(f"duplicate {kind} label {next(iter(repeated))!r}")
         self._derived: dict[Hashable, object] = {}
+
+    @cached_property
+    def tuples(self) -> frozenset[Tuple]:
+        """The caller's tuples as a set, the brute-force oracle's input; built
+        on first read in one pass over the ids as given."""
+        return frozenset(TupleRows(self._given_rows))
 
     def derived(self, key: Hashable, compute: Callable[[], T]) -> T:
         """The value cached under ``key``, computed by ``compute()`` on first use.
@@ -356,13 +369,13 @@ def _type_index(
     return types, {ty: tuple(ids) for ty, ids in members.items()}
 
 
-def _sorted_rows(tuples: Iterable[Tuple], n_relations: int, n_entities: int) -> np.ndarray:
-    """The read-only ``(T, 3)`` id rows of ``tuples`` in sorted ``Tuple`` order.
+def _sorted_rows(ids: np.ndarray, n_relations: int, n_entities: int) -> np.ndarray:
+    """The distinct rows of the ``(N, 3)`` id array ``ids``, read-only, in
+    sorted ``Tuple`` order.
 
     An id outside the label lists raises :class:`UnknownIdError` naming the
     first such tuple in sorted order, before anything is built.
     """
-    ids = TupleRows.of(tuples).ids
     limits = (n_relations, n_entities, n_entities)
     bad = ((ids < 0) | (ids >= limits)).any(axis=1)
     if bad.any():
@@ -373,6 +386,10 @@ def _sorted_rows(tuples: Iterable[Tuple], n_relations: int, n_entities: int) -> 
     # ranking the (relation, subject) keys keeps the sort key below T * n_entities
     _, group = np.unique(ids[:, 0] * n_entities + ids[:, 1], return_inverse=True)
     ids = ids[np.argsort(group * n_entities + ids[:, 2])]
+    first = np.ones(len(ids), bool)
+    first[1:] = (ids[1:] != ids[:-1]).any(axis=1)
+    if not first.all():
+        ids = ids[first]
     ids.flags.writeable = False
     return ids
 
@@ -468,7 +485,7 @@ def load(tuple_file: str | Path, label_file: str | Path, type_file: str | Path) 
         ty = _resolve(file_ids[TYPE], tfid, "type", type_file, lineno)
         entity_types.setdefault(e, set()).add(ty)
 
-    tuples: list[Tuple] = []
+    ids: list[int] = []  # (relation, subject, object) of each line, flat
     for lineno, parts in read_tsv(tuple_file, 3):
         rfid, sfid, ofid = parts
         r = _resolve(file_ids[RELATION], rfid, "relation", tuple_file, lineno)
@@ -479,16 +496,18 @@ def load(tuple_file: str | Path, label_file: str | Path, type_file: str | Path) 
                 raise LoadError(
                     f"{tuple_file}:{lineno}: entity {fid!r} has no type assignment"
                 )
-        tuples.append(Tuple(r, s, o))
+        ids += r, s, o
 
+    rows = TupleRows(np.array(ids, np.int64).reshape(-1, 3))
+    del ids
     store = KgStore(
-        tuples,
+        rows,
         labels[ENTITY],
         labels[RELATION],
         labels[TYPE],
         {e: frozenset(ts) for e, ts in entity_types.items()},
     )
-    duplicates = len(tuples) - len(store.rows)
+    duplicates = len(rows) - len(store.rows)
     if duplicates:
         log.info("dropped %d duplicate tuples from %s", duplicates, tuple_file)
     return store

@@ -35,6 +35,8 @@ from math import inf
 from operator import and_, attrgetter, or_, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Union as TUnion, get_args
 
+import numpy as np
+
 from .kg_store import KgStore, Tuple
 
 OBJ = "obj"
@@ -428,10 +430,12 @@ def brute_force_execute(
     store: KgStore, plan: QueryPlan, include_zero_groups: bool = True
 ) -> AnswerSet:
     """Index-free reference evaluation; guards against oversized stores."""
-    if len(store.tuples) > BRUTE_FORCE_GUARD:
-        raise PlanError(
-            f"brute force guard: {len(store.tuples)} tuples > {BRUTE_FORCE_GUARD}"
-        )
+    # counted on the ids the raw set is built from, so a refused store never
+    # builds it; distinct rows are counted only when a repeat could matter
+    given = store._given_rows
+    n = len(given) if len(given) <= BRUTE_FORCE_GUARD else len(np.unique(given, axis=0))
+    if n > BRUTE_FORCE_GUARD:
+        raise PlanError(f"brute force guard: {n} tuples > {BRUTE_FORCE_GUARD}")
     _validate_plan(store, plan)
     return _evaluate(store, plan, _scan_reach, _scan_holds, _scan_group_counts, include_zero_groups)
 

@@ -65,6 +65,52 @@ def test_duplicate_tuples_are_dropped(tmp_path, caplog):
     assert caplog.messages == [f"dropped 2 duplicate tuples from {tmp_path / 'tuples.tsv'}"]
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_repeated_tuple_lines_load_as_one_row_each(seed, tmp_path, caplog):
+    """Lines in random order, a third of them repeats: the rows are the
+    distinct tuples in sorted order, the repeats are logged, and the raw set
+    is the distinct tuples too."""
+    rng = random.Random(seed)
+    n_entities, n_relations = 30, 3
+    distinct = {
+        Tuple(rng.randrange(n_relations), rng.randrange(n_entities), rng.randrange(n_entities))
+        for _ in range(150)
+    }
+    lines = list(distinct) + rng.choices(sorted(distinct), k=len(distinct) // 2)
+    rng.shuffle(lines)
+    label_lines = [f"r{r}\tR\trel{r}" for r in range(n_relations)] + [f"e{e}\tE\tE{e}" for e in range(n_entities)]
+    (tmp_path / "labels.tsv").write_text("\n".join(label_lines + ["t\tT\tty"]) + "\n")
+    (tmp_path / "types.tsv").write_text("".join(f"e{e}\tt\n" for e in range(n_entities)))
+    (tmp_path / "tuples.tsv").write_text("".join(f"r{r}\te{s}\te{o}\n" for r, s, o in lines))
+    with caplog.at_level(logging.INFO, logger="kgdialog.kg_store"):
+        loaded = kg_store.load_dir(tmp_path)
+    assert loaded.rows.tolist() == sorted(map(list, distinct))
+    assert caplog.messages == [
+        f"dropped {len(lines) - len(distinct)} duplicate tuples from {tmp_path / 'tuples.tsv'}"
+    ]
+    assert loaded.tuples == distinct
+    labels = loaded.entity_labels, loaded.relation_labels, loaded.type_labels
+    built = KgStore(lines, *labels, loaded.entity_types)
+    assert np.array_equal(built.rows, loaded.rows) and built.tuples == distinct
+
+
+@pytest.mark.parametrize("fanout", ["uniform", "heavy"])
+def test_load_dir_round_trips_synthetic_graphs(fanout, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    import graphgen
+
+    s = graphgen.make_graph(7, 1800, fanout)
+    kg_store.save_dir(s, tmp_path)
+    again = kg_store.load_dir(tmp_path)
+    assert len(s.rows) > 1500
+    assert np.array_equal(again.rows, s.rows)
+    assert again.entity_labels == s.entity_labels
+    assert again.relation_labels == s.relation_labels
+    assert again.type_labels == s.type_labels
+    assert again.entity_types == s.entity_types
+    assert again.tuples == s.tuples
+
+
 def _labelled_store(tmp_path, extra_label_line):
     (tmp_path / "labels.tsv").write_text(
         "a\tE\tA\nb\tE\tB\nr\tR\tborders\nt\tT\tcountry\n" + extra_label_line
@@ -497,17 +543,20 @@ def test_stats_equal_brute_force_on_synthetic_graphs(n_tuples, fanout, expected,
 
 
 # retained bytes per tuple of a store built from a 28,493-tuple uniform graph,
-# with 5% margin: 187.0 when measured, 412.7 while the relation indexes kept a
-# tuple per key, the label index a list per entity and the types a frozenset
-# each, 512 while the relation indexes were dicts of frozensets, 722 while the
-# store also kept a per-entity dict of tuple sets (Python 3.11, numpy 2.4)
-STORE_BYTES_PER_TUPLE = 197
-# the same at 110,884 tuples: 157.5 when measured, 391.0 with a tuple per key
-# and a list per entity, 488 with the frozenset dicts
-STORE_BYTES_PER_TUPLE_AT_110K = 166
-# GC-tracked objects that a store and its gazetteer keep, beyond the Tuples
-# they are built from: 9 when measured at 28,493 tuples, 40,015 with a tuple
-# per relation key, a list per entity label and a frozenset per gazetteer key
+# with 5% margin: 137.4 when measured, 187.0 while the store kept a frozenset
+# of the caller's Tuples, 412.7 while the relation indexes kept a tuple per
+# key, the label index a list per entity and the types a frozenset each, 512
+# while the relation indexes were dicts of frozensets, 722 while the store
+# also kept a per-entity dict of tuple sets (Python 3.11, numpy 2.4)
+STORE_BYTES_PER_TUPLE = 145
+# the same at 110,884 tuples: 143.6 when measured, 157.5 with the frozenset of
+# Tuples, 391.0 with a tuple per key and a list per entity, 488 with the
+# frozenset dicts
+STORE_BYTES_PER_TUPLE_AT_110K = 151
+# GC-tracked objects that a store and its gazetteer keep: 10 when measured at
+# 28,493 tuples, 28,502 while the store kept the caller's Tuples, 40,015 more
+# with a tuple per relation key, a list per entity label and a frozenset per
+# gazetteer key
 STORE_AND_GAZETTEER_TRACKED_OBJECTS = 25
 
 
@@ -548,11 +597,14 @@ def test_store_and_gazetteer_keep_few_tracked_objects(monkeypatch):
     from kgdialog.entity_linker import build_gazetteer
 
     s = graphgen.make_graph(1, 28000, "uniform")
-    args = (list(s.tuples), s.entity_labels, s.relation_labels, s.type_labels, s.entity_types)
+    rows = TupleRows(s.rows.copy())
+    args = (s.entity_labels, s.relation_labels, s.type_labels, s.entity_types)
     del s
     gc.collect()
     before = len(gc.get_objects())
-    built = KgStore(*args)
+    # the caller's Tuples are made after the first count and dropped before
+    # the second, so the count holds only what the store keeps alive
+    built = KgStore(list(rows), *args)
     gazetteer = build_gazetteer(built)
     gc.collect()
     kept = len(gc.get_objects()) - before

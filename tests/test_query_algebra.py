@@ -235,6 +235,28 @@ def test_brute_force_guard():
             qa.brute_force_execute(huge, plan)
 
 
+def test_brute_force_guard_refuses_before_building_the_raw_set(monkeypatch):
+    store = kg_store.load_dir(KG_T_DIR)
+    plan = qa.Retrieve(qa.Lookup("obj", 0, 0, 0))
+    monkeypatch.setattr(qa, "BRUTE_FORCE_GUARD", len(store.rows) - 1)
+    with pytest.raises(qa.PlanError, match=f"guard: {len(store.rows)} tuples"):
+        qa.brute_force_execute(store, plan)
+    assert "tuples" not in vars(store)
+
+
+def test_brute_force_guard_counts_a_repeated_tuple_once(monkeypatch):
+    base = make_random_store(2, n_tuples=40)
+    labels = base.entity_labels, base.relation_labels, base.type_labels, base.entity_types
+    rows = sorted(base.tuples)
+    repeated = KgStore(rows + rows[:5], *labels)
+    plan = qa.Retrieve(qa.Lookup("obj", 0, 0, 0))
+    monkeypatch.setattr(qa, "BRUTE_FORCE_GUARD", len(rows))
+    assert qa.brute_force_execute(repeated, plan) == qa.execute(repeated, plan)
+    monkeypatch.setattr(qa, "BRUTE_FORCE_GUARD", len(rows) - 1)
+    with pytest.raises(qa.PlanError, match=f"guard: {len(rows)} tuples"):
+        qa.brute_force_execute(repeated, plan)
+
+
 def test_empty_store_retrieve_is_empty():
     from kgdialog.kg_store import KgStore
 
