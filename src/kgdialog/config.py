@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from . import kg_embed
+from . import kg_embed, memnet_kernel
 
 ENV_PREFIX = "KGDIALOG_"
 
@@ -62,7 +62,7 @@ class RunConfig:
     # split
     split_fractions: list[float] = field(default_factory=lambda: [0.8, 0.1, 0.1])
     # entity linking / memory
-    memory_cap: int = 10000
+    memory_cap: int = memnet_kernel.DEFAULT_MEMORY_CAP
     link_use_context: bool = True
     # embeddings
     embed_dim: int = 32
@@ -71,7 +71,7 @@ class RunConfig:
     embed_epochs: int = 500
     embed_negatives: int = 1
     # memory kernel
-    hops: int = 2
+    hops: int = memnet_kernel.DEFAULT_HOPS
 
     def as_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)

@@ -595,9 +595,10 @@ def write_json(path: str | Path, payload: dict) -> None:
 
 def json_field(record: dict, name: str, *kinds: type):
     """``record[name]``, which must be an instance of one of ``kinds``
-    (``NoneType`` allows null); otherwise a ``TypeError`` naming the field."""
+    (``NoneType`` allows null, and a JSON true or false is a ``bool``, not
+    an ``int``); otherwise a ``TypeError`` naming the field."""
     value = record[name]
-    if not isinstance(value, kinds):
+    if not isinstance(value, kinds) or (type(value) is bool and bool not in kinds):
         expected = " or ".join("null" if k is NoneType else k.__name__ for k in kinds)
         raise TypeError(f"field {name!r} must be {expected}, got {type(value).__name__}")
     return value

@@ -3,11 +3,13 @@
 A template couples surface strings (with ``⟨slot⟩`` markers) to a symbolic
 plan schema.  Templates are authored per relation with the relation and
 type slots pre-bound in ``fixed``; entity slots are filled at
-instantiation time.  Transforms mechanically derive complex templates
-(counting, logical combinations, thresholds, arg-min/max, comparatives,
-multi-type unions) from simple ones; ``derived`` makes each derivation once
-and keeps it on its base template.  A comparative's reference and a logical
-form's second anchor are slots, bound per instantiation.
+instantiation time; a template works out its slot facts when it is built.
+Transforms mechanically derive complex templates (counting, logical
+combinations, thresholds, arg-min/max, comparatives, multi-type unions)
+from simple ones, each through one step that suffixes the base's id and
+paraphrase group; ``derived`` makes each derivation once and keeps it on
+its base template.  A comparative's reference and a logical form's second
+anchor are slots, bound per instantiation.
 
 Surface markers may carry a ``+pl`` modifier (``⟨subject_type+pl⟩``) that
 pluralizes the bound label; transforms use it for the phrases they build.
@@ -19,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import plan_text, query_algebra as qa
 from .kg_store import KgError, KgStore, UnknownIdError, json_field, read_json_lines
@@ -65,15 +67,10 @@ def _number_slot(name: str) -> bool:
 
 class _TemplateBase:
     """Base of ``QuestionTemplate``.  Its slots keep what is worked out from a
-    template once: its slot facts, on their first read, and what
-    ``derived`` derives from it; a dict entry would slow every attribute
-    read."""
+    template: its slot facts, when it is built, and what ``derived``
+    derives from it; a dict entry would slow every attribute read."""
 
-    __slots__ = ("_facts", "_derivations")
-
-
-_set_facts = _TemplateBase._facts.__set__  # the slots' own setters, past a frozen class's __setattr__
-_set_derivations = _TemplateBase._derivations.__set__
+    __slots__ = ("_plan_slots", "_free_slots", "_anchor_slot", "_derivations")
 
 
 @dataclass(frozen=True)
@@ -87,6 +84,18 @@ class QuestionTemplate(_TemplateBase):
     fixed: Mapping[str, int | str] = field(default_factory=dict)
     slot_types: Mapping[str, str] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # the slot facts, worked out once: the template is frozen
+        slots = plan_text.slots_of(self.plan_schema)
+        expr = _root_expr(self.plan_schema)
+        if isinstance(expr, qa.TypeUnion):  # its branches share one anchor
+            expr = expr.branches[0]
+        anchor = expr.anchor.name if isinstance(expr, qa.Lookup) and isinstance(expr.anchor, Slot) else None
+        object.__setattr__(self, "_plan_slots", slots)
+        object.__setattr__(self, "_free_slots", tuple(sorted(slots - set(self.fixed))))
+        object.__setattr__(self, "_anchor_slot", anchor)
+        object.__setattr__(self, "_derivations", {})
+
     @property
     def kind(self) -> str:
         return type(self.plan_schema).__name__
@@ -95,42 +104,22 @@ class QuestionTemplate(_TemplateBase):
         return self.surface.get(number) or self.surface["singular"]
 
     def plan_slots(self) -> frozenset[str]:
-        return self._slot_facts()[0]
+        return self._plan_slots
 
     def free_slots(self) -> tuple[str, ...]:
         """Plan slots not pre-bound, in sorted order."""
-        return self._slot_facts()[1]
+        return self._free_slots
 
     def anchor_slot(self) -> str | None:
         """Slot name anchoring the root lookup, if there is one."""
-        return self._slot_facts()[2]
-
-    def _slot_facts(self) -> tuple[frozenset[str], tuple[str, ...], str | None]:
-        """The plan slots, the free ones and the anchor, worked out on the
-        template's first read (the template is frozen)."""
-        try:
-            return self._facts
-        except AttributeError:
-            pass
-        slots = plan_text.slots_of(self.plan_schema)
-        expr = _root_expr(self.plan_schema)
-        if isinstance(expr, qa.TypeUnion) and expr.branches:
-            expr = expr.branches[0]
-        anchor = expr.anchor.name if isinstance(expr, qa.Lookup) and isinstance(expr.anchor, Slot) else None
-        facts = slots, tuple(sorted(slots - set(self.fixed))), anchor
-        _set_facts(self, facts)
-        return facts
+        return self._anchor_slot
 
 
 def derived(template: QuestionTemplate, transform: Callable, *args):
     """``transform(template, *args)``, worked out once per template and
     arguments and kept on the template.  A transform that raises keeps
     nothing, so it raises again on the next call."""
-    try:
-        cache = template._derivations
-    except AttributeError:
-        cache = {}
-        _set_derivations(template, cache)
+    cache = template._derivations
     key = (transform, *args)
     try:
         return cache[key]
@@ -432,6 +421,22 @@ def _slot_label(store: KgStore, name: str, value: int | str) -> str:
 # -- transforms --------------------------------------------------------------------
 
 
+def _derive(
+    template: QuestionTemplate, tag: str, surface: Mapping[str, str], plan_schema: qa.QueryPlan,
+    group_tag: str | None = None, **changes,
+) -> QuestionTemplate:
+    """``template`` with a new surface and schema, its id suffixed ``#tag``
+    and its paraphrase group ``#group_tag`` (``#tag`` if none)."""
+    return replace(
+        template,
+        id=f"{template.id}#{tag}",
+        paraphrase_group=f"{template.paraphrase_group}#{group_tag or tag}",
+        surface=surface,
+        plan_schema=plan_schema,
+        **changes,
+    )
+
+
 def transform_to_count(template: QuestionTemplate) -> QuestionTemplate:
     """Turn a "Which ..." template into its "How many ..." counting form."""
     base = template.surface_variant("plural")
@@ -440,13 +445,8 @@ def transform_to_count(template: QuestionTemplate) -> QuestionTemplate:
     schema = template.plan_schema
     if type(schema) not in qa.COUNTING:
         raise TemplateError(f"template {template.id}: cannot count a {template.kind} plan")
-    return replace(
-        template,
-        id=template.id + "#count",
-        paraphrase_group=template.paraphrase_group + "#count",
-        surface={"singular": "How many " + base[len("Which ") :]},
-        plan_schema=qa.COUNTING[type(schema)](*(getattr(schema, f.name) for f in fields(schema))),
-    )
+    counted = qa.COUNTING[type(schema)](*(getattr(schema, f.name) for f in fields(schema)))
+    return _derive(template, "count", {"singular": "How many " + base[len("Which ") :]}, counted)
 
 
 def transform_logical(template: QuestionTemplate, op: str) -> QuestionTemplate:
@@ -474,14 +474,7 @@ def transform_logical(template: QuestionTemplate, op: str) -> QuestionTemplate:
     slot_types = dict(template.slot_types)
     if anchor in slot_types:
         slot_types[new_slot] = slot_types[anchor]
-    return replace(
-        template,
-        id=f"{template.id}#{op}",
-        paraphrase_group=f"{template.paraphrase_group}#{op}",
-        surface=surface,
-        plan_schema=qa.Retrieve(new_expr),
-        slot_types=slot_types,
-    )
+    return _derive(template, op, surface, qa.Retrieve(new_expr), slot_types=slot_types)
 
 
 def transform_add_type(
@@ -506,40 +499,29 @@ def transform_add_type(
     if not surface:
         raise TemplateError(f"template {template.id}: surface never mentions {marker}")
 
-    return replace(
-        template,
-        id=template.id + "#multitype",
-        paraphrase_group=template.paraphrase_group + "#multitype",
-        surface=surface,
-        plan_schema=qa.Retrieve(new_expr),
-        fixed={**template.fixed, rel2: extra_relation, type2: extra_type},
-    )
+    fixed = {**template.fixed, rel2: extra_relation, type2: extra_type}
+    return _derive(template, "multitype", surface, qa.Retrieve(new_expr), fixed=fixed)
 
 
 def transform_threshold(template: QuestionTemplate, comparator: str, n: int) -> QuestionTemplate:
     """Group form asking which result entities reach a counted threshold."""
     if comparator not in _COMPARATOR_PHRASES:
         raise TemplateError(f"unknown comparator {comparator!r}")
-    group, pieces = _derive_group(template)
-    phrase = _COMPARATOR_PHRASES[comparator]
-    if pieces["multi"]:
-        surface = (
-            f"Which {pieces['group_pl']} have {phrase} {SLOT_OPEN}n{SLOT_CLOSE} "
-            f"{pieces['counted_list_pl']} combined ?"
-        )
+    try:
+        qa.check_word("number", n)
+    except qa.PlanError as exc:
+        raise TemplateError(f"template {template.id}: threshold n: {exc}") from None
+    group, words = _derive_group(template)
+    phrase = f"{_COMPARATOR_PHRASES[comparator]} {SLOT_OPEN}n{SLOT_CLOSE}"
+    if words.multi:
+        surface = f"Which {words.group_pl} have {phrase} {words.counted_pl} combined ?"
     else:
-        base = template.surface_variant("plural")
-        counted = pieces["counted_pl"] if n != 1 else pieces["counted_sg"]
-        surface = _swap_anchor(
-            template, base, f"{phrase} {SLOT_OPEN}n{SLOT_CLOSE} {counted}"
-        )
-    return replace(
-        template,
-        id=f"{template.id}#th_{comparator}_{n}",
-        paraphrase_group=f"{template.paraphrase_group}#th_{comparator}",
-        surface={"singular": surface},
-        plan_schema=qa.ThresholdFilter(group, comparator, Slot("n")),
-        fixed={**template.fixed, "n": n},
+        counted = words.counted_pl if n != 1 else words.counted_sg
+        surface = _swap_anchor(template, "plural", f"{phrase} {counted}")
+    schema = qa.ThresholdFilter(group, comparator, Slot("n"))
+    return _derive(
+        template, f"th_{comparator}_{n}", {"singular": surface}, schema,
+        group_tag=f"th_{comparator}", fixed={**template.fixed, "n": n},
     )
 
 
@@ -547,23 +529,13 @@ def transform_argopt(template: QuestionTemplate, direction: str) -> QuestionTemp
     """Group form asking for the arg-min/arg-max result entity."""
     if direction not in qa.OPT_DIRECTIONS:
         raise TemplateError(f"unknown opt direction {direction!r}")
-    group, pieces = _derive_group(template)
-    superlative = "maximum" if direction == "max" else "minimum"
-    if pieces["multi"]:
-        surface = (
-            f"Which {pieces['group_sg']} has {superlative} number of "
-            f"{pieces['counted_list_pl']} combined ?"
-        )
+    group, words = _derive_group(template)
+    phrase = f"{'maximum' if direction == 'max' else 'minimum'} number of {words.counted_pl}"
+    if words.multi:
+        surface = f"Which {words.group_sg} has {phrase} combined ?"
     else:
-        base = template.surface_variant("singular")
-        surface = _swap_anchor(template, base, f"{superlative} number of {pieces['counted_pl']}")
-    return replace(
-        template,
-        id=f"{template.id}#argopt_{direction}",
-        paraphrase_group=f"{template.paraphrase_group}#argopt_{direction}",
-        surface={"singular": surface},
-        plan_schema=qa.ArgOpt(group, direction),
-    )
+        surface = _swap_anchor(template, "singular", phrase)
+    return _derive(template, f"argopt_{direction}", {"singular": surface}, qa.ArgOpt(group, direction))
 
 
 def transform_comparative(template: QuestionTemplate, direction: str) -> QuestionTemplate:
@@ -571,27 +543,16 @@ def transform_comparative(template: QuestionTemplate, direction: str) -> Questio
     the slot ``REFERENCE_SLOT``, bound at instantiation."""
     if direction not in qa.CMP_DIRECTIONS:
         raise TemplateError(f"unknown comparative direction {direction!r}")
-    group, pieces = _derive_group(template)
-    ref_marker = f"{SLOT_OPEN}{REFERENCE_SLOT}{SLOT_CLOSE}"
-    if pieces["multi"]:
-        surface = (
-            f"Which {pieces['group_pl']} have {direction} "
-            f"{pieces['counted_list_pl']} than {ref_marker} ?"
-        )
+    group, words = _derive_group(template)
+    than = f"{words.counted_pl} than {SLOT_OPEN}{REFERENCE_SLOT}{SLOT_CLOSE}"
+    if words.multi:
+        surface = f"Which {words.group_pl} have {direction} {than} ?"
     else:
-        base = template.surface_variant("plural")
-        surface = _swap_anchor(
-            template, base, f"{direction} number of {pieces['counted_pl']} than {ref_marker}"
-        )
-    slot_types = dict(template.slot_types)
-    slot_types[REFERENCE_SLOT] = pieces["group_type_ref"]
-    return replace(
-        template,
-        id=f"{template.id}#cmp_{direction}",
-        paraphrase_group=f"{template.paraphrase_group}#cmp_{direction}",
-        surface={"singular": surface},
-        plan_schema=qa.Comparative(group, Slot(REFERENCE_SLOT), direction),
-        slot_types=slot_types,
+        surface = _swap_anchor(template, "plural", f"{direction} number of {than}")
+    return _derive(
+        template, f"cmp_{direction}", {"singular": surface},
+        qa.Comparative(group, Slot(REFERENCE_SLOT), direction),
+        slot_types={**template.slot_types, REFERENCE_SLOT: words.group_type},
     )
 
 
@@ -623,23 +584,16 @@ def transform_multi_relation(
 
     b_text = template_b.surface_variant("plural")
     type_slot_b = _result_type_slot(template_b)
-    prefix = re.compile(
-        r"^Which\s+"
-        + re.escape(SLOT_OPEN)
-        + re.escape(type_slot_b)
-        + r"(?:\+pl)?"
-        + re.escape(SLOT_CLOSE)
-        + r"s?\s+"
-    )
-    if not prefix.search(b_text):
+    type_marker = re.escape(SLOT_OPEN + type_slot_b) + r"(?:\+pl)?" + re.escape(SLOT_CLOSE)
+    remainder, stripped = re.subn(rf"^Which\s+{type_marker}s?\s+", "", b_text)
+    if not stripped:
         raise TemplateError(f"template {template_b.id}: cannot strip Which-prefix for combination")
-    remainder = prefix.sub("", b_text)
-    remainder = _MARKER.sub(
-        lambda m: f"{SLOT_OPEN}{rename(m.group(1).split('+')[0])}"
-        + ("+" + m.group(1).split("+", 1)[1] if "+" in m.group(1) else "")
-        + SLOT_CLOSE,
-        remainder,
-    )
+
+    def renamed(m: re.Match) -> str:  # the marker, its slot renamed and its modifier kept
+        name, plus, modifier = m.group(1).partition("+")
+        return f"{SLOT_OPEN}{rename(name)}{plus}{modifier}{SLOT_CLOSE}"
+
+    remainder = _MARKER.sub(renamed, remainder)
     a_text = template_a.surface_variant("plural").rstrip()
     a_text = a_text[:-1].rstrip() if a_text.endswith("?") else a_text
     surface = f"{a_text} {_CONJUNCTIONS[op]} {remainder}"
@@ -680,11 +634,13 @@ def extra_anchor_slot(template: QuestionTemplate) -> str:
     return f"entity:{k}"
 
 
-def _swap_anchor(template: QuestionTemplate, base: str, replacement: str) -> str:
+def _swap_anchor(template: QuestionTemplate, number: str, replacement: str) -> str:
+    """``template``'s ``number`` surface with its anchor marker replaced."""
     anchor = template.anchor_slot()
     if anchor is None:
         raise TemplateError(f"template {template.id}: transform needs a slot anchor")
     marker = f"{SLOT_OPEN}{anchor}{SLOT_CLOSE}"
+    base = template.surface_variant(number)
     if marker not in base:
         raise TemplateError(f"template {template.id}: surface never mentions the anchor")
     return base.replace(marker, replacement, 1)
@@ -703,8 +659,19 @@ def group_schema(template: QuestionTemplate) -> qa.GroupSpec:
     return _derive_group(template)[0]
 
 
-def _derive_group(template: QuestionTemplate) -> tuple[qa.GroupSpec, dict]:
-    """Group schema for threshold/argopt/comparative transforms.
+class _GroupWords(NamedTuple):
+    """How the grouped transforms phrase a group."""
+
+    multi: bool  # the group counts the branches of a multi-type template
+    group_sg: str
+    group_pl: str
+    counted_sg: str
+    counted_pl: str  # every counted type, listed
+    group_type: str  # the group's type reference: a type slot or label
+
+
+def _derive_group(template: QuestionTemplate) -> tuple[qa.GroupSpec, _GroupWords]:
+    """Group schema for threshold/argopt/comparative transforms, and its words.
 
     Single-lookup templates group over the result type and count anchors;
     multi-type templates group over the anchor's type and count the union
@@ -714,41 +681,37 @@ def _derive_group(template: QuestionTemplate) -> tuple[qa.GroupSpec, dict]:
         raise TemplateError(f"template {template.id}: group transform needs a Retrieve schema")
     expr = template.plan_schema.expr
     anchor_type_atom = _anchor_type_atom(template)
-
     if isinstance(expr, qa.Lookup):
         flipped = qa.SUBJ if expr.direction == qa.OBJ else qa.OBJ
         group = qa.GroupSpec(expr.result_type, (qa.Counted(expr.relation, flipped, anchor_type_atom),))
-        return group, {
-            "multi": False,
-            "counted_pl": _surface_token(anchor_type_atom, plural=True),
-            "counted_sg": _surface_token(anchor_type_atom, plural=False),
-            "group_type_ref": _type_ref(expr.result_type),
-        }
-    if isinstance(expr, qa.TypeUnion):
+    elif isinstance(expr, qa.TypeUnion):
         legs = tuple(qa.Counted(b.relation, b.direction, b.result_type) for b in expr.branches)
-        counted_tokens = [_surface_token(b.result_type, plural=True) for b in expr.branches]
         group = qa.GroupSpec(anchor_type_atom, legs)
-        listing = (
-            " and ".join(counted_tokens)
-            if len(counted_tokens) <= 2
-            else ", ".join(counted_tokens[:-1]) + " and " + counted_tokens[-1]
-        )
-        return group, {
-            "multi": True,
-            "counted_list_pl": listing,
-            "group_sg": _surface_token(anchor_type_atom, plural=False),
-            "group_pl": _surface_token(anchor_type_atom, plural=True),
-            "group_type_ref": _type_ref(anchor_type_atom),
-        }
-    raise TemplateError(f"template {template.id}: group transform needs a lookup schema")
+    else:
+        raise TemplateError(f"template {template.id}: group transform needs a lookup schema")
+    counted = [leg.counted_type for leg in group.counted]
+    return group, _GroupWords(
+        multi=isinstance(expr, qa.TypeUnion),
+        group_sg=_surface_token(group.group_type, plural=False),
+        group_pl=_surface_token(group.group_type, plural=True),
+        counted_sg=_listing([_surface_token(atom, plural=False) for atom in counted]),
+        counted_pl=_listing([_surface_token(atom, plural=True) for atom in counted]),
+        group_type=_type_ref(group.group_type),
+    )
+
+
+def _listing(tokens: list[str]) -> str:
+    """``a``, ``a and b``, ``a, b and c``."""
+    *rest, last = tokens
+    return f"{', '.join(rest)} and {last}" if rest else last
 
 
 def _anchor_type_atom(template: QuestionTemplate):
     name = _anchor_type_slot(template)
-    if name in template.fixed or name in _all_surface_and_plan_slots(template):
+    mentioned = (surface_slots(text_) for text_ in template.surface.values())
+    if name in template.fixed or name in template.plan_slots() or any(name in m for m in mentioned):
         return Slot(name)
-    anchor = template.anchor_slot()
-    literal = template.slot_types.get(anchor or "", None)
+    literal = template.slot_types.get(template.anchor_slot() or "")
     if literal is not None:
         return literal
     raise TemplateError(f"template {template.id}: cannot determine the anchor's type")
@@ -756,13 +719,6 @@ def _anchor_type_atom(template: QuestionTemplate):
 
 def _type_ref(atom) -> str:
     return atom.name if isinstance(atom, Slot) else str(atom)
-
-
-def _all_surface_and_plan_slots(template: QuestionTemplate) -> set[str]:
-    slots = set(template.plan_slots())
-    for text_ in template.surface.values():
-        slots.update(surface_slots(text_))
-    return slots
 
 
 # -- pathology filters ---------------------------------------------------------------

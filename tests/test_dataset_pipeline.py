@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -147,6 +148,15 @@ def test_written_line_holds_only_id_seed_and_turns(store, corpus, tmp_path):
     assert len(lines) == len(corpus.dialogs)
     for line in lines:
         assert sorted(json.loads(line)) == ["dialog_id", "seed", "turns"]
+
+
+def test_a_json_boolean_seed_fails_at_load(store, corpus, tmp_path):
+    # JSON true is a bool, which Python counts as an int; a seed must be an int
+    written, bad = tmp_path / "c.jsonl", tmp_path / "bad.jsonl"
+    pipe.write_corpus(corpus, store, written)
+    _rewrite_lines(written, bad, lambda obj: obj.update(seed=True))
+    with pytest.raises(pipe.PipelineError, match=re.escape(f"{bad}:1: field 'seed' must be int, got bool")):
+        pipe.read_corpus(bad, store)
 
 
 def test_old_format_with_stored_provenance_reads_the_same(store, corpus, tmp_path):

@@ -459,6 +459,48 @@ def test_transforms_match_brute_force(store, river):
         assert qa.brute_force_execute(store, built.plan) == built.answer
 
 
+# each form's (id suffix, paraphrase group suffix)
+DERIVED_SUFFIXES = [
+    (transform_to_count, (), "#count", "#count"),
+    (transform_logical, ("and",), "#and", "#and"),
+    (transform_logical, ("or",), "#or", "#or"),
+    (transform_logical, ("but_not",), "#but_not", "#but_not"),
+    (transform_add_type, ("capital", "city"), "#multitype", "#multitype"),
+    (transform_threshold, ("atleast", 2), "#th_atleast_2", "#th_atleast"),
+    (transform_argopt, ("max",), "#argopt_max", "#argopt_max"),
+    (transform_comparative, ("more",), "#cmp_more", "#cmp_more"),
+]
+
+
+@pytest.mark.parametrize("transform, args, id_suffix, group_suffix", DERIVED_SUFFIXES)
+def test_a_transform_suffixes_the_id_and_paraphrase_group(river, capital, transform, args, id_suffix, group_suffix):
+    bases = ((river, "river_flows", "pg_river_flows"), (capital, "capital_city", "pg_capital"))
+    for base, base_id, base_group in bases:
+        derived = transform(base, *args)
+        assert (derived.id, derived.paraphrase_group) == (base_id + id_suffix, base_group + group_suffix)
+
+
+def test_a_multi_relation_form_joins_both_ids_and_paraphrase_groups(river, capital):
+    combined = transform_multi_relation(river, capital, "but_not")
+    assert combined.id == "river_flows+capital_city#but_not"
+    assert combined.paraphrase_group == "pg_river_flows+pg_capital#but_not"
+
+
+def test_derivations_of_derivations_chain_their_suffixes(river):
+    over = transform_to_count(transform_threshold(river, "atleast", 2))
+    assert (over.id, over.paraphrase_group) == ("river_flows#th_atleast_2#count", "pg_river_flows#th_atleast#count")
+    counted_cmp = transform_to_count(transform_comparative(transform_add_type(river, "capital", "city"), "less"))
+    assert counted_cmp.id == "river_flows#multitype#cmp_less#count"
+    assert counted_cmp.paraphrase_group == "pg_river_flows#multitype#cmp_less#count"
+
+
+@pytest.mark.parametrize("n", [-1, True, 2.5])
+def test_a_threshold_count_that_is_not_a_number_fails_when_derived(river, n):
+    message = f"template river_flows: threshold n: expected a number >= 0, got {n!r}"
+    with pytest.raises(TemplateError, match=re.escape(message)):
+        transform_threshold(river, "atleast", n)
+
+
 # -- pathology filters ------------------------------------------------------------------
 
 
