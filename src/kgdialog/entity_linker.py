@@ -114,8 +114,8 @@ def candidate_tuples(
     round by round each entity with a tuple not yet chosen gives its next
     one in sorted ``Tuple`` order.
     """
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
+    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+        raise ValueError(f"cap must be an integer >= 1, got {cap!r}")
     entities = list(dict.fromkeys(matched))
     pools = [store.tuple_ids_containing(e) for e in entities]
     order = sorted(range(len(entities)), key=lambda k: (len(pools[k]), entities[k]))
@@ -129,13 +129,68 @@ def _round_robin(pools: list[np.ndarray]) -> np.ndarray:
     pool in turn gives its next id that no pool has given yet.
 
     An id sits in two pools only when both distinct ends of its tuple are
-    matched, and the pool that reaches it second skips it.  Only when the
-    pools repeat an id are the repeated ones resolved, one by one in pick
-    order.  Without its skipped entries, a pool gives its ``j``-th entry in
-    round ``j``.
+    matched, and the pool that reaches it second skips it.  The work of the
+    rounds grows with the ids outside the last pool (the largest, as
+    ``candidate_tuples`` orders them): up to ``_ROUNDS_LIMIT`` of them the
+    rounds run over Python lists, past it over arrays.
     """
     if len(pools) < 2:
         return pools[0] if pools else np.empty(0, np.int64)
+    outside = sum(map(len, pools[:-1]))
+    if outside > _ROUNDS_LIMIT:
+        return _merge_arrays(pools)
+    return _merge_rounds(pools, outside)
+
+
+# Above this many ids outside the largest pool, the array merge's fixed
+# cost of ~25 µs is less than the rounds' per-id cost: the two broke even
+# at 49 to 64 such ids on seed-7 qa-answer questions (a 2-vCPU host).
+_ROUNDS_LIMIT = 48
+
+
+def _merge_rounds(pools: list[np.ndarray], outside: int) -> np.ndarray:
+    """The round-robin merge as Python rounds, run while two or more pools
+    still give ids; the pool left then gives the rest of its ids in order.
+
+    The rounds take at most ``2 * outside + 1`` entries of the last pool:
+    each round but the final one has another pool give an id, so there are
+    at most ``outside + 1`` rounds, and the last pool skips only ids the
+    others gave.  The rest of the last pool is one array step that drops
+    the ids the others gave."""
+    head = 2 * outside + 1
+    lists = [p.tolist() for p in pools[:-1]]
+    lists.append(pools[-1][:head].tolist())
+    given = {}  # the ids given so far, in the order given
+    live = [iter(ids) for ids in lists]
+    while len(live) > 1:
+        still = []
+        for ids in live:
+            for e in ids:
+                if e not in given:
+                    given[e] = None
+                    still.append(ids)
+                    break
+        live = still
+    for ids in live:
+        given.update(dict.fromkeys(ids))  # a given id keeps its place
+    merged = np.fromiter(given, np.int64, len(given))
+    tail = pools[-1][head:]
+    if not tail.size:
+        return merged
+    first, last = int(tail[0]), int(tail[-1])
+    seen = [e for e in given if first <= e <= last]
+    if seen:
+        place = tail.searchsorted(seen)
+        keep = np.ones(len(tail), bool)
+        keep[place[tail[place] == seen]] = False
+        tail = tail[keep]
+    return np.concatenate((merged, tail))
+
+
+def _merge_arrays(pools: list[np.ndarray]) -> np.ndarray:
+    """The round-robin merge in array steps.  Only when the pools repeat an
+    id are the repeated ones resolved, one by one in pick order.  Without
+    its skipped entries, a pool gives its ``j``-th entry in round ``j``."""
     sizes = np.array([len(p) for p in pools])
     flat = np.concatenate(pools)
     order = np.argsort(flat, kind="stable")

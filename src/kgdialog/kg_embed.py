@@ -99,10 +99,11 @@ class EmbeddingTable:
         one pass.  The first id outside the table, in row order, raises the
         :class:`UnknownIdError` that :meth:`relation` or :meth:`entity`
         would; a negative id is outside too, never counted from the end."""
-        limits = (len(self.relation_vecs), len(self.entity_vecs), len(self.entity_vecs))
-        bad = np.flatnonzero((ids < 0) | (ids >= limits))
-        if bad.size:
-            i = int(bad[0])
+        n_entities = len(self.entity_vecs)
+        limits = np.array([len(self.relation_vecs), n_entities, n_entities], np.uint64)
+        outside = ids.astype(np.uint64) >= limits  # a negative id wraps past every limit
+        if np.count_nonzero(outside):
+            i = int(outside.argmax())  # the first, in row order
             kind = "relation" if i % 3 == 0 else "entity"
             raise UnknownIdError(f"{kind} id {ids.flat[i]} not embedded")
 

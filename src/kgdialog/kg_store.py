@@ -325,15 +325,15 @@ class KgStore:
         return ty in self.entity_types.get(entity, frozenset())
 
     def _check_entity(self, e: int) -> None:
-        if not isinstance(e, int) or not 0 <= e < len(self.entity_labels):
+        if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e < len(self.entity_labels):
             raise UnknownIdError(f"unknown entity id {e!r}")
 
     def _check_relation(self, r: int) -> None:
-        if not isinstance(r, int) or not 0 <= r < len(self.relation_labels):
+        if not isinstance(r, int) or isinstance(r, bool) or not 0 <= r < len(self.relation_labels):
             raise UnknownIdError(f"unknown relation id {r!r}")
 
     def _check_type(self, ty: int) -> None:
-        if not isinstance(ty, int) or not 0 <= ty < len(self.type_labels):
+        if not isinstance(ty, int) or isinstance(ty, bool) or not 0 <= ty < len(self.type_labels):
             raise UnknownIdError(f"unknown type id {ty!r}")
 
 
